@@ -28,7 +28,8 @@ from .fields import (
     generate_weight,
     _mat_sqrt,
     _mat_isqrt,
-    direction_net,
+    _opnorms,
+    _reducing_net,
 )
 from . import transforms as tf
 from . import opnorm as onorm
@@ -92,12 +93,6 @@ def _sup_report(name, window, per_level, params, extras=None, keep_levels=False)
         extras=extras or {},
         per_level=per_level if keep_levels else None,
     )
-
-
-def _opnorms(stack):
-    if stack.size == 0:
-        return np.zeros(stack.shape[:-2])
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def _accumulate_down(window, per_level_vals):
@@ -617,7 +612,7 @@ def random_vector_field(window, n, rng, headroom=0):
 
 
 class _GridEvaluator:
-    """Exact evaluation of averages, integrals and Haar coefficients of
+    """Exact evaluation of averages and Haar coefficients of
     window step fields over the cubes of another shifted grid."""
 
     def __init__(self, window, shift):
@@ -634,22 +629,9 @@ class _GridEvaluator:
                 self.cubes.append(cube)
                 self.pieces.append(cube_pieces(window, cube))
 
-    def integral(self, leaf_values, ci):
-        idx, vols = self.pieces[ci]
-        return np.tensordot(vols, leaf_values[idx], axes=(0, 0))
-
     def average(self, leaf_values, ci):
         idx, vols = self.pieces[ci]
         return np.tensordot(vols, leaf_values[idx], axes=(0, 0)) / vols.sum()
-
-    def children(self, ci):
-        cube = self.cubes[ci]
-        out = []
-        for b in range(2**self.window.d):
-            ch = cube.child(b)
-            ck = self.index.get((ch.level, ch.position))
-            out.append((b, ck, ch))
-        return out
 
     def haar_coefs(self, leaf_values, ci):
         """(nsig, ...) coefficients of the field on cube ci (children needed)."""
@@ -695,8 +677,7 @@ def bmo_over_shifted_grids(B, W, U, p, eps=1.0):
 
 
 def _foreign_grid_reducing(ev, Ppow, p, expo, ci):
-    n = Ppow.shape[1]
-    net = direction_net(n).astype(complex)
+    net = _reducing_net(Ppow)
     idx, vols = ev.pieces[ci]
     Y = np.einsum("lab,jb->lja", Ppow[idx], net)
     rho_p = np.tensordot(vols, np.linalg.norm(Y, axis=2) ** expo, axes=(0, 0))

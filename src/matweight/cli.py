@@ -144,7 +144,7 @@ def cmd_gen(args):
 
 def cmd_ap(args):
     if not 1.0 < args.p:
-        raise SystemExit("error: p must exceed 1")
+        raise ValueError("p must exceed 1")
     W = fmod.load_field(args.weight)
     grids = None
     if args.grids:

@@ -375,15 +375,18 @@ def direction_net(n, offset=False):
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
-def _complex_net(n, offset=False):
-    base = direction_net(n, offset)
-    if n == 1:
-        return base.astype(complex)
-    nets = [base.astype(complex)]
-    phased = base.astype(complex).copy()
+def _reducing_net(P, offset=False):
+    """Direction net for the p != 2 reducing operators of power leaves P.
+
+    Real leaves use the real net; leaves with a nonzero imaginary entry
+    add a copy with the trailing coordinates rotated by i.
+    """
+    base = direction_net(P.shape[1], offset).astype(complex)
+    if P.shape[1] == 1 or not np.any(P.imag):
+        return base
+    phased = base.copy()
     phased[:, 1:] *= 1j
-    nets.append(phased)
-    return np.concatenate(nets, axis=0)
+    return np.concatenate([base, phased], axis=0)
 
 
 def _rho_powers(field_power_leaves, net, expo, window):
@@ -424,13 +427,8 @@ class ReducingTable:
         pp = p / (p - 1.0)
         expo = pp if dual else p
         P = W.power(-1.0 / p if dual else 1.0 / p).leaves
-        is_complex = bool(np.max(np.abs(P.imag)) > 0)
-        net = _complex_net(W.n) if is_complex else direction_net(W.n).astype(complex)
-        vnet = (
-            _complex_net(W.n, offset=True)
-            if is_complex
-            else direction_net(W.n, offset=True).astype(complex)
-        )
+        net = _reducing_net(P)
+        vnet = _reducing_net(P, offset=True)
         rho_pow = _rho_powers(P, net, expo, win)
         M0 = np.einsum("ja,jb->ab", net, np.conj(net))
         M0_isqrt = _mat_isqrt(M0[None])[0]
@@ -459,6 +457,13 @@ class ReducingTable:
     def at(self, cube):
         j, idx = _rel(self.window, cube)
         return self.mats[j][idx]
+
+
+def _opnorms(stack):
+    """Spectral norms of a stack of matrices (shape stack.shape[:-2])."""
+    if stack.size == 0:
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def _mat_sqrt(stack):
@@ -713,6 +718,12 @@ def load_field(path, window=None):
         root = DyadicCube(grid, header["root_level"], tuple(header["root_position"]))
         window = Window(root, header["depth"])
     n = header["n"]
+    width = n * n if header["kind"] == "matrix" else n
+    need = 16 * 2 ** (header["d"] * header["depth"]) * width
+    if len(raw) != need:
+        raise FieldError(
+            f"{path}: payload has {len(raw)} bytes, the header needs {need}"
+        )
     data = np.frombuffer(raw, dtype="<c16")
     if header["kind"] == "matrix":
         leaves = data.reshape(window.leafcount, n, n).copy()

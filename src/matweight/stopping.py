@@ -23,6 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .fields import _opnorms
+
 __all__ = [
     "StoppingError",
     "LambdaSearchError",
@@ -45,12 +47,6 @@ class LambdaSearchError(StoppingError):
     pass
 
 
-def _op_norms(stack):
-    if stack.size == 0:
-        return np.zeros(stack.shape[:-2])
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
-
-
 class _PairStats:
     """max of the four stopping norms for every (cube, ancestor) pair."""
 
@@ -63,10 +59,10 @@ class _PairStats:
         for jj in range(win.depth + 1):
             for jk in range(jj):
                 anc = win.ancestor_index(jj, jk)
-                n1 = _op_norms(tw.mats[jj] @ tw.inv(jk)[anc])
-                n2 = _op_norms(tw.inv(jj) @ tw.mats[jk][anc])
-                n3 = _op_norms(tu.mats[jj] @ tu.inv(jk)[anc])
-                n4 = _op_norms(tu.mats[jk][anc] @ tu.inv(jj))
+                n1 = _opnorms(tw.mats[jj] @ tw.inv(jk)[anc])
+                n2 = _opnorms(tw.inv(jj) @ tw.mats[jk][anc])
+                n3 = _opnorms(tu.mats[jj] @ tu.inv(jk)[anc])
+                n4 = _opnorms(tu.mats[jk][anc] @ tu.inv(jj))
                 self.table[(jj, jk)] = np.stack([n1, n2, n3, n4], axis=1)
 
     def norms(self, cube, root):

@@ -442,6 +442,27 @@ def test_foreign_grid_machinery_matches_own_grid(rng):
         )
 
 
+def test_foreign_grid_machinery_matches_own_grid_complex_weights(rng):
+    # complex Hermitian weights at p != 2 need the complex direction net on
+    # the piecewise path too, or its reducing operators drift off the table's
+    win = Window.unit(1, 5)
+    Q, _ = np.linalg.qr(
+        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    )
+
+    def rotated(F):
+        return MatrixField(win, Q @ F.leaves @ Q.conj().T, weight=True)
+
+    W = rotated(bmo.bounded_weight(win, 2, rng))
+    U = rotated(bmo.bounded_weight(win, 2, rng))
+    assert np.max(np.abs(W.leaves.imag)) > 0.1
+    B = bmo.random_matrix_field(win, 2, rng)
+    _, cb = bmo._foreign_grid_bmo(B, W, U, 3.0, 1.0, win.grid.shift)
+    assert np.isclose(
+        cb, bmo.condition_b(W, U, tf.analyze(B), 3.0).supremum, rtol=1e-9
+    )
+
+
 def test_level_set_diagnostic(rng):
     win = Window.unit(1, 5)
     W = bmo.bounded_weight(win, 2, rng)

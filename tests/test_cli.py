@@ -56,6 +56,31 @@ def test_ap_cross_grids(weight_file, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("p", ["1", "0.5"])
+def test_ap_rejects_p_at_most_one(weight_file, capsys, p):
+    capsys.readouterr()
+    rc = main(["ap", "--weight", str(weight_file), "--p", p])
+    assert rc == 2
+    assert "error: p must exceed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", [5, 16 * 3])
+def test_truncated_dump_rejected(tmp_path, weight_file, capsys, cut):
+    # a cut inside one complex entry and a cut on an entry boundary
+    raw = weight_file.read_bytes()
+    short = tmp_path / "short.mwf"
+    short.write_bytes(raw[:-cut])
+    payload = len(raw) - len(raw.split(b"\n", 1)[0]) - 1
+    with pytest.raises(fields.FieldError) as info:
+        fields.load_field(short)
+    msg = str(info.value)
+    assert str(short) in msg
+    assert f"{payload - cut} bytes" in msg and f"needs {payload}" in msg
+    capsys.readouterr()
+    assert main(["ap", "--weight", str(short), "--p", "2"]) == 2
+    assert "payload has" in capsys.readouterr().err
+
+
 def test_bmo_command(tmp_path, weight_file, capsys):
     # symbol: reuse the weight as a Hermitian symbol
     out = tmp_path / "r.csv"

@@ -143,6 +143,81 @@ def test_adjoint_duality_p2(rng):
     assert np.isclose(lhs, rhs, rtol=1e-9)
 
 
+def _blockdiag_power(F, power):
+    # dense oracle: the power of the whole block-diagonal matrix via eigh
+    L, n = F.window.leafcount, F.n
+    D = np.zeros((L * n, L * n), dtype=complex)
+    for i in range(L):
+        D[i * n : (i + 1) * n, i * n : (i + 1) * n] = F.leaves[i]
+    vals, vecs = np.linalg.eigh(D)
+    return (vecs * vals**power) @ vecs.conj().T
+
+
+def _complex_weight(win, rng):
+    Q, _ = np.linalg.qr(
+        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    )
+    F = bmo.bounded_weight(win, 2, rng)
+    return MatrixField(win, Q @ F.leaves @ Q.conj().T, weight=True)
+
+
+def _svd_oracle(T, W, U):
+    A = _blockdiag_power(W, 0.5) @ T.matrix @ _blockdiag_power(U, -0.5)
+    return np.linalg.norm(A, 2)
+
+
+@pytest.mark.parametrize(
+    "weights, gram_dtype", [("real", np.float64), ("complex", np.complex128)]
+)
+def test_weighted_opnorm_p2_matches_svd(rng, monkeypatch, weights, gram_dtype):
+    win = Window.unit(1, 5)
+    if weights == "real":
+        W = bmo.bounded_weight(win, 2, rng)
+        U = bmo.bounded_weight(win, 2, rng)
+    else:
+        W = _complex_weight(win, rng)
+        U = _complex_weight(win, rng)
+    B = bmo.random_matrix_field(win, 2, rng)
+    T = onorm.materialize({"kind": "paraproduct", "B": B}, win, 2)
+    want = _svd_oracle(T, W, U)
+    # real weights and symbol give a real conjugated matrix: float64 Gram
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(G):
+        seen.append(G.dtype)
+        return eigvalsh(G)
+
+    monkeypatch.setattr(onorm.np.linalg, "eigvalsh", spy)
+    got = onorm.weighted_opnorm_p2(T, W, U)
+    monkeypatch.undo()
+    assert seen == [gram_dtype]
+    assert np.isclose(got, want, rtol=1e-12)
+
+
+def test_weighted_opnorm_p2_zero_operator(rng):
+    win = Window.unit(1, 4)
+    W = _complex_weight(win, rng)
+    U = bmo.bounded_weight(win, 2, rng)
+    Z = onorm.OperatorMatrix(
+        np.zeros((2 * win.leafcount,) * 2, dtype=complex), win, 2, "zero"
+    )
+    assert onorm.weighted_opnorm_p2(Z, W, U) == 0.0
+
+
+def test_weighted_opnorm_p2_adjoint_complex(rng):
+    win = Window.unit(1, 5)
+    W = _complex_weight(win, rng)
+    U = _complex_weight(win, rng)
+    B = bmo.random_matrix_field(win, 2, rng)
+    T = onorm.materialize({"kind": "paraproduct", "B": B}, win, 2)
+    Tstar = onorm.OperatorMatrix(T.matrix.conj().T, win, 2, "adjoint")
+    lhs = onorm.weighted_opnorm_p2(T, W, U)
+    rhs = onorm.weighted_opnorm_p2(Tstar, U.inverse(), W.inverse())
+    assert np.isclose(lhs, rhs, rtol=1e-12)
+    assert np.isclose(lhs, _svd_oracle(T, W, U), rtol=1e-12)
+
+
 def test_lp_lower_bounds(rng):
     win = Window.unit(1, 4)
     n = 2
