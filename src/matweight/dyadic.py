@@ -261,6 +261,7 @@ class Window:
         self.leaf_volume = self.volumes[depth]
         self._children_idx = {}
         self._block_leaf_idx = {}
+        self._tree_order = None
 
     @classmethod
     def unit(cls, d, depth, shift=None):
@@ -304,6 +305,21 @@ class Window:
             arr = np.arange(self.leafcount)
             self._block_leaf_idx[j] = self.block_view(arr, j)
         return self._block_leaf_idx[j]
+
+    def tree_order(self):
+        """Leaf permutation under which every window cube is a contiguous range.
+
+        In ``leaves[tree_order()]`` each level-j cube occupies one run of
+        2^{d(depth-j)} consecutive entries, its children's runs in offset-bit
+        order.  The level-j cube at run k is
+        ``ancestor_index(depth, j)[tree_order()[k * 2^{d(depth-j)}]]``.
+        """
+        if self._tree_order is None:
+            order = np.zeros(1, dtype=int)
+            for j in range(self.depth):
+                order = self.children_index(j)[order].reshape(-1)
+            self._tree_order = order
+        return self._tree_order
 
     def block_view(self, values, j):
         """Reshape leaf-indexed data to (cubes_j, cells_per_cube, ...)."""

@@ -26,7 +26,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import Window, WindowError, cube_pieces, enumerate_grid_cubes
+from .dyadic import (
+    DyadicCube,
+    DyadicGrid,
+    Window,
+    WindowError,
+    cube_pieces,
+    enumerate_grid_cubes,
+)
 
 __all__ = [
     "FieldError",
@@ -246,44 +253,117 @@ def pointwise_power(field, s):
 
 # -- A_p characteristic ---------------------------------------------------
 
+# Entries of one streamed Gram block (32 MB of float64).
+_ROW_BUDGET = 2**22
+
 
 def _pair_gram(P, N):
     # G[x, t] = tr(P_x N_t) / n: the squared *normalized* Frobenius norm
-    # of P_x^{1/2} N_t^{1/2}, so that the identity weight scores 1
+    # of P_x^{1/2} N_t^{1/2}, so that the identity weight scores 1.  For
+    # Hermitian N_t the trace is the real part of <P_x, N_t>_F, one real
+    # product over the stacked real and imaginary entries.
     n = P.shape[1]
     VP = P.reshape(P.shape[0], n * n)
-    VN = np.conj(N.reshape(N.shape[0], n * n))
-    return np.real(VP @ VN.T) / n
+    VN = N.reshape(N.shape[0], n * n)
+    A = np.concatenate([VP.real, VP.imag], axis=1) / n
+    B = np.concatenate([VN.real, VN.imag], axis=1)
+    return A @ B.T
+
+
+def _gram_power(P, N, expo):
+    """max(Gram, 0)^expo of rows P against columns N, in place."""
+    H = _pair_gram(P, N)
+    np.maximum(H, 0.0, out=H)
+    return np.power(H, expo, out=H)
+
+
+def _trace_form(mP, mN):
+    # tr(m P m N) / n per cube: the p = 2 double average, which factorizes
+    return np.real(np.einsum("...ab,...ba->...", mP, mN)) / mP.shape[-1]
+
+
+def _is_p2(p):
+    return abs(p - 2.0) < 1e-12
+
+
+def _own_grid_levels_p2(W, top):
+    avgP = W.level_averages()
+    avgN = W.inverse().level_averages()
+    return [_trace_form(avgP[j], avgN[j]) for j in range(top + 1)]
+
+
+def _own_grid_levels_streamed(W, p, top):
+    # Under the tree order a block of `rows` leaves is one level-j0 cube.
+    # For j <= j0 its rows lie in one level-j cube, whose columns are one
+    # contiguous range; for j > j0 the level-j cubes lie inside the block,
+    # so their columns are in the block's diagonal rows x rows sub-block.
+    win = W.window
+    pp = p / (p - 1.0)
+    d, L, total = win.d, win.depth, win.leafcount
+    order = win.tree_order()
+    P = W.power(2.0 / p).leaves[order]
+    N = W.power(-2.0 / p).leaves[order]
+    j0 = next(
+        (j for j in range(L + 1) if 2 ** (d * (L - j)) * total <= _ROW_BUDGET), L
+    )
+    rows = 2 ** (d * (L - j0))
+    cells = [2 ** (d * (L - j)) for j in range(top + 1)]
+    sums = [np.zeros(win.cubes_at(j)) for j in range(top + 1)]
+    for lo in range(0, total, rows):
+        H = _gram_power(P[lo : lo + rows], N, pp / 2.0)
+        seg = H.reshape(rows, total // rows, rows).sum(axis=2)
+        diag = np.ascontiguousarray(H[:, lo : lo + rows])
+        for j in range(top + 1):
+            c = cells[j]
+            if j <= j0:
+                k = lo // c
+                per = c // rows
+                means = seg[:, k * per : (k + 1) * per].sum(axis=1) / c
+                sums[j][k] += np.sum(means ** (p / pp))
+            else:
+                m = rows // c
+                means = np.einsum("iaib->ia", diag.reshape(m, c, m, c)) / c
+                sums[j][lo // c : lo // c + m] += (means ** (p / pp)).sum(axis=1)
+    per_level = []
+    for j in range(top + 1):
+        vals = np.empty(win.cubes_at(j))
+        vals[win.ancestor_index(L, j)[order[:: cells[j]]]] = sums[j] / cells[j]
+        per_level.append(vals)
+    return per_level
 
 
 def _own_grid_ap(W, p, max_rel_level):
-    win = W.window
-    pp = p / (p - 1.0)
-    P = W.power(2.0 / p).leaves
-    N = W.power(-2.0 / p).leaves
-    G = _pair_gram(P, N)
-    H = np.maximum(G, 0.0) ** (pp / 2.0)
+    if _is_p2(p):
+        per_level = _own_grid_levels_p2(W, max_rel_level)
+    else:
+        per_level = _own_grid_levels_streamed(W, p, max_rel_level)
     best, best_cube = 0.0, (0, 0)
-    per_level = []
-    for j in range(0, max_rel_level + 1):
-        idx = win.block_leaf_index(j)
-        Hb = H[idx[:, :, None], idx[:, None, :]]
-        inner = Hb.mean(axis=2) ** (p / pp)
-        vals = inner.mean(axis=1)
-        per_level.append(vals)
+    for j, vals in enumerate(per_level):
         k = int(np.argmax(vals))
         if vals[k] > best:
             best, best_cube = float(vals[k]), (j, k)
     return best, best_cube, per_level
 
 
+def _weighted_cube_ap(P, N, w, p):
+    """sum_x w_x (sum_t w_t H[x, t])^{p/p'} over one cube's pieces, with the
+    Gram of the pieces streamed in row blocks."""
+    pp = p / (p - 1.0)
+    step = max(1, _ROW_BUDGET // len(N))
+    val = 0.0
+    for lo in range(0, len(P), step):
+        H = _gram_power(P[lo : lo + step], N, pp / 2.0)
+        val += float(((H @ w) ** (p / pp)) @ w[lo : lo + step])
+    return val
+
+
 def _foreign_grid_ap(W, p, shift, max_level):
     win = W.window
-    pp = p / (p - 1.0)
-    P = W.power(2.0 / p).leaves
-    N = W.power(-2.0 / p).leaves
-    G = _pair_gram(P, N)
-    H = np.maximum(G, 0.0) ** (pp / 2.0)
+    p2 = _is_p2(p)
+    if p2:
+        P, N = W.leaves, W.inverse().leaves
+    else:
+        P, N = W.power(2.0 / p).leaves, W.power(-2.0 / p).leaves
     best, best_cube = 0.0, None
     for k, cubes in enumerate_grid_cubes(win, shift, max_level=max_level):
         for cube in cubes:
@@ -291,9 +371,11 @@ def _foreign_grid_ap(W, p, shift, max_level):
             if idx.size == 0:
                 continue
             w = vols / vols.sum()
-            Hb = H[np.ix_(idx, idx)]
-            inner = (Hb * w[None, :]).sum(axis=1) ** (p / pp)
-            val = float((inner * w).sum())
+            if p2:
+                mP, mN = np.tensordot(w, P[idx], 1), np.tensordot(w, N[idx], 1)
+                val = float(_trace_form(mP, mN))
+            else:
+                val = _weighted_cube_ap(P[idx], N[idx], w, p)
             if val > best:
                 best, best_cube = val, cube
     return best, best_cube
@@ -302,10 +384,19 @@ def _foreign_grid_ap(W, p, shift, max_level):
 def ap_characteristic_report(W, p, grids=None, max_level=None):
     """Window A_p characteristic with witness cube.
 
-    The supremum runs over all cubes of the window's own grid (fast exact
-    path) and, when ``grids`` lists further shift indices, over cubes of
-    those grids contained in the window box, down to absolute level
-    ``max_level``.
+    The supremum runs over all cubes of the window's own grid and, when
+    ``grids`` lists further shift indices, over cubes of those grids
+    contained in the window box, down to absolute level ``max_level``.
+
+    Method.  At p = 2 the double average factorizes: a cube scores
+    tr(m_I W m_I W^{-1}) / n, read off the level averages (on a foreign
+    cube, means weighted by the exact piece volumes), so no Gram is formed.
+    At p != 2 the leaf Gram tr(W_x^{2/p} W_t^{-2/p}) / n is streamed in row
+    blocks of at most 2^22 entries: O(N^2) time in about 32 MB of working
+    memory beyond the O(N n^2) power leaves.  On the own grid the rows are
+    taken in tree order, so each block is one cube and every cube's columns
+    are one contiguous range; a foreign cube streams the Gram of its own
+    pieces.
     """
     if not 1.0 < p < np.inf:
         raise FieldError(f"p must lie in (1, inf), got {p}")
@@ -337,15 +428,9 @@ def ap_characteristic(W, p, grids=None, max_level=None):
 
 def a2_exact_form(W):
     """sup_I ||(m_I W)^{1/2} (m_I W^{-1})^{1/2}||^2 over window cubes, in the
-    normalized Frobenius norm (the closed form the characteristic matches
-    exactly at p = 2)."""
-    avgsW = W.level_averages()
-    avgsWi = W.inverse().level_averages()
-    best = 0.0
-    for j in range(W.window.depth + 1):
-        vals = np.real(np.einsum("kab,kba->k", avgsW[j], avgsWi[j])) / W.n
-        best = max(best, float(np.max(vals)))
-    return best
+    normalized Frobenius norm: tr(m_I W m_I W^{-1}) / n from the level
+    averages, the same code as ``ap_characteristic(W, 2)`` on the own grid."""
+    return _own_grid_ap(W, 2.0, W.window.depth)[0]
 
 
 # -- reducing operators -----------------------------------------------------
@@ -501,7 +586,9 @@ class ComparabilityReport:
 def verify_reducing_comparability(W, p, cubes=None):
     """Check Lemma-style comparability |V_I'(W) e| vs |m_I(W^{-1/p}) e|.
 
-    Per cube and net direction the ratio |V' e| / |m_I(W^{-1/p}) e| must sit
+    The directions are the offset net of the table's own rule
+    (``_reducing_net``: phase-doubled when the leaves are complex).  Per
+    cube and direction the ratio |V' e| / |m_I(W^{-1/p}) e| must sit
     in [(1 - 1e-9)/kappa, (n char)^{n/p} * kappa * (1 + 1e-9)]; kappa is the
     table's realized ellipsoid constant (1 on the exact p = 2 path, where
     the lower bound is the operator Jensen inequality).  n*char dominates
@@ -513,7 +600,7 @@ def verify_reducing_comparability(W, p, cubes=None):
     char = ap_characteristic(W, p)
     Mi = W.power(-1.0 / p)
     avgs = Mi.level_averages()
-    net = direction_net(W.n, offset=True).astype(complex)
+    net = _reducing_net(Mi.leaves, offset=True)
     per_cube = []
     lo, hi = np.inf, 0.0
     if cubes is None:
@@ -711,12 +798,16 @@ def load_field(path, window=None):
         if header.get("magic") != _MAGIC:
             raise FieldError("not a matweight field dump")
         raw = fh.read()
+    grid = DyadicGrid(header["d"], header["shift"])
+    root = DyadicCube(grid, header["root_level"], tuple(header["root_position"]))
     if window is None:
-        from .dyadic import DyadicGrid, DyadicCube
-
-        grid = DyadicGrid(header["d"], header["shift"])
-        root = DyadicCube(grid, header["root_level"], tuple(header["root_position"]))
         window = Window(root, header["depth"])
+    elif (root, header["depth"]) != (window.root, window.depth):
+        raise FieldError(
+            f"{path}: dump geometry d={grid.dimension}, depth={header['depth']}, "
+            f"root {root.address} does not match the window's "
+            f"d={window.d}, depth={window.depth}, root {window.root.address}"
+        )
     n = header["n"]
     width = n * n if header["kind"] == "matrix" else n
     need = 16 * 2 ** (header["d"] * header["depth"]) * width

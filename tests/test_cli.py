@@ -255,3 +255,22 @@ def test_bmo_grids_json(tmp_path, weight_file):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert set(doc["per_grid"]) == {"1", "2"}
+
+
+def test_dump_from_another_window_rejected(tmp_path, capsys):
+    # both fields have 1024 leaves, so only the header tells them apart
+    paths = {}
+    for name, d, depth in (("W", 1, 10), ("B", 2, 5)):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps(
+            {"kind": "log_spd", "n": 2, "d": d, "depth": depth, "seed": 1}))
+        paths[name] = tmp_path / f"{name}.mwf"
+        assert main(["gen", "--spec", str(spec), "--out", str(paths[name])]) == 0
+    capsys.readouterr()
+    rc = main(["bmo", "--which", "condition_b", "--b", str(paths["B"]),
+               "--w", str(paths["W"]), "--p", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(paths["B"]) in err
+    assert "d=2, depth=5, root 4/0/0,0" in err
+    assert "d=1, depth=10, root 2/0/0" in err

@@ -210,6 +210,20 @@ def test_block_view_and_averages():
     assert np.isclose(avgs[0][0], vals.mean())
 
 
+@pytest.mark.parametrize("d, depth", [(1, 4), (2, 3), (3, 2)])
+def test_tree_order_makes_every_cube_a_run(d, depth):
+    win = Window.unit(d, depth)
+    order = win.tree_order()
+    assert sorted(order) == list(range(win.leafcount))
+    for j in range(depth + 1):
+        cells = win.leafcount // win.cubes_at(j)
+        owners = win.ancestor_index(depth, j)[order[::cells]]
+        assert sorted(owners) == list(range(win.cubes_at(j)))
+        for k, cube in enumerate(owners):
+            run = order[k * cells : (k + 1) * cells]
+            assert sorted(run) == sorted(win.block_leaf_index(j)[cube])
+
+
 def test_enumerate_grid_cubes_inside_box():
     win = Window.unit(1, 4)
     total = 0

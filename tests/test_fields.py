@@ -202,6 +202,174 @@ def test_ap_cross_grid_at_least_own(rng):
     assert both >= own - 1e-12
 
 
+# The dense A_p path the library used before the Gram was streamed: the
+# full N x N leaf Gram, gathered per cube.  Kept here as the test oracle.
+
+
+def _dense_gram_power(W, p):
+    pp = p / (p - 1.0)
+    P = W.power(2.0 / p).leaves
+    N = W.power(-2.0 / p).leaves
+    n = W.n
+    G = np.real(P.reshape(len(P), n * n) @ np.conj(N.reshape(len(N), n * n)).T) / n
+    return np.maximum(G, 0.0) ** (pp / 2.0)
+
+
+def _dense_own_grid_ap(W, p, max_rel_level):
+    win = W.window
+    pp = p / (p - 1.0)
+    H = _dense_gram_power(W, p)
+    best, best_cube = 0.0, (0, 0)
+    per_level = []
+    for j in range(0, max_rel_level + 1):
+        idx = win.block_leaf_index(j)
+        Hb = H[idx[:, :, None], idx[:, None, :]]
+        inner = Hb.mean(axis=2) ** (p / pp)
+        vals = inner.mean(axis=1)
+        per_level.append(vals)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_cube = float(vals[k]), (j, k)
+    return best, best_cube, per_level
+
+
+def _dense_foreign_grid_ap(W, p, shift, max_level):
+    from matweight.dyadic import cube_pieces, enumerate_grid_cubes
+
+    win = W.window
+    pp = p / (p - 1.0)
+    H = _dense_gram_power(W, p)
+    best, best_cube = 0.0, None
+    for k, cubes in enumerate_grid_cubes(win, shift, max_level=max_level):
+        for cube in cubes:
+            idx, vols = cube_pieces(win, cube)
+            if idx.size == 0:
+                continue
+            w = vols / vols.sum()
+            Hb = H[np.ix_(idx, idx)]
+            inner = (Hb * w[None, :]).sum(axis=1) ** (p / pp)
+            val = float((inner * w).sum())
+            if val > best:
+                best, best_cube = val, cube
+    return best, best_cube
+
+
+def _complex_log_spd(window, n, rng, amplitude=0.3):
+    """exp of a real log_spd logarithm plus a random skew imaginary part."""
+    Wr = generate_weight(
+        {"kind": "log_spd", "n": n, "amplitude": 0.5,
+         "seed": int(rng.integers(2**31))},
+        window,
+    )
+    vals, vecs = np.linalg.eigh(Wr.leaves)
+    logW = np.einsum("lab,lb,lcb->lac", vecs, np.log(vals), np.conj(vecs))
+    B = rng.standard_normal((window.leafcount, n, n))
+    H = logW + 1j * amplitude * (B - np.swapaxes(B, 1, 2))
+    vals, vecs = np.linalg.eigh(H)
+    leaves = np.einsum("lab,lb,lcb->lac", vecs, np.exp(vals), np.conj(vecs))
+    return MatrixField(window, leaves, weight=True)
+
+
+def _ap_weight(kind, d, depth, rng):
+    win = Window.unit(d, depth)
+    if kind == "complex":
+        return _complex_log_spd(win, 2, rng)
+    return generate_weight(
+        {"kind": "log_spd", "n": 2, "amplitude": 0.5,
+         "seed": int(rng.integers(2**31))},
+        win,
+    )
+
+
+@pytest.mark.parametrize("budget", [2**22, 2**10, 2**6])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d, depth", [(1, 6), (2, 3), (3, 2)])
+def test_ap_matches_dense_gram_oracle(monkeypatch, rng, d, depth, p, kind, budget):
+    # at N = 64 leaves, budget 2^10 streams blocks of 8 or 16 rows and
+    # budget 2^6 single rows, on the own grid and on foreign cubes
+    monkeypatch.setattr(fields, "_ROW_BUDGET", budget)
+    W = _ap_weight(kind, d, depth, rng)
+    win = W.window
+    best, cube, levels = fields._own_grid_ap(W, p, depth)
+    want_best, want_cube, want_levels = _dense_own_grid_ap(W, p, depth)
+    for got, want in zip(levels, want_levels, strict=True):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert np.isclose(best, want_best, rtol=1e-12) and cube == want_cube
+    if p == 2.0:
+        assert np.isclose(a2_exact_form(W), want_best, rtol=1e-12)
+    value, witness = ap_characteristic_report(W, p)
+    assert value == best and witness == win.cube(*cube)
+    want_all, want_witness = want_best, win.cube(*want_cube)
+    for t in range(1, 2**d + 1):
+        if t == win.grid.shift:
+            continue
+        got_val, got_cube = fields._foreign_grid_ap(W, p, t, depth)
+        want_val, want_cube_t = _dense_foreign_grid_ap(W, p, t, depth)
+        assert np.isclose(got_val, want_val, rtol=1e-12)
+        assert got_cube.address == want_cube_t.address
+        if want_val > want_all:
+            want_all, want_witness = want_val, want_cube_t
+    value_all, witness_all = ap_characteristic_report(
+        W, p, grids=list(range(1, 2**d + 1))
+    )
+    assert np.isclose(value_all, want_all, rtol=1e-12)
+    assert witness_all.address == want_witness.address
+
+
+def _spy_pair_gram(monkeypatch):
+    calls = []
+    real = fields._pair_gram
+
+    def spy(P, N):
+        out = real(P, N)
+        calls.append((P.copy(), out.shape))
+        return out
+
+    monkeypatch.setattr(fields, "_pair_gram", spy)
+    return calls
+
+
+def test_ap_p2_forms_no_gram(monkeypatch, rng):
+    calls = _spy_pair_gram(monkeypatch)
+    W = _ap_weight("complex", 2, 3, rng)
+    ap_characteristic(W, 2.0)
+    ap_characteristic(W, 2.0, grids=[1, 2, 3, 4])
+    a2_exact_form(W)
+    assert calls == []
+
+
+def test_ap_streamed_gram_blocks_bounded_and_cover_rows(monkeypatch, rng):
+    win = Window.unit(1, 12)
+    W = generate_weight({"kind": "log_spd", "n": 2, "seed": 7}, win)
+    calls = _spy_pair_gram(monkeypatch)
+    ap_characteristic(W, 3.0)
+    N = win.leafcount
+    assert calls and all(rows * cols <= 2**22 for _, (rows, cols) in calls)
+    assert all(cols == N for _, (rows, cols) in calls)
+    # the row blocks hold every leaf's power exactly once
+    seen = np.concatenate([P for P, _ in calls]).reshape(-1, W.n * W.n)
+    want = W.power(2.0 / 3.0).leaves.reshape(N, W.n * W.n)
+
+    def rows(a):
+        return sorted(map(tuple, np.ascontiguousarray(a).view(float).tolist()))
+
+    assert rows(seen) == rows(want)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_ap_invariant_under_scaling_and_unitary_conjugation(rng, p):
+    W = _ap_weight("real", 2, 3, rng)
+    grids = [1, 2, 3, 4]
+    Q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    scaled = MatrixField(W.window, 3.7 * W.leaves, weight=True)
+    rotated = MatrixField(W.window, Q.conj().T @ W.leaves @ Q, weight=True)
+    for g in (None, grids):
+        want = ap_characteristic(W, p, grids=g)
+        for V in (scaled, rotated):
+            assert np.isclose(ap_characteristic(V, p, grids=g), want, rtol=1e-12)
+
+
 # -- reducing operators -----------------------------------------------------------
 
 
@@ -464,6 +632,21 @@ def test_complex_hermitian_weight_paths(rng):
         assert rep.ok, (p, rep.lower, rep.upper, rep.bound)
     # phase-augmented net really engaged for the complex field at p != 2
     assert W.reducing_table(3.0).kappa < 10.0
+
+
+def test_comparability_probes_complex_weights_with_phased_net():
+    # U = Q W' Q^H with a fixed complex unitary Q: the real offset net alone
+    # tops out near 1.55; the phase-rotated offset directions reach 1.93
+    a, phase = 0.6, 0.9
+    c, s = np.cos(a), np.sin(a)
+    Q = np.array([[c, -s * np.exp(-1j * phase)], [s * np.exp(1j * phase), c]])
+    Wr = generate_weight(
+        {"kind": "log_spd", "n": 2, "d": 1, "depth": 6, "seed": 3, "amplitude": 0.5}
+    )
+    U = MatrixField(Wr.window, Q @ Wr.leaves @ Q.conj().T, weight=True)
+    rep = verify_reducing_comparability(U, 3.0)
+    assert rep.ok
+    assert 1.9 < rep.upper <= rep.kappa * (1 + 1e-9)
 
 
 def test_reducing_table_provenance_flags(rng):
