@@ -19,17 +19,26 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dyadic import WindowError, enumerate_grid_cubes, cube_pieces, sign_table
+from .dyadic import (
+    DyadicGrid,
+    WindowError,
+    cube_pieces,
+    enumerate_grid_cubes,
+    grid_children_index,
+    sign_table,
+)
 from .fields import (
     MatrixField,
     FieldError,
     NotPositiveDefiniteError,
     ap_characteristic,
     generate_weight,
+    _cube_means,
+    _is_p2,
     _mat_sqrt,
     _mat_isqrt,
     _opnorms,
-    _reducing_net,
+    _piece_reducing,
 )
 from . import transforms as tf
 from . import opnorm as onorm
@@ -611,49 +620,6 @@ def random_vector_field(window, n, rng, headroom=0):
 # -- shifted grid sweep ---------------------------------------------------------
 
 
-class _GridEvaluator:
-    """Exact evaluation of averages and Haar coefficients of
-    window step fields over the cubes of another shifted grid."""
-
-    def __init__(self, window, shift):
-        self.window = window
-        self.shift = shift
-        leaf_level = window.root.level + window.depth
-        self.levels = enumerate_grid_cubes(window, shift, max_level=leaf_level)
-        self.index = {}
-        self.pieces = []
-        self.cubes = []
-        for k, cubes in self.levels:
-            for cube in cubes:
-                self.index[(cube.level, cube.position)] = len(self.cubes)
-                self.cubes.append(cube)
-                self.pieces.append(cube_pieces(window, cube))
-
-    def average(self, leaf_values, ci):
-        idx, vols = self.pieces[ci]
-        return np.tensordot(vols, leaf_values[idx], axes=(0, 0)) / vols.sum()
-
-    def haar_coefs(self, leaf_values, ci):
-        """(nsig, ...) coefficients of the field on cube ci (children needed)."""
-        win = self.window
-        cube = self.cubes[ci]
-        tbl = sign_table(win.d)
-        child_avgs = []
-        for b in range(2**win.d):
-            ch = cube.child(b)
-            ck = self.index.get((ch.level, ch.position))
-            if ck is not None:
-                child_avgs.append(self.average(leaf_values, ck))
-            else:
-                idx, vols = cube_pieces(win, ch)
-                child_avgs.append(
-                    np.tensordot(vols, leaf_values[idx], axes=(0, 0)) / vols.sum()
-                )
-        ch = np.stack(child_avgs, axis=0)
-        vol = float(cube.volume)
-        return (np.sqrt(vol) / 2**win.d) * np.einsum("sb,b...->s...", tbl, ch)
-
-
 def bmo_over_shifted_grids(B, W, U, p, eps=1.0):
     """bmo_original and condition (b) on each of the 2^d shifted grids.
 
@@ -676,71 +642,46 @@ def bmo_over_shifted_grids(B, W, U, p, eps=1.0):
     return out
 
 
-def _foreign_grid_reducing(ev, Ppow, p, expo, ci):
-    net = _reducing_net(Ppow)
-    idx, vols = ev.pieces[ci]
-    Y = np.einsum("lab,jb->lja", Ppow[idx], net)
-    rho_p = np.tensordot(vols, np.linalg.norm(Y, axis=2) ** expo, axes=(0, 0))
-    rho2 = (rho_p / vols.sum()) ** (2.0 / expo)
-    M0 = np.einsum("ja,jb->ab", net, np.conj(net))
-    S = np.einsum("j,ja,jb->ab", rho2, net, np.conj(net))
-    M0i = _mat_isqrt(M0[None])[0]
-    return _mat_sqrt((M0i @ S @ M0i)[None])[0]
-
-
 def _foreign_grid_bmo(B, W, U, p, eps, t):
+    """bmo_original and condition (b) over the cubes of D^t inside the
+    window box, level by level: every cube of a level meets the same
+    pattern of leaf pieces, so each level is one (cubes, pieces) stack."""
     win = B.window
-    ev = _GridEvaluator(win, t)
-    leaf_level = win.root.level + win.depth
+    grid = DyadicGrid(win.d, t)
+    # nonempty levels run from the coarsest cube inside the box to the leaves
+    levels = [(k, pos) for k, pos in enumerate_grid_cubes(win, t) if len(pos)]
+    pieces = [cube_pieces(win, t, k) for k, _ in levels]
+    aB = [_cube_means(B.leaves, *pc) for pc in pieces]
     Wp = W.power(1.0 / p).leaves
     Up = U.power(1.0 / p).leaves
-    exact_p2 = abs(p - 2.0) < 1e-15
-    bo_best, cb_best = 0.0, 0.0
-    # per-cube data
-    n = B.n
-    nc = len(ev.cubes)
-    own = np.zeros(nc)
-    VW = [None] * nc
-    VUinv = [None] * nc
-    coef_cache = [None] * nc
-    for ci, cube in enumerate(ev.cubes):
-        if cube.level >= leaf_level:
-            continue
-        idx, vols = ev.pieces[ci]
-        volJ = float(cube.volume)
-        aB = ev.average(B.leaves, ci)
-        aWp = ev.average(Wp, ci)
-        aUp = ev.average(Up, ci)
+    # the last level is the leaf level, which has no oscillation or coefficient
+    VW, VU = (_piece_reducing(F, p, pieces[:-1]) for F in (W, U))
+    tbl = sign_table(win.d)
+    bo_best, own, children, vols_J = 0.0, [], [], []
+    for i, (k, pos) in enumerate(levels[:-1]):
+        idx, vols = pieces[i]
+        vol = float(grid.cube(k, pos[0]).volume)
         M = np.einsum(
-            "ab,cbd,de->cae", aWp, B.leaves[idx] - aB[None], np.linalg.inv(aUp)
+            "kab,kcbd,kde->kcae",
+            _cube_means(Wp, idx, vols),
+            B.leaves[idx] - aB[i][:, None],
+            np.linalg.inv(_cube_means(Up, idx, vols)),
         )
-        vals = _opnorms(M) ** (1.0 + eps)
-        bo = float(np.dot(vols, vals) / volJ)
-        bo_best = max(bo_best, bo)
-        if exact_p2:
-            VW[ci] = _mat_sqrt(ev.average(W.leaves, ci)[None])[0]
-            VUinv[ci] = np.linalg.inv(
-                _mat_sqrt(ev.average(U.leaves, ci)[None])[0]
-            )
-        else:
-            VW[ci] = _foreign_grid_reducing(ev, Wp, p, p, ci)
-            VUinv[ci] = np.linalg.inv(_foreign_grid_reducing(ev, Up, p, p, ci))
-        coef_cache[ci] = ev.haar_coefs(B.leaves, ci)
-        M2 = np.einsum("ab,sbc,cd->sad", VW[ci], coef_cache[ci], VUinv[ci])
-        own[ci] = float(np.sum(_opnorms(M2) ** 2))
-    # bottom-up accumulation over the in-window forest
-    acc = own.copy()
-    order = sorted(range(nc), key=lambda c: -ev.cubes[c].level)
-    for ci in order:
-        cube = ev.cubes[ci]
-        parent = cube.parent()
-        pk = ev.index.get((parent.level, parent.position))
-        if pk is not None:
-            acc[pk] += acc[ci]
-    for ci, cube in enumerate(ev.cubes):
-        if cube.level >= leaf_level:
-            continue
-        cb_best = max(cb_best, acc[ci] / float(cube.volume))
+        bo_best = max(bo_best, float(np.max(_opnorms(M) ** (1.0 + eps) @ vols)) / vol)
+        ch = grid_children_index(grid, k, pos, levels[i + 1][1])
+        coef = (np.sqrt(vol) / 2**win.d) * np.einsum("sb,kb...->ks...", tbl, aB[i + 1][ch])
+        M2 = np.einsum("kab,ksbc,kcd->ksad", VW[i], coef, np.linalg.inv(VU[i]))
+        own.append(np.sum(_opnorms(M2) ** 2, axis=1))
+        children.append(ch)
+        vols_J.append(vol)
+    # sum up the in-window forest, children in offset-bit order
+    acc, cb_best = np.zeros(len(levels[-1][1])), 0.0
+    for i in range(len(own) - 1, -1, -1):
+        total = own[i].copy()
+        for col in children[i].T:
+            total += acc[col]
+        acc = total
+        cb_best = max(cb_best, float(np.max(acc)) / vols_J[i])
     return bo_best, cb_best
 
 
@@ -789,7 +730,7 @@ def matrix_weight_theorem_pipeline(Lam, U, p, eps=1.0):
         "ap_W": ap_characteristic(Wf, p),
         "bmo": bmo_original(U, Lam, Wf, p, eps),
     }
-    if abs(p - 2.0) < 1e-12:
+    if _is_p2(p):
         rel = np.max(np.abs(Lam.leaves - Wf.inverse().leaves)) / max(
             1.0, float(np.max(np.abs(Lam.leaves)))
         )
@@ -830,6 +771,7 @@ def equivalence_experiment(spec):
         U = bounded_weight(win, n, rng, amplitude=amp, char_cap=cap, kind=kind)
         B = random_matrix_field(win, n, rng)
         A = tf.analyze(B)
+        a2 = {"a2W": ap_characteristic(W, 2), "a2U": ap_characteristic(U, 2)}
         for p in p_values:
             q = {}
             car = carleson_norm(W, U, A, p)
@@ -841,7 +783,7 @@ def equivalence_experiment(spec):
                 "bloom_cprime": bloom_cprime(B, W, U, p),
                 "bmo_original": bmo_original(B, W, U, p, eps),
             }
-            if abs(p - 2.0) < 1e-12:
+            if _is_p2(p):
                 reports["hlw_condition"] = hlw_condition(B, W, U)
             for name, rep in reports.items():
                 q[name] = rep.supremum
@@ -851,7 +793,7 @@ def equivalence_experiment(spec):
                 win,
                 n,
             )
-            if abs(p - 2.0) < 1e-12:
+            if _is_p2(p):
                 nv = onorm.weighted_opnorm_p2(T, ident(win, n), ident(win, n))
                 q["pi_opnorm_sq"] = nv**2
                 q["pi_opnorm_exact"] = True
@@ -866,8 +808,7 @@ def equivalence_experiment(spec):
                     "seed": seed,
                     "p": p,
                     "eps": eps,
-                    "a2W": ap_characteristic(W, 2),
-                    "a2U": ap_characteristic(U, 2),
+                    **a2,
                     **q,
                 }
             )

@@ -14,6 +14,13 @@ bisection because 3*tau is integral.
 A Window is the computational universe everywhere else: a root cube plus
 ``depth`` refinement levels.  Leaf cells all share one volume, which makes
 every integral in the package an exact finite sum.
+
+The cubes of any shifted grid inside a window are handled a level at a
+time.  Down to the leaf level a cube's side is a whole number of leaf
+sides, so every cube of a level overlaps the same pattern of leaf pieces,
+shifted by whole leaves: the exact rational overlap is computed once per
+(level, axis) and shared by every cube of the level
+(``enumerate_grid_cubes``, ``cube_pieces``, ``grid_children_index``).
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+import itertools
 import math
 
 import numpy as np
@@ -455,85 +463,99 @@ def containing_shifted_cube(corner, side=None):
     raise GridError("no containing shifted cube found within ratio 6")
 
 
+def _grid_level_axes(window, shift, level):
+    """Exact per-axis geometry of the D^shift cubes of one level inside the box.
+
+    Per axis: (m_min, count, lo, pieces, first, last).  The cubes have
+    positions m_min .. m_min + count - 1.  The first meets the ``pieces``
+    leaves lo, lo + 1, ...; it overlaps the first of them by ``first`` and
+    the last by ``last`` leaf sides (exact), and the others fully.  A cube's
+    side is r = 2^{leaf level - level} whole leaf sides, so the cube at
+    m_min + i meets the same overlaps at leaves shifted by i r.
+    """
+    leaf_level = window.root.level + window.depth
+    if not window.root.level <= level <= leaf_level:
+        raise WindowError(f"level {level} outside the window's levels")
+    h = window.leaf_side
+    c0, box = window.root.corner, window.root.side
+    r = 2 ** (leaf_level - level)
+    s = h * r
+    sgn = -1 if level % 2 else 1
+    axes = []
+    for a, u in enumerate(DyadicGrid(window.d, shift).shift_numerators):
+        tau = Fraction(sgn * u, 3)
+        # cube [m, m+1) * s + tau lies in the box iff m >= lo and m + 1 <= hi
+        m_min = math.ceil(c0[a] / s - tau)
+        m_max = math.floor((c0[a] + box) / s - tau - 1)
+        f = ((m_min + tau) * s - c0[a]) / h  # the first cube's start, in leaves
+        lo, hi = math.floor(f), math.ceil(f + r)
+        first = min(f + r, lo + 1) - f
+        last = f + r - max(f, hi - 1)
+        axes.append((m_min, max(0, m_max - m_min + 1), lo, hi - lo, first, last))
+    return axes
+
+
 def enumerate_grid_cubes(window, shift, max_level=None):
     """Cubes of D^shift fully inside the window box, grouped by level.
 
-    Returns a list of (absolute level, list of DyadicCube).  Levels run from
-    the window root level down to ``max_level`` (default: leaf level).
+    Returns a list of (absolute level, (cubes, d) integer positions in C
+    order over the per-axis positions).  Levels run from the window root
+    level down to ``max_level`` (default and at most: the leaf level).
     """
-    grid = DyadicGrid(window.d, shift)
-    u = grid.shift_numerators
-    box_corner = window.root.corner
-    box_side = window.root.side
-    if max_level is None:
-        max_level = window.root.level + window.depth
+    leaf_level = window.root.level + window.depth
+    top = leaf_level if max_level is None else min(max_level, leaf_level)
     out = []
-    for k in range(window.root.level, max_level + 1):
-        s = Fraction(1, 2**k) if k >= 0 else Fraction(2**-k)
-        if s > box_side:
-            continue
-        sgn = -1 if k % 2 else 1
-        ranges = []
-        for a in range(window.d):
-            # cube [m, m+1) * s + tau must satisfy m >= lo and m + 1 <= hi
-            lo = box_corner[a] / s - Fraction(sgn * u[a], 3)
-            hi = (box_corner[a] + box_side) / s - Fraction(sgn * u[a], 3)
-            m_min = math.ceil(lo)
-            m_max = math.floor(hi - 1)
-            ranges.append(range(m_min, m_max + 1))
-        cubes = []
-        if all(len(r) > 0 for r in ranges):
-            sizes = [len(r) for r in ranges]
-            total = int(np.prod(sizes))
-            for flat in range(total):
-                rem = flat
-                m = []
-                for a in range(window.d - 1, -1, -1):
-                    m.append(ranges[a][rem % sizes[a]])
-                    rem //= sizes[a]
-                m.reverse()
-                cubes.append(DyadicCube(grid, k, tuple(m)))
-        out.append((k, cubes))
+    for k in range(window.root.level, top + 1):
+        ranges = [
+            np.arange(m_min, m_min + count)
+            for m_min, count, *_ in _grid_level_axes(window, shift, k)
+        ]
+        grids = np.meshgrid(*ranges, indexing="ij")
+        out.append((k, np.stack([g.reshape(-1) for g in grids], axis=1)))
     return out
 
 
-def cube_pieces(window, cube):
-    """Exact overlap of a (possibly foreign-grid) cube with window leaves.
+def cube_pieces(window, shift, level):
+    """Exact overlap of every D^shift cube of one level with the window leaves.
 
-    Returns (leaf index array, volume array).  Volumes are exact rationals
-    converted to float at the end; the cube must lie inside the window box.
+    Returns (idx, vols): ``idx[c]`` holds the leaf indices met by cube c (in
+    the order of ``enumerate_grid_cubes``) and ``vols`` their overlap
+    volumes, which are the same for every cube of the level.  Each distinct
+    product of axis overlaps is formed once as an exact rational and then
+    converted to float.
     """
     d, L = window.d, window.depth
-    corner = cube.corner
-    side = cube.side
-    h = window.leaf_side
-    c0 = window.root.corner
-    axis_hits = []
-    for a in range(d):
-        alpha = corner[a]
-        beta = corner[a] + side
-        i_lo = math.floor((alpha - c0[a]) / h)
-        i_hi = math.ceil((beta - c0[a]) / h) - 1
-        hits = []
-        for i in range(max(i_lo, 0), min(i_hi, 2**L - 1) + 1):
-            lo = c0[a] + h * i
-            ov = min(beta, lo + h) - max(alpha, lo)
-            if ov > 0:
-                hits.append((i, ov))
-        axis_hits.append(hits)
-    idxs, vols = [], []
-    sizes = [len(hh) for hh in axis_hits]
-    total = int(np.prod(sizes)) if all(sizes) else 0
-    for flat in range(total):
-        rem = flat
-        coords = []
-        vol = Fraction(1)
-        for a in range(d - 1, -1, -1):
-            i, ov = axis_hits[a][rem % sizes[a]]
-            coords.append(i)
-            vol *= ov
-            rem //= sizes[a]
-        coords.reverse()
-        idxs.append(int(np.ravel_multi_index(tuple(coords), (2**L,) * d)))
-        vols.append(float(vol))
-    return np.array(idxs, dtype=int), np.array(vols)
+    r = 2 ** (window.root.level + L - level)
+    idx = np.zeros((1,) * (2 * d), dtype=int)
+    codes, values = [], []
+    for a, (_, count, lo, pieces, first, last) in enumerate(
+        _grid_level_axes(window, shift, level)
+    ):
+        leaves = lo + r * np.arange(count)[:, None] + np.arange(pieces)
+        shape = [1] * (2 * d)
+        shape[a], shape[d + a] = count, pieces
+        idx = idx + leaves.reshape(shape) * 2 ** (L * (d - 1 - a))
+        code = np.ones(pieces, dtype=int)  # interior leaves overlap fully
+        code[0], code[-1] = 0, 2  # a single leaf is overlapped fully: last = 1
+        codes.append(code)
+        values.append((first, Fraction(1), last))
+    unit = window.leaf_side**d
+    table = np.array(
+        [float(math.prod(combo) * unit) for combo in itertools.product(*values)]
+    ).reshape((3,) * d)
+    vols = table[np.ix_(*codes)].reshape(-1)
+    return idx.reshape(-1, vols.size), vols
+
+
+def grid_children_index(grid, level, positions, below):
+    """(cubes, 2^d) indices of the children of the cubes of ``grid`` at
+    ``positions`` (one level, as from ``enumerate_grid_cubes``) among
+    ``below``, the positions of the next level in the same C order over a
+    box; children in offset-bit order, as ``DyadicCube.child`` numbers them.
+    """
+    d = grid.dimension
+    sgn = -1 if level % 2 else 1
+    bits = (np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+    child = 2 * positions[:, None, :] + sgn * np.array(grid.shift_numerators) + bits
+    lo, counts = below[0], below[-1] - below[0] + 1
+    return np.ravel_multi_index(tuple(np.moveaxis(child - lo, -1, 0)), tuple(counts))

@@ -357,6 +357,12 @@ def _weighted_cube_ap(P, N, w, p):
     return val
 
 
+def _cube_means(values, idx, vols):
+    """Volume-weighted means of leaf data over the pieces of a stack of
+    cubes: ``idx`` (cubes, pieces) leaf indices, ``vols`` (pieces,)."""
+    return np.tensordot(values[idx], vols, axes=(1, 0)) / vols.sum()
+
+
 def _foreign_grid_ap(W, p, shift, max_level):
     win = W.window
     p2 = _is_p2(p)
@@ -364,20 +370,21 @@ def _foreign_grid_ap(W, p, shift, max_level):
         P, N = W.leaves, W.inverse().leaves
     else:
         P, N = W.power(2.0 / p).leaves, W.power(-2.0 / p).leaves
+    grid = DyadicGrid(win.d, shift)
     best, best_cube = 0.0, None
-    for k, cubes in enumerate_grid_cubes(win, shift, max_level=max_level):
-        for cube in cubes:
-            idx, vols = cube_pieces(win, cube)
-            if idx.size == 0:
-                continue
+    for k, positions in enumerate_grid_cubes(win, shift, max_level=max_level):
+        if len(positions) == 0:
+            continue
+        idx, vols = cube_pieces(win, shift, k)
+        if p2:
+            vals = _trace_form(_cube_means(P, idx, vols), _cube_means(N, idx, vols))
+        else:
             w = vols / vols.sum()
-            if p2:
-                mP, mN = np.tensordot(w, P[idx], 1), np.tensordot(w, N[idx], 1)
-                val = float(_trace_form(mP, mN))
-            else:
-                val = _weighted_cube_ap(P[idx], N[idx], w, p)
-            if val > best:
-                best, best_cube = val, cube
+            vals = [_weighted_cube_ap(P[i], N[i], w, p) for i in idx]
+        c = int(np.argmax(vals))
+        if vals[c] > best:
+            best = float(vals[c])
+            best_cube = grid.cube(k, positions[c])
     return best, best_cube
 
 
@@ -474,11 +481,31 @@ def _reducing_net(P, offset=False):
     return np.concatenate([base, phased], axis=0)
 
 
-def _rho_powers(field_power_leaves, net, expo, window):
-    # per-cube (1/|I|) int |P(x) e|^expo for every net direction
-    Y = np.einsum("lab,jb->lja", field_power_leaves, net)
-    mags = np.linalg.norm(Y, axis=2) ** expo  # (leaves, dirs)
-    return window.level_averages(mags)
+def _net_powers(P, net, expo):
+    # |P(x) e|^expo per leaf and net direction: (leaves, dirs)
+    return np.linalg.norm(np.einsum("lab,jb->lja", P, net), axis=2) ** expo
+
+
+def _ellipsoid_fit(rho_pow, vr_pow, net, vnet, expo):
+    """Second-moment ellipsoids V for stacks of cubes, and their kappa.
+
+    ``rho_pow`` and ``vr_pow`` list, per stack, the per-cube means of
+    |P e|^expo over the directions of ``net`` and of the offset net
+    ``vnet``, shape (cubes, dirs).  V is fitted so that |V e| matches the
+    L^expo average norm (mean |P e|^expo)^{1/expo} on the net; kappa is the
+    largest two-sided ratio between the two on the offset net.
+    """
+    M0 = np.einsum("ja,jb->ab", net, np.conj(net))
+    M0_isqrt = _mat_isqrt(M0[None])[0]
+    mats, kappa = [], 1.0
+    for rho, vr in zip(rho_pow, vr_pow, strict=True):
+        S = np.einsum("kj,ja,jb->kab", rho ** (2.0 / expo), net, np.conj(net))
+        V = _mat_sqrt(M0_isqrt[None] @ S @ M0_isqrt[None])
+        mats.append(V)
+        ve = np.linalg.norm(np.einsum("kab,jb->kja", V, vnet), axis=2)
+        ratio = vr ** (1.0 / expo) / np.maximum(ve, 1e-300)
+        kappa = max(kappa, float(np.max(ratio)), float(np.max(1.0 / ratio)))
+    return mats, kappa
 
 
 @dataclass
@@ -505,30 +532,18 @@ class ReducingTable:
         if not W.is_weight:
             raise NotPositiveDefiniteError("reducing operators need a weight field")
         win = W.window
-        if abs(p - 2.0) < 1e-15:
+        if _is_p2(p):
             src = W.inverse() if dual else W
             mats = [_mat_sqrt(a) for a in src.level_averages()]
             return cls(win, p, dual, mats, kappa=1.0, exact=True)
-        pp = p / (p - 1.0)
-        expo = pp if dual else p
+        expo = p / (p - 1.0) if dual else p
         P = W.power(-1.0 / p if dual else 1.0 / p).leaves
-        net = _reducing_net(P)
-        vnet = _reducing_net(P, offset=True)
-        rho_pow = _rho_powers(P, net, expo, win)
-        M0 = np.einsum("ja,jb->ab", net, np.conj(net))
-        M0_isqrt = _mat_isqrt(M0[None])[0]
-        mats = []
-        kappa = 1.0
-        vr_pow = _rho_powers(P, vnet, expo, win)
-        for j in range(win.depth + 1):
-            rho2 = rho_pow[j] ** (2.0 / expo)  # (cubes, dirs)
-            S = np.einsum("kj,ja,jb->kab", rho2, net, np.conj(net))
-            V = _mat_sqrt(M0_isqrt[None] @ S @ M0_isqrt[None])
-            mats.append(V)
-            ve = np.linalg.norm(np.einsum("kab,jb->kja", V, vnet), axis=2)
-            rho_v = vr_pow[j] ** (1.0 / expo)
-            ratio = rho_v / np.maximum(ve, 1e-300)
-            kappa = max(kappa, float(np.max(ratio)), float(np.max(1.0 / ratio)))
+        net, vnet = _reducing_net(P), _reducing_net(P, offset=True)
+        mats, kappa = _ellipsoid_fit(
+            win.level_averages(_net_powers(P, net, expo)),
+            win.level_averages(_net_powers(P, vnet, expo)),
+            net, vnet, expo,
+        )
         return cls(win, p, dual, mats, kappa=kappa, exact=False)
 
     def mat(self, j):
@@ -549,6 +564,22 @@ def _opnorms(stack):
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _piece_reducing(W, p, pieces):
+    """Reducing operators V_I(W, p) of the cube stacks given as
+    (idx, vols) pieces, by ``ReducingTable``'s rule: exact average square
+    roots at p = 2, the fitted ellipsoids of W^{1/p} otherwise."""
+    if _is_p2(p):
+        return [_mat_sqrt(_cube_means(W.leaves, *pc)) for pc in pieces]
+    P = W.power(1.0 / p).leaves
+    net, vnet = _reducing_net(P), _reducing_net(P, offset=True)
+    rho, vr = _net_powers(P, net, p), _net_powers(P, vnet, p)
+    return _ellipsoid_fit(
+        [_cube_means(rho, *pc) for pc in pieces],
+        [_cube_means(vr, *pc) for pc in pieces],
+        net, vnet, p,
+    )[0]
 
 
 def _mat_sqrt(stack):

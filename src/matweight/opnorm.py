@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import VectorField, _mat_sqrt, _mat_isqrt, _opnorms
+from .fields import VectorField, _is_p2, _mat_sqrt, _mat_isqrt, _opnorms
 from . import transforms as tf
 
 __all__ = [
@@ -288,7 +288,7 @@ def haar_multiplier_norm_relation(A, W, U, p):
         if M.size:
             sup = max(sup, float(np.max(_opnorms(M))))
     T = materialize({"kind": "haar_multiplier", "A": A}, win, U.n)
-    if abs(p - 2.0) < 1e-12:
+    if _is_p2(p):
         norm = weighted_opnorm_p2(T, W, U)
         exact = True
     else:

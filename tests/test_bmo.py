@@ -3,9 +3,10 @@ import pytest
 
 from matweight.dyadic import Window
 from matweight.fields import MatrixField, VectorField, ap_characteristic
-from matweight import bmo
+from matweight import bmo, fields
 from matweight import transforms as tf
 
+import grid_reference as grid_ref
 import scalar_reference as ref
 from conftest import scalar_field, scalar_vector, random_scalar_weight
 
@@ -429,38 +430,100 @@ def test_equivalence_experiment_small():
 def test_foreign_grid_machinery_matches_own_grid(rng):
     # evaluating the window's own grid through the piecewise path must
     # reproduce the exact fast path
-    win = Window.unit(1, 4)
-    W = bmo.bounded_weight(win, 2, rng)
-    U = bmo.bounded_weight(win, 2, rng)
-    B = bmo.random_matrix_field(win, 2, rng)
-    own_shift = win.grid.shift
-    for p in (2.0, 3.0):
-        bo, cb = bmo._foreign_grid_bmo(B, W, U, p, 1.0, own_shift)
-        assert np.isclose(bo, bmo.bmo_original(B, W, U, p, 1.0).supremum, rtol=1e-9)
-        assert np.isclose(
-            cb, bmo.condition_b(W, U, tf.analyze(B), p).supremum, rtol=1e-9
-        )
+    for win in (Window.unit(1, 4), Window.unit(2, 3)):
+        W = bmo.bounded_weight(win, 2, rng)
+        U = bmo.bounded_weight(win, 2, rng)
+        B = bmo.random_matrix_field(win, 2, rng)
+        own_shift = win.grid.shift
+        for p in (2.0, 3.0):
+            bo, cb = bmo._foreign_grid_bmo(B, W, U, p, 1.0, own_shift)
+            assert np.isclose(bo, bmo.bmo_original(B, W, U, p, 1.0).supremum, rtol=1e-9)
+            assert np.isclose(
+                cb, bmo.condition_b(W, U, tf.analyze(B), p).supremum, rtol=1e-9
+            )
+
+
+def _rotated(F, Q):
+    return MatrixField(F.window, Q @ F.leaves @ Q.conj().T, weight=True)
+
+
+def _random_unitary(rng):
+    Q, _ = np.linalg.qr(
+        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    )
+    return Q
 
 
 def test_foreign_grid_machinery_matches_own_grid_complex_weights(rng):
     # complex Hermitian weights at p != 2 need the complex direction net on
     # the piecewise path too, or its reducing operators drift off the table's
-    win = Window.unit(1, 5)
-    Q, _ = np.linalg.qr(
-        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    )
+    for win in (Window.unit(1, 5), Window.unit(2, 3)):
+        Q = _random_unitary(rng)
+        W = _rotated(bmo.bounded_weight(win, 2, rng), Q)
+        U = _rotated(bmo.bounded_weight(win, 2, rng), Q)
+        assert np.max(np.abs(W.leaves.imag)) > 0.1
+        B = bmo.random_matrix_field(win, 2, rng)
+        _, cb = bmo._foreign_grid_bmo(B, W, U, 3.0, 1.0, win.grid.shift)
+        assert np.isclose(
+            cb, bmo.condition_b(W, U, tf.analyze(B), 3.0).supremum, rtol=1e-9
+        )
 
-    def rotated(F):
-        return MatrixField(win, Q @ F.leaves @ Q.conj().T, weight=True)
 
-    W = rotated(bmo.bounded_weight(win, 2, rng))
-    U = rotated(bmo.bounded_weight(win, 2, rng))
-    assert np.max(np.abs(W.leaves.imag)) > 0.1
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d, depth", [(1, 5), (2, 3)])
+def test_foreign_grid_paths_match_per_cube_oracle(rng, d, depth, p, kind):
+    # the per-level A_p, bmo_original and condition (b) on every shifted
+    # grid reproduce the cube-by-cube reference, witnesses included
+    win = Window.unit(d, depth)
+    W = bmo.bounded_weight(win, 2, rng)
+    U = bmo.bounded_weight(win, 2, rng)
+    if kind == "complex":
+        Q = _random_unitary(rng)
+        W, U = _rotated(W, Q), _rotated(U, Q)
+        assert np.max(np.abs(W.leaves.imag)) > 0.1
     B = bmo.random_matrix_field(win, 2, rng)
-    _, cb = bmo._foreign_grid_bmo(B, W, U, 3.0, 1.0, win.grid.shift)
-    assert np.isclose(
-        cb, bmo.condition_b(W, U, tf.analyze(B), 3.0).supremum, rtol=1e-9
-    )
+    for t in range(1, 2**d + 1):
+        val, cube = fields._foreign_grid_ap(W, p, t, depth)
+        want_val, want_cube = grid_ref.foreign_grid_ap(W, p, t, depth)
+        assert np.isclose(val, want_val, rtol=1e-12, atol=0)
+        assert cube.address == want_cube.address
+        np.testing.assert_allclose(
+            bmo._foreign_grid_bmo(B, W, U, p, 1.0, t),
+            grid_ref.foreign_grid_bmo(B, W, U, p, 1.0, t),
+            rtol=1e-12,
+        )
+
+
+def test_equivalence_experiment_computes_a2_once_per_seed(monkeypatch):
+    spec = {"n": 2, "d": 1, "depth": 3, "seeds": [0, 1], "p_values": [2.0, 3.0, 1.5]}
+    calls = {"outside": 0, "inside": 0}
+    real_ap, real_bounded = bmo.ap_characteristic, bmo.bounded_weight
+    where = ["outside"]
+
+    def spy_ap(*args, **kwargs):
+        calls[where[-1]] += 1
+        return real_ap(*args, **kwargs)
+
+    def spy_bounded(*args, **kwargs):
+        where.append("inside")
+        try:
+            return real_bounded(*args, **kwargs)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(bmo, "ap_characteristic", spy_ap)
+    monkeypatch.setattr(bmo, "bounded_weight", spy_bounded)
+    rows = bmo.equivalence_experiment(spec)["rows"]
+    assert calls["outside"] == 2 * len(spec["seeds"])
+    assert calls["inside"] >= 2 * len(spec["seeds"])
+    for seed in spec["seeds"]:
+        rng = np.random.default_rng(seed)
+        win = Window.unit(1, 3)
+        W = real_bounded(win, 2, rng, amplitude=0.5, char_cap=10.0)
+        U = real_bounded(win, 2, rng, amplitude=0.5, char_cap=10.0)
+        for row in (r for r in rows if r["seed"] == seed):
+            assert row["a2W"] == real_ap(W, 2) and row["a2U"] == real_ap(U, 2)
 
 
 def test_level_set_diagnostic(rng):

@@ -19,6 +19,8 @@ from matweight.dyadic import (
     signature_product,
 )
 
+import grid_reference as grid_ref
+
 
 def test_children_bisection_1d():
     c = DyadicGrid.standard(1).cube(0, (0,))
@@ -224,23 +226,51 @@ def test_tree_order_makes_every_cube_a_run(d, depth):
             assert sorted(run) == sorted(win.block_leaf_index(j)[cube])
 
 
+def _grid_cases():
+    """Windows over every own shift and four root positions in d = 1, 2, 3,
+    each with every target shift: the per-cube oracle's grid."""
+    for d, depth in ((1, 5), (2, 3), (3, 2)):
+        for own in range(1, 2**d + 1):
+            for root in ((0,) * d, (1,) * d, (-1,) * d, (2, 3, 5)[:d]):
+                win = Window(DyadicGrid(d, own).cube(0, root), depth)
+                for t in range(1, 2**d + 1):
+                    yield win, t
+
+
 def test_enumerate_grid_cubes_inside_box():
-    win = Window.unit(1, 4)
+    # the per-level positions are the per-cube oracle's cubes, in C order,
+    # and every one of them lies inside the window box
     total = 0
-    for k, cubes in enumerate_grid_cubes(win, 1):
-        for c in cubes:
-            assert win.root.contains_box(c.corner, c.side)
-            total += 1
+    for win, t in _grid_cases():
+        got = enumerate_grid_cubes(win, t)
+        want = grid_ref.enumerate_grid_cubes(win, t)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        grid = DyadicGrid(win.d, t)
+        for (k, positions), (_, cubes) in zip(got, want):
+            assert positions.shape == (len(cubes), win.d)
+            assert [tuple(m) for m in positions.tolist()] == [c.position for c in cubes]
+            for m in positions:
+                c = grid.cube(k, m)
+                assert win.root.contains_box(c.corner, c.side)
+                total += 1
     assert total > 0
 
 
 def test_cube_pieces_partition_volume():
-    win = Window.unit(2, 2)
-    for k, cubes in enumerate_grid_cubes(win, 2):
-        for c in cubes:
-            idx, vols = cube_pieces(win, c)
-            assert np.isclose(vols.sum(), float(c.volume), atol=1e-15)
-            assert len(np.unique(idx)) == len(idx)
+    # each level's (cubes, pieces) indices and shared volumes are the
+    # oracle's per-cube pieces exactly; the pieces partition each cube
+    for win, t in _grid_cases():
+        grid = DyadicGrid(win.d, t)
+        for k, positions in enumerate_grid_cubes(win, t):
+            idx, vols = cube_pieces(win, t, k)
+            assert idx.shape == (len(positions), vols.size)
+            for c, m in enumerate(positions):
+                cube = grid.cube(k, m)
+                want_idx, want_vols = grid_ref.cube_pieces(win, cube)
+                assert np.array_equal(idx[c], want_idx)
+                assert np.array_equal(vols, want_vols)
+                assert len(np.unique(idx[c])) == len(idx[c])
+                assert np.isclose(vols.sum(), float(cube.volume), atol=1e-15)
 
 
 def test_window_depth_validation():

@@ -234,7 +234,7 @@ def _dense_own_grid_ap(W, p, max_rel_level):
 
 
 def _dense_foreign_grid_ap(W, p, shift, max_level):
-    from matweight.dyadic import cube_pieces, enumerate_grid_cubes
+    from grid_reference import cube_pieces, enumerate_grid_cubes
 
     win = W.window
     pp = p / (p - 1.0)
@@ -448,6 +448,17 @@ def test_reducing_diagonal_p4_direction_bruteforce(rng):
     assert np.max(np.abs(table.mats[0][0] - np.diag(np.diag(table.mats[0][0])))) < 1e-10
 
 
+def test_reducing_p2_predicate_is_shared():
+    # ap_characteristic takes its exact p = 2 path within 1e-12 of 2; the
+    # reducing table must take the exact average path there too
+    W = generate_weight({"kind": "log_spd", "n": 2, "d": 1, "depth": 4, "seed": 3})
+    near = fields.ReducingTable.build(W, 2.0 + 1e-13)
+    exact = fields.ReducingTable.build(W, 2.0)
+    assert near.exact and near.kappa == 1.0
+    for a, b in zip(near.mats, exact.mats, strict=True):
+        assert np.array_equal(a, b)
+
+
 def test_reducing_duality_choice(rng):
     win = Window.unit(1, 4)
     leaves = np.array([rand_spd(rng, 2) for _ in range(win.leafcount)])
@@ -610,12 +621,12 @@ def test_foreign_grid_ap_matches_own(rng):
     from matweight.fields import _foreign_grid_ap
     from matweight.bmo import bounded_weight
 
-    win = Window.unit(1, 4)
-    W = bounded_weight(win, 2, rng)
-    for p in (2.0, 3.0):
-        own = ap_characteristic(W, p)
-        val, cube = _foreign_grid_ap(W, p, win.grid.shift, win.depth)
-        assert np.isclose(val, own, rtol=1e-9)
+    for win in (Window.unit(1, 4), Window.unit(2, 3)):
+        W = bounded_weight(win, 2, rng)
+        for p in (2.0, 3.0):
+            own = ap_characteristic(W, p)
+            val, cube = _foreign_grid_ap(W, p, win.grid.shift, win.depth)
+            assert np.isclose(val, own, rtol=1e-9)
 
 
 def test_complex_hermitian_weight_paths(rng):
