@@ -398,14 +398,6 @@ class Window:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=1)
 
-    def leaf_corner(self, index):
-        """Exact rational corner of a leaf cell."""
-        d, L = self.d, self.depth
-        coords = np.unravel_index(int(index), (2**L,) * d)
-        h = self.root.side / 2**L
-        c0 = self.root.corner
-        return tuple(c0[a] + h * int(coords[a]) for a in range(d))
-
     @property
     def leaf_side(self):
         return self.root.side / 2**self.depth

@@ -10,6 +10,11 @@ exceeds lambda.  Generations J^j and blocks F^j are built by the usual
 maximal-cube recursion; set measures are exact rationals, so the decay
 check |union J^j| <= 2^{-j} |root| carries no rounding slack.
 
+The norms are evaluated lazily, one level of a root's subtree at a time and
+only for the cubes the recursion reaches: the children of cubes that did
+not stop.  Stopped cubes and blocks are listed in the order of a depth-first
+walk from the root.
+
 The threshold the theory calls "lambda large enough" is found empirically:
 default_lambda doubles lambda until the decay bound verifies on the
 window, and the realized value is always reported.
@@ -18,6 +23,7 @@ window, and the realized value is always reported.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -47,36 +53,6 @@ class LambdaSearchError(StoppingError):
     pass
 
 
-class _PairStats:
-    """max of the four stopping norms for every (cube, ancestor) pair."""
-
-    def __init__(self, W, U, p):
-        win = W.window
-        tw = W.reducing_table(p)
-        tu = U.reducing_table(p)
-        self.window = win
-        self.table = {}
-        for jj in range(win.depth + 1):
-            for jk in range(jj):
-                anc = win.ancestor_index(jj, jk)
-                n1 = _opnorms(tw.mats[jj] @ tw.inv(jk)[anc])
-                n2 = _opnorms(tw.inv(jj) @ tw.mats[jk][anc])
-                n3 = _opnorms(tu.mats[jj] @ tu.inv(jk)[anc])
-                n4 = _opnorms(tu.mats[jk][anc] @ tu.inv(jj))
-                self.table[(jj, jk)] = np.stack([n1, n2, n3, n4], axis=1)
-
-    def norms(self, cube, root):
-        jj, kj = cube
-        jk, kk = root
-        if jj == jk:
-            return np.ones(4)
-        row = self.table[(jj, jk)][kj]
-        return row
-
-    def stat(self, cube, root):
-        return float(np.max(self.norms(cube, root)))
-
-
 @dataclass
 class StoppingForest:
     window: object
@@ -100,49 +76,78 @@ class StoppingForest:
         return [self.window.cube(j, k).address for j, k in cubes]
 
 
-def _select(stats, root, lam, depth):
-    """Maximal stopped descendants of root plus the block F(root)."""
-    win = stats.window
-    stopped, block = [], [root]
-    stack = []
+def _root_index(win, root):
+    if root is None:
+        return (0, 0)
+    return root if isinstance(root, tuple) else win.rel_index(root)
+
+
+def _dfs_order(parts):
+    """(level, index) tuples of the (level, indices, keys) parts by key."""
+    levels = np.concatenate([np.full(len(idx), j) for j, idx, _ in parts])
+    idx = np.concatenate([idx for _, idx, _ in parts])
+    order = np.argsort(np.concatenate([keys for _, _, keys in parts]))
+    return list(zip(levels[order].tolist(), idx[order].tolist())), order
+
+
+def _select(win, tw, tu, root, lam):
+    """Maximal stopped descendants of root, their four norms, and the block
+    F(root), each in the order of a depth-first walk that pops the last
+    child first.
+
+    The subtree is walked one level at a time.  Every visited cube carries a
+    path key: one base-(2^d + 1) digit per level below the root, 2^d minus
+    its child position, and 0 below its own level, so sorting by the key
+    restores the depth-first order with each ancestor before its
+    descendants.  The keys stay below (2^d + 1)^depth, far inside int64 for
+    any window that fits in memory.
+    """
     jr, kr = root
-    if jr < depth:
-        ch = win.children_index(jr)[kr]
-        stack.extend((jr + 1, int(c)) for c in ch)
-    while stack:
-        cube = stack.pop()
-        if stats.stat(cube, root) > lam:
-            stopped.append(cube)
-            continue
-        block.append(cube)
-        j, k = cube
-        if j < depth:
-            stack.extend((j + 1, int(c)) for c in win.children_index(j)[k])
-    return stopped, block
+    if jr == win.depth:
+        return [], [], [root]
+    digits = win.nchild - np.arange(win.nchild)
+    front, keys = np.array([kr]), np.zeros(1, dtype=np.int64)
+    stopped, norms, block = [], [], [(jr, front, keys)]
+    for j in range(jr + 1, win.depth + 1):
+        if not front.size:
+            break
+        front = win.children_index(j - 1)[front].ravel()
+        place = (win.nchild + 1) ** (win.depth - j)
+        keys = (keys[:, None] + digits * place).ravel()
+        stats = np.stack([
+            _opnorms(tw.mats[j][front] @ tw.inv(jr)[kr]),
+            _opnorms(tw.inv(j)[front] @ tw.mats[jr][kr]),
+            _opnorms(tu.mats[j][front] @ tu.inv(jr)[kr]),
+            _opnorms(tu.mats[jr][kr] @ tu.inv(j)[front]),
+        ], axis=1)
+        stop = stats.max(axis=1) > lam
+        stopped.append((j, front[stop], keys[stop]))
+        norms.append(stats[stop])
+        front, keys = front[~stop], keys[~stop]
+        block.append((j, front, keys))
+    stopped, order = _dfs_order(stopped)
+    return stopped, np.concatenate(norms)[order].tolist(), _dfs_order(block)[0]
 
 
-def _build_with_stats(stats, root, lam, p):
-    win = stats.window
-    if lam <= 1.0:
-        raise StoppingError(f"lambda must exceed 1, got {lam}")
+def _forest(W, U, p, root, lam):
+    win = W.window
+    if not 1.0 < lam < math.inf:
+        raise StoppingError(f"lambda must be finite and exceed 1, got {lam}")
+    tw, tu = W.reducing_table(p), U.reducing_table(p)
     generations, blocks, norms = [], [], {}
     current = [root]
     while current:
         gen, blk = [], []
         for K in current:
-            st, bl = _select(stats, K, lam, win.depth)
+            st, nm, bl = _select(win, tw, tu, K, lam)
             gen.extend(st)
             blk.extend(bl)
-            for c in st:
-                norms[c] = stats.norms(c, K).tolist()
+            norms.update(zip(st, nm))
         generations.append(gen)
         blocks.append(blk)
         current = gen
-        if not gen:
-            break
     # the trailing empty generation is bookkeeping noise
-    if generations and not generations[-1]:
-        generations.pop()
+    generations.pop()
     forest = StoppingForest(
         window=win, root=root, lam=float(lam), p=float(p),
         generations=generations, blocks=blocks, stopped_norms=norms,
@@ -156,12 +161,7 @@ def build(W, U, p, root=None, lam=4.0):
     win = W.window
     if U.window is not win:
         raise StoppingError("weights live on different windows")
-    if root is None:
-        root = (0, 0)
-    elif not isinstance(root, tuple):
-        root = win.rel_index(root)
-    stats = _PairStats(W, U, p)
-    return _build_with_stats(stats, root, lam, p)
+    return _forest(W, U, p, _root_index(win, root), lam)
 
 
 @dataclass
@@ -185,15 +185,10 @@ def verify_decay(forest):
 
 def default_lambda(W, U, p, root=None, cap=LAMBDA_CAP):
     """Smallest power of two for which the decay bound verifies on the window."""
-    win = W.window
-    if root is None:
-        root = (0, 0)
-    elif not isinstance(root, tuple):
-        root = win.rel_index(root)
-    stats = _PairStats(W, U, p)
+    root = _root_index(W.window, root)
     lam = 2.0
     while lam <= cap:
-        forest = _build_with_stats(stats, root, lam, p)
+        forest = _forest(W, U, p, root, lam)
         if verify_decay(forest).all_ok:
             return lam
         lam *= 2.0

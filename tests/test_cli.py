@@ -170,6 +170,19 @@ def test_stopping_command(tmp_path, weight_file, capsys):
     assert "generations" in doc
 
 
+@pytest.mark.parametrize("lam, code", [("nan", 2), ("inf", 2), ("1.5", 0)])
+def test_stopping_lambda_must_be_finite(tmp_path, capsys, lam, code):
+    # the identity pair never stops, so every finite lambda > 1 passes
+    spec = tmp_path / "id.json"
+    spec.write_text(json.dumps({"kind": "identity", "n": 2, "d": 1, "depth": 4}))
+    w = tmp_path / "id.mwf"
+    assert main(["gen", "--spec", str(spec), "--out", str(w)]) == 0
+    rc = main(["stopping", "--w", str(w), "--p", "2", "--lam", lam])
+    assert rc == code
+    if code == 2:
+        assert "lambda" in capsys.readouterr().err
+
+
 def test_jn_command(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({

@@ -9,6 +9,7 @@ from matweight import bmo
 from matweight import stopping as st
 
 from conftest import scalar_field
+import stopping_reference as stop_ref
 
 
 def test_identity_pair_never_stops():
@@ -97,7 +98,7 @@ def test_non_stopped_cubes_satisfy_bound(rng):
     U = bmo.bounded_weight(win, 2, rng, amplitude=1.0, char_cap=60.0)
     lam = 2.0
     forest = st.build(W, U, 2.0, lam=lam)
-    stats = st._PairStats(W, U, 2.0)
+    stats = stop_ref._PairStats(W, U, 2.0)
     gens = [[forest.root]] + forest.generations
     # every cube of F(K) obeys all four norms <= lam against its block root K
     for i, blk in enumerate(forest.blocks):
@@ -161,3 +162,69 @@ def test_forest_dump(tmp_path, rng):
     assert len(doc["blocks"]) == len(forest.blocks)
     if doc["generations"] and doc["generations"][0]:
         assert "norms" in doc["generations"][0][0]
+
+
+# generations reached below the window root at lambda = 1.05, 1.2, 1.5, 2, 4,
+# per (d, p, complex U); at lambda = 1.05 every forest runs down to the leaves
+_GENERATIONS = {
+    (1, 1.5, False): (9, 8, 4, 2, 1),
+    (1, 1.5, True): (9, 8, 6, 4, 2),
+    (1, 2.0, False): (9, 8, 5, 3, 1),
+    (1, 2.0, True): (9, 8, 5, 4, 2),
+    (1, 3.0, False): (9, 5, 2, 1, 0),
+    (1, 3.0, True): (9, 6, 4, 2, 0),
+    (2, 1.5, False): (4, 4, 4, 4, 2),
+    (2, 1.5, True): (4, 4, 4, 3, 1),
+    (2, 2.0, False): (4, 4, 4, 4, 2),
+    (2, 2.0, True): (4, 4, 4, 4, 2),
+    (2, 3.0, False): (4, 4, 4, 2, 1),
+    (2, 3.0, True): (4, 4, 3, 1, 0),
+    (3, 1.5, False): (3, 3, 3, 3, 2),
+    (3, 1.5, True): (3, 3, 3, 3, 2),
+    (3, 2.0, False): (3, 3, 3, 3, 2),
+    (3, 2.0, True): (3, 3, 3, 3, 2),
+    (3, 3.0, False): (3, 3, 3, 2, 1),
+    (3, 3.0, True): (3, 3, 3, 2, 1),
+}
+
+
+def _oracle_pair(d, depth, complex_u, seed):
+    rng = np.random.default_rng(seed)
+    win = Window.unit(d, depth)
+    W = bmo.bounded_weight(win, 2, rng, amplitude=1.2, char_cap=60.0)
+    U = bmo.bounded_weight(win, 2, rng, amplitude=1.2, char_cap=60.0)
+    if complex_u:
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        Q = np.linalg.qr(z)[0]
+        U = MatrixField(win, Q @ U.leaves @ Q.conj().T, weight=True)
+    return W, U
+
+
+@pytest.mark.parametrize("complex_u", [False, True])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d, depth", [(1, 9), (2, 4), (3, 3)])
+def test_forest_matches_eager_oracle(tmp_path, d, depth, p, complex_u):
+    W, U = _oracle_pair(d, depth, complex_u, seed=10 * d + int(complex_u))
+    win = W.window
+    stats = stop_ref._PairStats(W, U, p)
+    reached = []
+    for root in (None, win.cube(1, win.nchild - 1)):
+        ref_root = (0, 0) if root is None else win.rel_index(root)
+        for lam in (1.05, 1.2, 1.5, 2.0, 4.0):
+            got = st.build(W, U, p, root=root, lam=lam)
+            want = stop_ref._build_with_stats(stats, ref_root, lam, p)
+            assert got.root == want.root
+            assert got.generations == want.generations
+            assert got.blocks == want.blocks
+            assert got.stopped_norms == want.stopped_norms
+            assert got.decay_ratios == want.decay_ratios
+            st.dump_forest(got, tmp_path / "got.json")
+            st.dump_forest(want, tmp_path / "want.json")
+            assert (tmp_path / "got.json").read_bytes() == (
+                tmp_path / "want.json"
+            ).read_bytes()
+            if root is None:
+                reached.append(len(got.generations))
+    assert tuple(reached) == _GENERATIONS[(d, p, complex_u)]
+    if d == 1:
+        assert reached[0] >= 8
