@@ -353,21 +353,30 @@ class Window:
 
     # -- cube addressing -------------------------------------------------
 
-    def cube(self, j, index):
-        """Absolute cube for relative level j and flat index."""
+    def _origin(self, j):
+        """Grid position of the level-j cube with flat index 0."""
         if not 0 <= j <= self.depth:
             raise WindowError(f"relative level {j} outside window")
-        d = self.d
-        coords = np.unravel_index(int(index), (2**j,) * d)
-        k0 = self.root.level
-        sgn0 = -1 if k0 % 2 else 1
+        sgn0 = -1 if self.root.level % 2 else 1
         a_j = sgn0 * ((2**j - (-1) ** j) // 3)
         u = self.grid.shift_numerators
-        m = tuple(
-            (self.root.position[a] << j) + int(coords[a]) + a_j * u[a]
-            for a in range(d)
-        )
-        return DyadicCube(self.grid, k0 + j, m)
+        return tuple((m << j) + a_j * ua for m, ua in zip(self.root.position, u))
+
+    def cube(self, j, index):
+        """Absolute cube for relative level j and flat index."""
+        origin = self._origin(j)
+        coords = np.unravel_index(int(index), (2**j,) * self.d)
+        m = tuple(o + int(c) for o, c in zip(origin, coords))
+        return DyadicCube(self.grid, self.root.level + j, m)
+
+    def addresses(self, j, idx):
+        """``cube(j, k).address`` for every flat index k of ``idx``, formatted
+        from the index array without building the cubes."""
+        origin = self._origin(j)
+        coords = np.unravel_index(np.asarray(idx, dtype=np.int64), (2**j,) * self.d)
+        cols = [[str(o + c) for c in axis.tolist()] for o, axis in zip(origin, coords)]
+        prefix = f"{self.grid.shift}/{self.root.level + j}/"
+        return [prefix + ",".join(m) for m in zip(*cols)]
 
     def rel_index(self, cube):
         """(relative level, flat index) of a cube; WindowError if outside."""
@@ -376,18 +385,10 @@ class Window:
         j = cube.level - self.root.level
         if not 0 <= j <= self.depth:
             raise WindowError("cube level outside window")
-        d = self.d
-        k0 = self.root.level
-        sgn0 = -1 if k0 % 2 else 1
-        a_j = sgn0 * ((2**j - (-1) ** j) // 3)
-        u = self.grid.shift_numerators
-        coords = []
-        for a in range(d):
-            x = cube.position[a] - (self.root.position[a] << j) - a_j * u[a]
-            if not 0 <= x < 2**j:
-                raise WindowError("cube outside window")
-            coords.append(x)
-        return j, int(np.ravel_multi_index(tuple(coords), (2**j,) * d))
+        coords = tuple(m - o for m, o in zip(cube.position, self._origin(j)))
+        if not all(0 <= x < 2**j for x in coords):
+            raise WindowError("cube outside window")
+        return j, int(np.ravel_multi_index(coords, (2**j,) * self.d))
 
     def leaf_centers(self):
         """(leafcount, d) float centers of leaf cells."""

@@ -481,9 +481,27 @@ def _reducing_net(P, offset=False):
     return np.concatenate([base, phased], axis=0)
 
 
+def _real_if_exact(a):
+    """``a`` as float64 when it has no nonzero imaginary entry."""
+    if np.iscomplexobj(a) and not np.any(a.imag):
+        return a.real
+    return a
+
+
 def _net_powers(P, net, expo):
-    # |P(x) e|^expo per leaf and net direction: (leaves, dirs)
-    return np.linalg.norm(np.einsum("lab,jb->lja", P, net), axis=2) ** expo
+    """|P(x) e|^expo per leaf and net direction: (leaves, dirs).
+
+    All the products P(x) e are one matmul of the stacked leaf rows
+    (leaves * n, n) against the net, in float64 when both are real; the
+    squared moduli are summed over the n rows of each product.
+    """
+    P, net = _real_if_exact(P), _real_if_exact(net)
+    L, n = P.shape[:2]
+    Pe = (P.reshape(L * n, n) @ net.T).reshape(L, n, len(net))
+    sq = np.einsum("laj,laj->lj", Pe.real, Pe.real)
+    if np.iscomplexobj(Pe):
+        sq += np.einsum("laj,laj->lj", Pe.imag, Pe.imag)
+    return sq ** (expo / 2.0)
 
 
 def _ellipsoid_fit(rho_pow, vr_pow, net, vnet, expo):
@@ -493,19 +511,26 @@ def _ellipsoid_fit(rho_pow, vr_pow, net, vnet, expo):
     |P e|^expo over the directions of ``net`` and of the offset net
     ``vnet``, shape (cubes, dirs).  V is fitted so that |V e| matches the
     L^expo average norm (mean |P e|^expo)^{1/expo} on the net; kappa is the
-    largest two-sided ratio between the two on the offset net.
+    largest two-sided ratio between the two on the offset net, found as the
+    square root of the largest two-sided ratio of their squares.
+
+    The moment S = sum_e rho(e)^{2/expo} e e^H of every cube of a stack is
+    one matmul against the (dirs, n^2) table of outer products, taken over
+    its real view when the net is complex.
     """
-    M0 = np.einsum("ja,jb->ab", net, np.conj(net))
-    M0_isqrt = _mat_isqrt(M0[None])[0]
-    mats, kappa = [], 1.0
+    net = _real_if_exact(net)
+    n = net.shape[1]
+    outer = (net[:, :, None] * np.conj(net)[:, None, :]).reshape(len(net), n * n)
+    table = outer.view(np.float64)  # a complex entry becomes two real columns
+    M0_isqrt = _mat_isqrt(outer.sum(axis=0).reshape(1, n, n))
+    mats, kappa2 = [], 1.0
     for rho, vr in zip(rho_pow, vr_pow, strict=True):
-        S = np.einsum("kj,ja,jb->kab", rho ** (2.0 / expo), net, np.conj(net))
-        V = _mat_sqrt(M0_isqrt[None] @ S @ M0_isqrt[None])
+        S = (rho ** (2.0 / expo) @ table).view(outer.dtype).reshape(-1, n, n)
+        V = _mat_sqrt(M0_isqrt @ S @ M0_isqrt)
         mats.append(V)
-        ve = np.linalg.norm(np.einsum("kab,jb->kja", V, vnet), axis=2)
-        ratio = vr ** (1.0 / expo) / np.maximum(ve, 1e-300)
-        kappa = max(kappa, float(np.max(ratio)), float(np.max(1.0 / ratio)))
-    return mats, kappa
+        ratio2 = vr ** (2.0 / expo) / np.maximum(_net_powers(V, vnet, 2.0), 1e-300)
+        kappa2 = max(kappa2, float(np.max(ratio2)), float(1.0 / np.min(ratio2)))
+    return mats, float(np.sqrt(kappa2))
 
 
 @dataclass
@@ -560,10 +585,17 @@ class ReducingTable:
 
 
 def _opnorms(stack):
-    """Spectral norms of a stack of matrices (shape stack.shape[:-2])."""
+    """Spectral norms of a stack of matrices (shape stack.shape[:-2]).
+
+    The norm is sqrt(max(0, top eigenvalue of the Gram M^H M)), which keeps
+    machine-epsilon relative accuracy (see ``weighted_opnorm_p2``); the
+    Gram and the eigensolve run in float64 when the stack is real.
+    """
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    stack = _real_if_exact(stack)
+    gram = np.conj(np.swapaxes(stack, -1, -2)) @ stack
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 def _piece_reducing(W, p, pieces):
@@ -641,8 +673,8 @@ def verify_reducing_comparability(W, p, cubes=None):
     for j, idx in pairs:
         Vm = table.mats[j] if idx is None else table.mats[j][idx : idx + 1]
         Am = avgs[j] if idx is None else avgs[j][idx : idx + 1]
-        ve = np.linalg.norm(np.einsum("kab,jb->kja", Vm, net), axis=2)
-        me = np.linalg.norm(np.einsum("kab,jb->kja", Am, net), axis=2)
+        ve = _net_powers(Vm, net, 1.0)
+        me = _net_powers(Am, net, 1.0)
         r = ve / np.maximum(me, 1e-300)
         per_cube.append((j, r.min(axis=1), r.max(axis=1)))
         lo = min(lo, float(r.min()))

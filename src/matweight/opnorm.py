@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import VectorField, _is_p2, _mat_sqrt, _mat_isqrt, _opnorms
+from .fields import (
+    VectorField, _is_p2, _mat_isqrt, _mat_sqrt, _opnorms, _real_if_exact,
+)
 from . import transforms as tf
 
 __all__ = [
@@ -177,8 +179,7 @@ def weighted_opnorm_p2(T, W, U):
     # columns, on the transpose: (M D)^T = D^T M^T with D = blockdiag(U^{-1/2})
     At = np.matmul(np.swapaxes(Uih, 1, 2), WT.T.reshape(L, n, N)).reshape(N, N)
     # At = A^T, whose Gram conj(A A^H) has the singular values of A squared
-    if not np.any(At.imag):
-        At = At.real
+    At = _real_if_exact(At)
     top = np.linalg.eigvalsh(At.conj().T @ At)[-1]
     return float(np.sqrt(max(0.0, top)))
 

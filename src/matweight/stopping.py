@@ -73,7 +73,14 @@ class StoppingForest:
         return out
 
     def cube_addresses(self, cubes):
-        return [self.window.cube(j, k).address for j, k in cubes]
+        """Addresses of (level, index) cubes, formatted a level at a time."""
+        levels = np.array([j for j, _ in cubes], dtype=int)
+        idx = np.array([k for _, k in cubes], dtype=np.int64)
+        out = np.empty(len(cubes), dtype=object)
+        for j in np.unique(levels).tolist():
+            at = levels == j
+            out[at] = self.window.addresses(j, idx[at])
+        return out.tolist()
 
 
 def _root_index(win, root):
@@ -205,11 +212,8 @@ def dump_forest(forest, path):
         "p": forest.p,
         "generations": [
             [
-                {
-                    "cube": win.cube(j, k).address,
-                    "norms": forest.stopped_norms.get((j, k)),
-                }
-                for j, k in gen
+                {"cube": addr, "norms": forest.stopped_norms.get(c)}
+                for c, addr in zip(gen, forest.cube_addresses(gen))
             ]
             for gen in forest.generations
         ],

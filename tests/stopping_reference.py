@@ -4,8 +4,13 @@ This is the construction the library used before it walked each root's
 subtree level by level: ``_PairStats`` evaluates the four stopping norms for
 every (cube, ancestor) pair of the window up front, and ``_select`` runs the
 per-cube depth-first recursion against that table.  The tests compare the
-library's forests, and its stopping norms, against it.
+library's forests, and its stopping norms, against it.  ``dump_forest``
+writes the forest JSON with every address taken from a ``DyadicCube`` built
+through ``Window.cube``, as the library did before it formatted addresses
+from index arrays.
 """
+
+import json
 
 import numpy as np
 
@@ -92,3 +97,26 @@ def _build_with_stats(stats, root, lam, p):
     )
     forest.decay_ratios = forest.union_measures()
     return forest
+
+
+def dump_forest(forest, path):
+    win = forest.window
+    doc = {
+        "root": win.cube(*forest.root).address,
+        "lambda": forest.lam,
+        "p": forest.p,
+        "generations": [
+            [
+                {
+                    "cube": win.cube(j, k).address,
+                    "norms": forest.stopped_norms.get((j, k)),
+                }
+                for j, k in gen
+            ]
+            for gen in forest.generations
+        ],
+        "blocks": [[win.cube(j, k).address for j, k in blk] for blk in forest.blocks],
+        "decay_ratios": [float(r) for r in forest.decay_ratios],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)

@@ -189,6 +189,29 @@ def test_cube_address_and_rel_index():
         win.rel_index(outside)
 
 
+@pytest.mark.parametrize(
+    "win",
+    [
+        Window.unit(1, 9),
+        Window.unit(1, 6, shift=1),
+        Window.unit(2, 4),
+        Window.unit(2, 3, shift=2),
+        Window.unit(3, 2, shift=5),
+        Window(DyadicGrid(2, 1).cube(-3, (-2, 7)), 3),
+    ],
+    ids=str,
+)
+def test_window_addresses_match_cubes(win):
+    rng = np.random.default_rng(7)
+    for j in range(win.depth + 1):
+        idx = rng.permutation(win.cubes_at(j))
+        want = [win.cube(j, int(k)).address for k in idx]
+        assert win.addresses(j, idx) == want
+        assert win.addresses(j, idx[:0]) == []
+    with pytest.raises(WindowError):
+        win.addresses(win.depth + 1, [0])
+
+
 def test_window_rel_cubes_tile_root():
     win = Window.unit(1, 3, shift=1)
     root = win.root

@@ -20,6 +20,7 @@ from matweight.fields import (
     verify_reducing_comparability,
 )
 
+import reducing_reference as red_ref
 import scalar_reference as ref
 from conftest import scalar_field, random_scalar_weight
 
@@ -474,6 +475,80 @@ def test_reducing_duality_choice(rng):
     primal = W.reducing_table(p)
     for a, b in zip(dual_of_dual.mats, primal.mats):
         assert np.max(np.abs(a - b)) < 1e-10
+
+
+def _assert_stacks_close(got, want, rtol):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reducing_table_matches_einsum_oracle(rng, n, kind, p, dual):
+    # n = 4 takes the random-net branch of direction_net
+    win = Window.unit(1, 5)
+    if kind == "complex":
+        W = _complex_log_spd(win, n, rng)
+    else:
+        W = generate_weight(
+            {"kind": "log_spd", "n": n, "amplitude": 0.5,
+             "seed": int(rng.integers(2**31))},
+            win,
+        )
+    table = fields.ReducingTable.build(W, p, dual=dual)
+    mats, kappa = red_ref.build(W, p, dual=dual)
+    _assert_stacks_close(table.mats, mats, 1e-12)
+    assert abs(table.kappa - kappa) <= 1e-12 * kappa
+    assert not table.exact and table.kappa >= 1.0
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_piece_reducing_matches_einsum_oracle(rng, kind, p):
+    from matweight.dyadic import cube_pieces, enumerate_grid_cubes
+
+    win = Window.unit(2, 4)
+    W = _ap_weight(kind, 2, 4, rng)
+    for t in range(1, 2**win.d):
+        levels = [k for k, pos in enumerate_grid_cubes(win, t) if len(pos)]
+        pieces = [cube_pieces(win, t, k) for k in levels]
+        got = fields._piece_reducing(W, p, pieces)
+        _assert_stacks_close(got, red_ref.piece_reducing(W, p, pieces), 1e-12)
+
+
+def _svd_top(stack):
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 3)], ids=["3d", "4d"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_opnorms_match_svd(rng, n, kind, shape):
+    def draw(*size):
+        z = rng.standard_normal(size).astype(complex)
+        if kind == "complex":
+            z += 1j * rng.standard_normal(size)
+        return z
+
+    M = draw(*shape, n, n)
+    M[(0,) * len(shape)] = np.outer(draw(n), draw(n))  # rank one
+    M[(-1,) * len(shape)] = 0.0
+    got = fields._opnorms(M)
+    want = np.linalg.svd(M, compute_uv=False)[..., 0]
+    assert got.shape == shape
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    assert got[(-1,) * len(shape)] == 0.0
+    if kind == "real":
+        assert np.array_equal(fields._opnorms(M.real), got)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2, 2), (0, 1, 1)])
+def test_opnorms_empty_stack_keeps_shape(shape):
+    got = fields._opnorms(np.zeros(shape, dtype=complex))
+    assert got.shape == shape[:-2]
 
 
 def test_comparability_identity_weight():

@@ -219,7 +219,7 @@ def test_forest_matches_eager_oracle(tmp_path, d, depth, p, complex_u):
             assert got.stopped_norms == want.stopped_norms
             assert got.decay_ratios == want.decay_ratios
             st.dump_forest(got, tmp_path / "got.json")
-            st.dump_forest(want, tmp_path / "want.json")
+            stop_ref.dump_forest(want, tmp_path / "want.json")
             assert (tmp_path / "got.json").read_bytes() == (
                 tmp_path / "want.json"
             ).read_bytes()
