@@ -11,6 +11,15 @@ square functions the Frobenius norm.  The PSD reformulations of the
 Carleson norm and of the weight summation conditions carry the 1/|K|
 normalization that makes them scale invariant and comparable (within a
 dimensional factor n) to the squared-norm sums.
+
+Structure.  Every condition-family quantity runs over a cube family, the
+cubes of one grid inside the window level by level with their leaf pieces,
+children, means, reducing operators and witness addresses (``_OwnGrid``,
+``_ShiftedGrid``), through three kernels: (a) ``_oscillations``, the
+averaged oscillation ||L (X - m_J X) R||^q per cube; (b) ``_coef_sums``,
+the coefficient sandwiches ||L A_s R||^2 summed down the tree; (c)
+``_psd_top``, the top eigenvalue of PSD stacks accumulated down the tree
+and sandwiched by Y_J.
 """
 
 from __future__ import annotations
@@ -79,43 +88,164 @@ class BmoReport:
     witness: str
     params: dict = dc_field(default_factory=dict)
     extras: dict = dc_field(default_factory=dict)
-    per_level: list = None
 
     def __float__(self):
         return float(self.supremum)
 
 
-def _sup_report(name, window, per_level, params, extras=None, keep_levels=False):
-    best, wit = 0.0, window.cube(0, 0).address
-    for j, vals in per_level:
-        if vals.size == 0:
-            continue
+# -- cube families ---------------------------------------------------------------
+
+
+class _OwnGrid:
+    """The cubes of the window's own grid, levels 0..depth.
+
+    Reads the window's cached index plumbing, the fields' cached level
+    averages and the cached ``ReducingTable``s, so nothing is refitted.
+    """
+
+    def __init__(self, window):
+        self.window = window
+        self.top = window.depth  # the levels above the finest
+        self.volumes = window.volumes
+        self.children = [window.children_index(j) for j in range(window.depth)]
+
+    def leaf_index(self, i):
+        return self.window.block_leaf_index(i)
+
+    def piece_mean(self, i, vals):
+        return vals.mean(axis=1)  # every piece is one whole leaf
+
+    def mean(self, F, i):
+        return F.level_averages()[i]
+
+    def coefs(self, B):
+        return tf.analyze(B).coefs
+
+    def reducing(self, F, p):
+        return F.reducing_table(p).mats[: self.top]
+
+    def reducing_inv(self, F, p):
+        table = F.reducing_table(p)
+        return [table.inv(j) for j in range(self.top)]
+
+    def address(self, i, k):
+        return self.window.cube(i, k).address
+
+
+class _ShiftedGrid:
+    """The cubes of D^t inside the window box, from the coarsest level that
+    has one down to the leaf level.  Every cube of a level meets the same
+    pattern of leaf pieces, so a level is one (cubes, pieces) stack with
+    exact piece volumes."""
+
+    def __init__(self, window, t):
+        self.window = window
+        self.grid = DyadicGrid(window.d, t)
+        self.levels = [(k, pos) for k, pos in enumerate_grid_cubes(window, t) if len(pos)]
+        self.pieces = [cube_pieces(window, t, k) for k, _ in self.levels]
+        self.top = len(self.levels) - 1
+        self.volumes = [float(self.grid.cube(k, pos[0]).volume) for k, pos in self.levels]
+        self.children = [
+            grid_children_index(self.grid, k, pos, below)
+            for (k, pos), (_, below) in zip(self.levels, self.levels[1:])
+        ]
+
+    def leaf_index(self, i):
+        return self.pieces[i][0]
+
+    def piece_mean(self, i, vals):
+        return vals @ self.pieces[i][1] / self.volumes[i]
+
+    def mean(self, F, i):
+        return _cube_means(F.leaves, *self.pieces[i])
+
+    def coefs(self, B):
+        """Haar coefficients as sign-weighted child means, scaled as in
+        ``transforms.analyze``."""
+        tbl = sign_table(self.window.d)
+        aB = [self.mean(B, i) for i in range(self.top + 1)]
+        return [
+            (np.sqrt(vol) / 2**self.window.d)
+            * np.einsum("sb,kb...->ks...", tbl, aB[i + 1][ch])
+            for i, (vol, ch) in enumerate(zip(self.volumes, self.children))
+        ]
+
+    def reducing(self, F, p):
+        return _piece_reducing(F, p, self.pieces[: self.top])
+
+    def reducing_inv(self, F, p):
+        return [np.linalg.inv(V) for V in self.reducing(F, p)]
+
+    def address(self, i, c):
+        k, pos = self.levels[i]
+        return self.grid.cube(k, pos[c]).address
+
+
+def _sup_report(name, fam, per_level, params, extras=None):
+    best, wit = 0.0, (0, 0)
+    for i, vals in enumerate(per_level):
         k = int(np.argmax(vals))
         if vals[k] > best:
-            best = float(vals[k])
-            wit = window.cube(j, k).address
-    return BmoReport(
-        quantity=name,
-        supremum=best,
-        witness=wit,
-        params=params,
-        extras=extras or {},
-        per_level=per_level if keep_levels else None,
-    )
+            best, wit = float(vals[k]), (i, k)
+    return BmoReport(name, best, fam.address(*wit), params, extras or {})
 
 
-def _accumulate_down(window, per_level_vals):
-    """acc[j][k] = sum of vals over all descendants of cube (j,k), incl itself."""
-    L = window.depth
-    acc = [None] * len(per_level_vals)
-    acc[-1] = per_level_vals[-1].copy()
-    for j in range(len(per_level_vals) - 2, -1, -1):
-        child_sum = acc[j + 1][window.children_index(j)].sum(axis=1)
-        acc[j] = per_level_vals[j] + child_sum
+def _accumulate_down(fam, vals):
+    """acc[i][k] = sum of vals over all descendants of cube (i,k), incl itself."""
+    acc = list(vals)
+    for i in range(len(vals) - 2, -1, -1):
+        acc[i] = vals[i] + acc[i + 1][fam.children[i]].sum(axis=1)
     return acc
 
 
-# -- the original averaged BMO norm -----------------------------------------
+def _sandwich(X, left=(), right=()):
+    """Batched products L_1 ... L_m X R_1 ... R_r as one einsum.
+
+    X is a (cubes, pieces, n, n) stack, or (cubes, pieces, n) for vectors;
+    each factor holds one matrix per cube (cubes, n, n) or per piece
+    (cubes, pieces, n, n).
+    """
+    names = iter("abdefghijlmnopqr")
+    row, col = next(names), ("" if X.ndim == 3 else next(names))
+    terms = ["kc" + row + col]
+    for F in reversed(left):
+        new = next(names)
+        terms.insert(0, "kc"[: F.ndim - 2] + new + row)
+        row = new
+    for F in right:
+        new = next(names)
+        terms.append("kc"[: F.ndim - 2] + col + new)
+        col = new
+    return np.einsum(",".join(terms) + "->kc" + row + col, *left, X, *right)
+
+
+# -- kernel (a): averaged oscillation --------------------------------------------
+
+
+def _oscillations(fam, p, eps, terms):
+    """Per term (X, q, factors), per cube J above the finest level: the
+    volume-weighted mean over J of ||L (X(x) - m_J X) R||^q.
+
+    ``factors(i, idx)`` gives the left and right factor tuples of level i,
+    per cube or gathered per piece at the leaf indices ``idx``; it is
+    called only after the exponents are checked: p in (1, inf) and, for
+    quantities that have one, eps finite and positive.  Vector fields take
+    the Euclidean norm.
+    """
+    if not 1.0 < p < np.inf:
+        raise FieldError(f"p must lie in (1, inf), got {p}")
+    if eps is not None and not 0.0 < eps < np.inf:
+        raise FieldError(f"eps must be finite and positive, got {eps}")
+    out = []
+    for X, q, factors in terms:
+        vals = []
+        for i in range(fam.top):
+            idx = fam.leaf_index(i)
+            M = _sandwich(X.leaves[idx] - fam.mean(X, i)[:, None], *factors(i, idx))
+            norms = _opnorms(M) if M.ndim == 4 else np.linalg.norm(M, axis=2)
+            vals.append(fam.piece_mean(i, norms**q))
+        out.append(vals)
+    return out
 
 
 def bmo_original(B, W, U, p, eps=1.0):
@@ -123,41 +253,107 @@ def bmo_original(B, W, U, p, eps=1.0):
     win = B.window
     if W.window is not win or U.window is not win:
         raise WindowError("fields live on different windows")
-    if eps <= 0:
-        raise FieldError("eps must be positive")
-    aWp = W.power(1.0 / p).level_averages()
-    aUp = U.power(1.0 / p).level_averages()
-    aB = B.level_averages()
-    per_level = []
-    for j in range(win.depth):
-        C = np.linalg.inv(aUp[j])
-        idx = win.block_leaf_index(j)
-        Bl = B.leaves[idx]
-        M = np.einsum(
-            "kab,kcbd,kde->kcae", aWp[j], Bl - aB[j][:, None], C
-        )
-        vals = np.mean(_opnorms(M) ** (1.0 + eps), axis=1)
-        per_level.append((j, vals))
-    return _sup_report(
-        "bmo_original", win, per_level, {"p": p, "eps": eps}
-    )
+    return _bmo_original(_OwnGrid(win), B, W, U, p, eps)
 
 
-# -- condition family ---------------------------------------------------------
+def _bmo_original(fam, B, W, U, p, eps):
+    def factors(i, idx):
+        Up = fam.mean(U.power(1.0 / p), i)
+        return (fam.mean(W.power(1.0 / p), i),), (np.linalg.inv(Up),)
+
+    (vals,) = _oscillations(fam, p, eps, [(B, 1.0 + eps, factors)])
+    return _sup_report("bmo_original", fam, vals, {"p": p, "eps": eps})
+
+
+def bloom_bprime(B, W, U, p):
+    """sup_J (1/|J|) int_J ||W^{1/p}(x) (B - m_J B) V_J(U)^{-1}||^p."""
+    fam = _OwnGrid(B.window)
+    tu, Wp = U.reducing_table(p), W.power(1.0 / p).leaves  # the table checks p
+    (vals,) = _oscillations(fam, p, None, [(B, p, lambda i, idx: ((Wp[idx],), (tu.inv(i),)))])
+    return _sup_report("bloom_bprime", fam, vals, {"p": p})
+
+
+def bloom_cprime(B, W, U, p):
+    """sup_J (1/|J|) int_J ||U^{-1/p}(x) (B^* - m_J B^*) V_J'(W)^{-1}||^{p'}."""
+    fam = _OwnGrid(B.window)
+    twd, Um = W.reducing_table(p, dual=True), U.power(-1.0 / p).leaves  # the table checks p
+    terms = [(B.conj_transpose(), p / (p - 1.0), lambda i, idx: ((Um[idx],), (twd.inv(i),)))]
+    (vals,) = _oscillations(fam, p, None, terms)
+    return _sup_report("bloom_cprime", fam, vals, {"p": p})
+
+
+def jn_p2_pair(B, W, eps=1.0):
+    """Proposition-style p = 2 pair: averaged sandwich oscillation vs the
+    pointwise-left-root square oscillation; returns (left, right) reports."""
+    fam = _OwnGrid(B.window)
+    isq = [_mat_isqrt(fam.mean(W, i)) for i in range(fam.top)]
+    Wm = W.power(-0.5).leaves
+    left, right = _oscillations(fam, 2.0, eps, [
+        (B, 1.0 + eps, lambda i, idx: ((isq[i],), (isq[i],))),
+        (B.conj_transpose(), 2.0, lambda i, idx: ((Wm[idx],), (isq[i],))),
+    ])
+    jn_left = _sup_report("jn_left", fam, left, {"p": 2, "eps": eps})
+    return jn_left, _sup_report("jn_right", fam, right, {"p": 2})
+
+
+def vector_jn(f, W, p):
+    """Weighted vector oscillation sup_J (1/|J|) int |W^{1/p}(x) V_J(W)^{-1}
+    (f - m_J f)|^p, together with the plain BMO oscillation of f."""
+    fam = _OwnGrid(f.window)
+    tw, Wp = W.reducing_table(p), W.power(1.0 / p).leaves  # the table checks p
+    wt, plain = _oscillations(fam, p, None, [
+        (f, p, lambda i, idx: ((Wp[idx], tw.inv(i)), ())),
+        (f, 1.0, lambda i, idx: ((), ())),
+    ])
+    wt_rep = _sup_report("vector_jn", fam, wt, {"p": p})
+    return wt_rep, _sup_report("vector_bmo", fam, plain, {"p": 1})
+
+
+# -- kernel (b): coefficient sandwiches --------------------------------------------
+
+
+def _coef_norms(coefs, left, right):
+    """||L_J A_{J,s} R_J|| per cube J and coefficient s, level by level."""
+    return [_opnorms(_sandwich(A, (L,), (R,))) for A, L, R in zip(coefs, left, right)]
+
+
+def _coef_sums(fam, coefs, left, right):
+    """(1/|J|) sum_{I in D(J)} sum_s ||L_I A_{I,s} R_I||^2 per cube J."""
+    own = [np.sum(v**2, axis=1) for v in _coef_norms(coefs, left, right)]
+    return [a / vol for a, vol in zip(_accumulate_down(fam, own), fam.volumes)]
 
 
 def condition_b(W, U, A, p):
     """sup_J (1/|J|) sum_{I in D(J)} ||V_I(W) A_I^eps V_I(U)^{-1}||^2."""
-    win = A.window
-    tw = W.reducing_table(p)
-    tu = U.reducing_table(p)
-    g = []
-    for j in range(win.depth):
-        M = np.einsum("kab,ksbc,kcd->ksad", tw.mats[j], A.coefs[j], tu.inv(j))
-        g.append(np.sum(_opnorms(M) ** 2, axis=1))
-    acc = _accumulate_down(win, g)
-    per_level = [(j, acc[j] / win.volumes[j]) for j in range(win.depth)]
-    return _sup_report("condition_b", win, per_level, {"p": p})
+    return _condition_b(_OwnGrid(A.window), W, U, A.coefs, p)
+
+
+def _condition_b(fam, W, U, coefs, p):
+    vals = _coef_sums(fam, coefs, fam.reducing(W, p), fam.reducing_inv(U, p))
+    return _sup_report("condition_b", fam, vals, {"p": p})
+
+
+# -- kernel (c): PSD accumulations and their top eigenvalue ------------------------
+
+
+def _psd_sums(fam, M, G=None):
+    """sum_{I in D(J)} sum_s M_{I,s}^* G_I M_{I,s} per cube J (G = 1 if None)."""
+    if G is None:
+        stacks = [np.einsum("ksba,ksbc->kac", np.conj(m), m) for m in M]
+    else:
+        stacks = [np.einsum("ksba,kbc,ksce->kae", np.conj(m), g, m) for m, g in zip(M, G)]
+    return _accumulate_down(fam, stacks)
+
+
+def _psd_top(fam, acc, Y):
+    """Largest eigenvalue, clamped at 0, of the Hermitian part of
+    Y_J acc_J Y_J / |J| per cube J."""
+    out = []
+    for a, y, vol in zip(acc, Y, fam.volumes):
+        X = np.einsum("kab,kbc,kcd->kad", y, a, y) / vol
+        X = 0.5 * (X + np.conj(np.swapaxes(X, 1, 2)))
+        out.append(np.maximum(np.linalg.eigvalsh(X)[:, -1], 0.0))
+    return out
 
 
 def carleson_norm(W, U, A, p):
@@ -169,105 +365,37 @@ def carleson_norm(W, U, A, p):
     generalized eigenvalue) and the dimensional band check C <= B <= n C.
     """
     win = A.window
-    n = W.n
-    tw = W.reducing_table(p)
-    tu = U.reducing_table(p)
-    VA = [
-        np.einsum("kab,ksbc->ksac", tw.mats[j], A.coefs[j])
-        for j in range(win.depth)
-    ]
-    # norm sums per K and PSD accumulations, grouped by ancestor level
+    fam = _OwnGrid(win)
+    VA = [_sandwich(c, (V,)) for c, V in zip(A.coefs, fam.reducing(W, p))]
+    Uinv = fam.reducing_inv(U, p)
+    # norm sums per K, grouped by ancestor level
     sums_per_K = [np.zeros(win.cubes_at(j)) for j in range(win.depth)]
-    G = [
-        np.einsum("ksba,ksbc->kac", np.conj(VA[j]), VA[j]) for j in range(win.depth)
-    ]
     for jI in range(win.depth):
         for jK in range(jI + 1):
             anc = win.ancestor_index(jI, jK)
-            M = np.einsum("ksac,kcd->ksad", VA[jI], tu.inv(jK)[anc])
-            vals = np.sum(_opnorms(M) ** 2, axis=1)
+            vals = np.sum(_opnorms(_sandwich(VA[jI], (), (Uinv[jK][anc],))) ** 2, axis=1)
             np.add.at(sums_per_K[jK], anc, vals)
-    accG = _accumulate_down(win, G)
-    psd_per_level = []
-    for jK in range(win.depth):
-        X = np.einsum("kab,kbc,kcd->kad", tu.inv(jK), accG[jK], tu.inv(jK))
-        X = 0.5 * (X + np.conj(np.swapaxes(X, 1, 2)))
-        lams = np.linalg.eigvalsh(X)[:, -1] / win.volumes[jK]
-        psd_per_level.append((jK, np.maximum(lams, 0.0)))
-    per_level = [(j, sums_per_K[j] / win.volumes[j]) for j in range(win.depth)]
-    rep = _sup_report("carleson_norm", win, per_level, {"p": p})
-    psd_rep = _sup_report("carleson_psd", win, psd_per_level, {"p": p})
+    per_level = [s / vol for s, vol in zip(sums_per_K, win.volumes)]
+    rep = _sup_report("carleson_norm", fam, per_level, {"p": p})
+    psd = _psd_top(fam, _psd_sums(fam, VA), Uinv)
+    psd_rep = _sup_report("carleson_psd", fam, psd, {"p": p})
     C, Bv = psd_rep.supremum, rep.supremum
     tol = 1e-8 * max(1.0, Bv)
     rep.extras["psd_constant"] = C
     rep.extras["psd_witness"] = psd_rep.witness
-    rep.extras["psd_band_ok"] = bool(
-        C <= Bv + tol and Bv <= n * C + tol
-    )
+    rep.extras["psd_band_ok"] = bool(C <= Bv + tol and Bv <= W.n * C + tol)
     return rep
 
 
 def hlw_condition(B, W, U):
     """Smallest C with sum m_I(U^{-1}) (B_I^eps)^* (m_I W) B_I^eps m_I(U^{-1})
     <= C U^{-1}(J) over J; the p = 2 testing condition."""
-    win = B.window
-    Bs = tf.analyze(B)
-    aW = W.level_averages()
-    aUi = U.inverse().level_averages()
-    H = []
-    for j in range(win.depth):
-        P = np.einsum(
-            "kab,kscb,kcd,ksde,kef->kaf",
-            aUi[j], np.conj(Bs.coefs[j]), aW[j], Bs.coefs[j], aUi[j],
-        )
-        H.append(P)
-    acc = _accumulate_down(win, H)
-    per_level = []
-    for j in range(win.depth):
-        Y = _mat_isqrt(aUi[j])
-        X = np.einsum("kab,kbc,kcd->kad", Y, acc[j], Y) / win.volumes[j]
-        X = 0.5 * (X + np.conj(np.swapaxes(X, 1, 2)))
-        lams = np.linalg.eigvalsh(X)[:, -1]
-        per_level.append((j, np.maximum(lams, 0.0)))
-    return _sup_report("hlw_condition", win, per_level, {"p": 2})
-
-
-def bloom_bprime(B, W, U, p):
-    """sup_J (1/|J|) int_J ||W^{1/p}(x) (B - m_J B) V_J(U)^{-1}||^p."""
-    win = B.window
-    Wp = W.power(1.0 / p).leaves
-    tu = U.reducing_table(p)
-    aB = B.level_averages()
-    per_level = []
-    for j in range(win.depth):
-        idx = win.block_leaf_index(j)
-        M = np.einsum(
-            "kcab,kcbd,kde->kcae",
-            Wp[idx], B.leaves[idx] - aB[j][:, None], tu.inv(j),
-        )
-        vals = np.mean(_opnorms(M) ** p, axis=1)
-        per_level.append((j, vals))
-    return _sup_report("bloom_bprime", win, per_level, {"p": p})
-
-
-def bloom_cprime(B, W, U, p):
-    """sup_J (1/|J|) int_J ||U^{-1/p}(x) (B^* - m_J B^*) V_J'(W)^{-1}||^{p'}."""
-    win = B.window
-    pp = p / (p - 1.0)
-    Um = U.power(-1.0 / p).leaves
-    twd = W.reducing_table(p, dual=True)
-    Bh = np.conj(np.swapaxes(B.leaves, 1, 2))
-    aBh = win.level_averages(Bh)
-    per_level = []
-    for j in range(win.depth):
-        idx = win.block_leaf_index(j)
-        M = np.einsum(
-            "kcab,kcbd,kde->kcae",
-            Um[idx], Bh[idx] - aBh[j][:, None], twd.inv(j),
-        )
-        vals = np.mean(_opnorms(M) ** pp, axis=1)
-        per_level.append((j, vals))
-    return _sup_report("bloom_cprime", win, per_level, {"p": p})
+    fam = _OwnGrid(B.window)
+    aW, aUi = W.level_averages(), U.inverse().level_averages()
+    M = [_sandwich(c, (), (a,)) for c, a in zip(tf.analyze(B).coefs, aUi)]
+    acc = _psd_sums(fam, M, aW)
+    vals = _psd_top(fam, acc, [_mat_isqrt(a) for a in aUi[: fam.top]])
+    return _sup_report("hlw_condition", fam, vals, {"p": 2})
 
 
 # -- weight summation conditions (p = 2) --------------------------------------
@@ -281,109 +409,31 @@ def buckley_fkp_summation(W):
     (1/|J|) sum W_I^eps (m_I W)^{-1} W_I^eps <= C m_J W, and the smallest C
     in the corresponding inverse-average ordering.
     """
-    win = W.window
-    Ws = tf.analyze(W)
-    aW = W.level_averages()
-    aWi = W.inverse().level_averages()
-    fkp_vals, buck_acc, isr_acc = [], [], []
-    for j in range(win.depth):
-        isq = _mat_isqrt(aW[j])
-        M = np.einsum("kab,ksbc,kcd->ksad", isq, Ws.coefs[j], isq)
-        fkp_vals.append(np.sum(_opnorms(M) ** 2, axis=1))
-        invA = np.linalg.inv(aW[j])
-        X = np.einsum("ksab,kbc,kscd->kad", Ws.coefs[j], invA, Ws.coefs[j])
-        buck_acc.append(X)
-        Y = np.einsum(
-            "kab,ksbc,kcd,ksde,kef->kaf",
-            aWi[j], Ws.coefs[j], aWi[j], Ws.coefs[j], aWi[j],
-        )
-        isr_acc.append(Y)
-    facc = _accumulate_down(win, fkp_vals)
-    fkp_per = [(j, facc[j] / win.volumes[j]) for j in range(win.depth)]
-    fkp = _sup_report("fkp", win, fkp_per, {"p": 2})
-
-    bacc = _accumulate_down(win, buck_acc)
-    iacc = _accumulate_down(win, isr_acc)
-    buck_per, isr_per = [], []
-    for j in range(win.depth):
-        isq = _mat_isqrt(aW[j])
-        Xb = np.einsum("kab,kbc,kcd->kad", isq, bacc[j], isq) / win.volumes[j]
-        Xb = 0.5 * (Xb + np.conj(np.swapaxes(Xb, 1, 2)))
-        buck_per.append((j, np.maximum(np.linalg.eigvalsh(Xb)[:, -1], 0.0)))
-        isqi = _mat_isqrt(aWi[j])
-        Xi = np.einsum("kab,kbc,kcd->kad", isqi, iacc[j], isqi) / win.volumes[j]
-        Xi = 0.5 * (Xi + np.conj(np.swapaxes(Xi, 1, 2)))
-        isr_per.append((j, np.maximum(np.linalg.eigvalsh(Xi)[:, -1], 0.0)))
-    buckley = _sup_report("buckley", win, buck_per, {"p": 2}, keep_levels=True)
-    isral = _sup_report("isral_summation", win, isr_per, {"p": 2}, keep_levels=True)
+    fam = _OwnGrid(W.window)
+    Ws = tf.analyze(W).coefs
+    aW, aWi = W.level_averages()[: fam.top], W.inverse().level_averages()
+    isq = [_mat_isqrt(a) for a in aW]
+    fkp = _sup_report("fkp", fam, _coef_sums(fam, Ws, isq, isq), {"p": 2})
+    bacc = _psd_sums(fam, Ws, [np.linalg.inv(a) for a in aW])
+    buckley = _sup_report("buckley", fam, _psd_top(fam, bacc, isq), {"p": 2})
+    iacc = _psd_sums(fam, [_sandwich(c, (), (a,)) for c, a in zip(Ws, aWi)], aWi)
+    isqi = [_mat_isqrt(a) for a in aWi[: fam.top]]
+    isral = _sup_report("isral_summation", fam, _psd_top(fam, iacc, isqi), {"p": 2})
     return fkp, buckley, isral
 
 
 def buckley_psd_slack(W, buckley_report):
     """Smallest eigenvalue slack of C m_J W - (1/|J|) sum W_I (m_I W)^{-1} W_I."""
-    win = W.window
+    fam = _OwnGrid(W.window)
+    aW = W.level_averages()[: fam.top]
+    acc = _psd_sums(fam, tf.analyze(W).coefs, [np.linalg.inv(a) for a in aW])
     C = buckley_report.supremum
-    aW = W.level_averages()
-    Ws = tf.analyze(W)
-    acc = []
-    for j in range(win.depth):
-        invA = np.linalg.inv(aW[j])
-        acc.append(np.einsum("ksab,kbc,kscd->kad", Ws.coefs[j], invA, Ws.coefs[j]))
-    acc = _accumulate_down(win, acc)
     slack = np.inf
-    for j in range(win.depth):
-        R = C * aW[j] - acc[j] / win.volumes[j]
+    for a, m, vol in zip(acc, aW, fam.volumes):
+        R = C * m - a / vol
         R = 0.5 * (R + np.conj(np.swapaxes(R, 1, 2)))
         slack = min(slack, float(np.min(np.linalg.eigvalsh(R))))
     return slack
-
-
-# -- John-Nirenberg pairs ------------------------------------------------------
-
-
-def jn_p2_pair(B, W, eps=1.0):
-    """Proposition-style p = 2 pair: averaged sandwich oscillation vs the
-    pointwise-left-root square oscillation; returns (left, right) reports."""
-    win = B.window
-    aW = W.level_averages()
-    aB = B.level_averages()
-    Bh = np.conj(np.swapaxes(B.leaves, 1, 2))
-    aBh = win.level_averages(Bh)
-    Wm = W.power(-0.5).leaves
-    left_per, right_per = [], []
-    for j in range(win.depth):
-        isq = _mat_isqrt(aW[j])
-        idx = win.block_leaf_index(j)
-        Ml = np.einsum(
-            "kab,kcbd,kde->kcae", isq, B.leaves[idx] - aB[j][:, None], isq
-        )
-        left_per.append((j, np.mean(_opnorms(Ml) ** (1 + eps), axis=1)))
-        Mr = np.einsum(
-            "kcab,kcbd,kde->kcae", Wm[idx], Bh[idx] - aBh[j][:, None], isq
-        )
-        right_per.append((j, np.mean(_opnorms(Mr) ** 2, axis=1)))
-    left = _sup_report("jn_left", win, left_per, {"p": 2, "eps": eps})
-    right = _sup_report("jn_right", win, right_per, {"p": 2})
-    return left, right
-
-
-def vector_jn(f, W, p):
-    """Weighted vector oscillation sup_J (1/|J|) int |W^{1/p}(x) V_J(W)^{-1}
-    (f - m_J f)|^p, together with the plain BMO oscillation of f."""
-    win = f.window
-    tw = W.reducing_table(p)
-    Wp = W.power(1.0 / p).leaves
-    af = f.level_averages()
-    wt_per, plain_per = [], []
-    for j in range(win.depth):
-        idx = win.block_leaf_index(j)
-        osc = f.leaves[idx] - af[j][:, None]
-        v = np.einsum("kcab,kbd,kcd->kca", Wp[idx], tw.inv(j), osc)
-        wt_per.append((j, np.mean(np.linalg.norm(v, axis=2) ** p, axis=1)))
-        plain_per.append((j, np.mean(np.linalg.norm(osc, axis=2), axis=1)))
-    weighted = _sup_report("vector_jn", win, wt_per, {"p": p})
-    plain = _sup_report("vector_bmo", win, plain_per, {"p": 1})
-    return weighted, plain
 
 
 # -- H^1, pairing, duality ------------------------------------------------------
@@ -448,25 +498,6 @@ def a2_spectral(W):
     return best
 
 
-def _avg_condb_value(B, W, U, root=None):
-    """Condition (b) at p = 2 with exact averages, optionally below one cube."""
-    win = B.window
-    Bs = tf.analyze(B)
-    aW = W.level_averages()
-    sq = [_mat_sqrt(a) for a in aW]
-    isq = [_mat_isqrt(a) for a in U.level_averages()]
-    g = []
-    for j in range(win.depth):
-        M = np.einsum("kab,ksbc,kcd->ksad", sq[j], Bs.coefs[j], isq[j])
-        g.append(np.sum(_opnorms(M) ** 2, axis=1))
-    acc = _accumulate_down(win, g)
-    if root is not None:
-        j, k = root
-        return float(acc[j][k] / win.volumes[j])
-    vals = [float(np.max(acc[j] / win.volumes[j])) for j in range(win.depth)]
-    return max(vals)
-
-
 def extremal_h1_instance(B, W, U, root=(0, 0)):
     """The duality proof's extremal matrix field below a cube J.
 
@@ -489,11 +520,11 @@ def extremal_h1_instance(B, W, U, root=(0, 0)):
             continue
         sq = _mat_sqrt(aW[j][sel])
         isq = _mat_isqrt(aU[j][sel])
-        X = np.einsum("kab,ksbc,kcd->ksad", sq, Bs.coefs[j][sel], isq)
+        X = _sandwich(Bs.coefs[j][sel], (sq,), (isq,))
         # optimal sequence S_I = X_I^H / ||{X}||, so the S* coefficients are
         # (m_I W)^{1/2} X_I (m_I U)^{-1/2} / ||{X}||
         frob_sq += float(np.sum(np.abs(X) ** 2))
-        spec.coefs[j][sel] = np.einsum("kab,ksbc,kcd->ksad", sq, X, isq)
+        spec.coefs[j][sel] = _sandwich(X, (sq,), (isq,))
     scale = np.sqrt(frob_sq)
     if scale == 0:
         field = tf.synthesize(spec)
@@ -535,7 +566,7 @@ def duality_experiment(spec):
         B = random_matrix_field(win, n, rng)
         Phi = random_matrix_field(win, n, rng)
         pairing = frobenius_pairing(Phi, B)
-        cb = _avg_condb_value(B, W, U)
+        cb = condition_b(W, U, tf.analyze(B), 2.0).supremum
         h1 = h1_norm(Phi, W, U)
         a2W = a2_spectral(W)
         denom = np.sqrt(a2W) * np.sqrt(cb) * h1
@@ -623,66 +654,31 @@ def random_vector_field(window, n, rng, headroom=0):
 def bmo_over_shifted_grids(B, W, U, p, eps=1.0):
     """bmo_original and condition (b) on each of the 2^d shifted grids.
 
-    The window's own grid uses the exact fast path; foreign grids are
-    evaluated over their cubes contained in the window box at matched
-    depth, with exact piecewise integrals.  Returns per-grid values and
-    the max across grids.
+    Each grid is one cube family: the window's own grid reads its cached
+    level data, every other grid its cubes inside the window box at
+    matched depth, with exact piecewise integrals.  Returns per-grid values
+    and the max across grids.
     """
     win = B.window
     out = {"per_grid": {}, "p": p, "eps": eps}
     for t in range(1, 2**win.d + 1):
-        if t == win.grid.shift:
-            bo = bmo_original(B, W, U, p, eps).supremum
-            cb = condition_b(W, U, tf.analyze(B), p).supremum
-        else:
-            bo, cb = _foreign_grid_bmo(B, W, U, p, eps, t)
+        fam = _OwnGrid(win) if t == win.grid.shift else _ShiftedGrid(win, t)
+        bo, cb = _grid_pair(fam, B, W, U, p, eps)
         out["per_grid"][t] = {"bmo_original": bo, "condition_b": cb}
     out["max_bmo_original"] = max(v["bmo_original"] for v in out["per_grid"].values())
     out["max_condition_b"] = max(v["condition_b"] for v in out["per_grid"].values())
     return out
 
 
+def _grid_pair(fam, B, W, U, p, eps):
+    bo = _bmo_original(fam, B, W, U, p, eps).supremum
+    return bo, _condition_b(fam, W, U, fam.coefs(B), p).supremum
+
+
 def _foreign_grid_bmo(B, W, U, p, eps, t):
-    """bmo_original and condition (b) over the cubes of D^t inside the
-    window box, level by level: every cube of a level meets the same
-    pattern of leaf pieces, so each level is one (cubes, pieces) stack."""
-    win = B.window
-    grid = DyadicGrid(win.d, t)
-    # nonempty levels run from the coarsest cube inside the box to the leaves
-    levels = [(k, pos) for k, pos in enumerate_grid_cubes(win, t) if len(pos)]
-    pieces = [cube_pieces(win, t, k) for k, _ in levels]
-    aB = [_cube_means(B.leaves, *pc) for pc in pieces]
-    Wp = W.power(1.0 / p).leaves
-    Up = U.power(1.0 / p).leaves
-    # the last level is the leaf level, which has no oscillation or coefficient
-    VW, VU = (_piece_reducing(F, p, pieces[:-1]) for F in (W, U))
-    tbl = sign_table(win.d)
-    bo_best, own, children, vols_J = 0.0, [], [], []
-    for i, (k, pos) in enumerate(levels[:-1]):
-        idx, vols = pieces[i]
-        vol = float(grid.cube(k, pos[0]).volume)
-        M = np.einsum(
-            "kab,kcbd,kde->kcae",
-            _cube_means(Wp, idx, vols),
-            B.leaves[idx] - aB[i][:, None],
-            np.linalg.inv(_cube_means(Up, idx, vols)),
-        )
-        bo_best = max(bo_best, float(np.max(_opnorms(M) ** (1.0 + eps) @ vols)) / vol)
-        ch = grid_children_index(grid, k, pos, levels[i + 1][1])
-        coef = (np.sqrt(vol) / 2**win.d) * np.einsum("sb,kb...->ks...", tbl, aB[i + 1][ch])
-        M2 = np.einsum("kab,ksbc,kcd->ksad", VW[i], coef, np.linalg.inv(VU[i]))
-        own.append(np.sum(_opnorms(M2) ** 2, axis=1))
-        children.append(ch)
-        vols_J.append(vol)
-    # sum up the in-window forest, children in offset-bit order
-    acc, cb_best = np.zeros(len(levels[-1][1])), 0.0
-    for i in range(len(own) - 1, -1, -1):
-        total = own[i].copy()
-        for col in children[i].T:
-            total += acc[col]
-        acc = total
-        cb_best = max(cb_best, float(np.max(acc)) / vols_J[i])
-    return bo_best, cb_best
+    """bmo_original and condition (b) over the piecewise family of D^t,
+    also when t is the window's own grid."""
+    return _grid_pair(_ShiftedGrid(B.window, t), B, W, U, p, eps)
 
 
 # -- two-weight construction pipeline ------------------------------------------
@@ -793,14 +789,13 @@ def equivalence_experiment(spec):
                 win,
                 n,
             )
+            one = MatrixField.identity(win, n)
             if _is_p2(p):
-                nv = onorm.weighted_opnorm_p2(T, ident(win, n), ident(win, n))
+                nv = onorm.weighted_opnorm_p2(T, one, one)
                 q["pi_opnorm_sq"] = nv**2
                 q["pi_opnorm_exact"] = True
             else:
-                lo, _ = onorm.lp_opnorm_estimate(
-                    T, ident(win, n), ident(win, n), p, budget=25
-                )
+                lo, _ = onorm.lp_opnorm_estimate(T, one, one, p, budget=25)
                 q["pi_opnorm_sq"] = lo**2
                 q["pi_opnorm_exact"] = False
             rows.append(
@@ -849,7 +844,3 @@ def ratio_bands(rows):
                 if ratios:
                     bands[(p, k1, k2)] = max(ratios) / min(ratios)
     return bands
-
-
-def ident(window, n):
-    return MatrixField.identity(window, n)

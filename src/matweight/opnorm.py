@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    VectorField, _is_p2, _mat_isqrt, _mat_sqrt, _opnorms, _real_if_exact,
+    VectorField, _is_p2, _mat_isqrt, _mat_sqrt, _real_if_exact,
 )
 from . import transforms as tf
 
@@ -280,14 +280,13 @@ def haar_multiplier_norm_relation(A, W, U, p):
     At p = 2 the operator norm is exact (``weighted_opnorm_p2``); otherwise
     only the lower bound is reported and ``exact`` is False.
     """
+    from .bmo import _coef_norms  # bmo imports this module
+
     win = A.window
-    tw = W.reducing_table(p)
     tu = U.reducing_table(p)
-    sup = 0.0
-    for j in range(win.depth):
-        M = np.einsum("kab,ksbc,kcd->ksad", tw.mats[j], A.coefs[j], tu.inv(j))
-        if M.size:
-            sup = max(sup, float(np.max(_opnorms(M))))
+    inv = [tu.inv(j) for j in range(win.depth)]
+    norms = _coef_norms(A.coefs, W.reducing_table(p).mats, inv)
+    sup = max((float(np.max(v)) for v in norms if v.size), default=0.0)
     T = materialize({"kind": "haar_multiplier", "A": A}, win, U.n)
     if _is_p2(p):
         norm = weighted_opnorm_p2(T, W, U)

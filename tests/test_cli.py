@@ -287,3 +287,40 @@ def test_dump_from_another_window_rejected(tmp_path, capsys):
     assert str(paths["B"]) in err
     assert "d=2, depth=5, root 4/0/0,0" in err
     assert "d=1, depth=10, root 2/0/0" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--p", "0.5"), ("--p", "1"), ("--p", "nan"), ("--p", "inf"),
+    ("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "0"),
+])
+def test_bmo_original_rejects_bad_exponents(weight_file, capsys, flag, value):
+    # p must lie in (1, inf) and eps be finite and positive, or the
+    # oscillation powers are meaningless (nan used to report 0 at the root)
+    capsys.readouterr()
+    rc = main(["bmo", "--which", "bmo_original", "--b", str(weight_file),
+               "--w", str(weight_file), flag, value])
+    assert rc == 2
+    assert "must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+def test_thm12_rejects_bad_epsilon(tmp_path, weight_file, capsys, eps):
+    spec = tmp_path / "id.json"
+    spec.write_text(json.dumps({"kind": "identity", "n": 2, "d": 1, "depth": 5}))
+    lam = tmp_path / "lam.mwf"
+    assert main(["gen", "--spec", str(spec), "--out", str(lam)]) == 0
+    capsys.readouterr()
+    rc = main(["thm12", "--lam-field", str(lam), "--u", str(weight_file),
+               "--p", "2", "--epsilon", eps])
+    assert rc == 2
+    assert "eps must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", 0.0, -1.0])
+def test_jn_rejects_bad_epsilon(tmp_path, capsys, eps):
+    # with eps = nan the degenerate-zero hard check used to pass vacuously
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"n": 2, "d": 1, "depth": 4, "seeds": [0], "eps": eps}))
+    rc = main(["jn", "--manifest", str(manifest), "--out", str(tmp_path / "jn.csv")])
+    assert rc == 2
+    assert "eps must" in capsys.readouterr().err
