@@ -12,14 +12,12 @@ Carleson norm and of the weight summation conditions carry the 1/|K|
 normalization that makes them scale invariant and comparable (within a
 dimensional factor n) to the squared-norm sums.
 
-Structure.  Every condition-family quantity runs over a cube family, the
-cubes of one grid inside the window level by level with their leaf pieces,
-children, means, reducing operators and witness addresses (``_OwnGrid``,
-``_ShiftedGrid``), through three kernels: (a) ``_oscillations``, the
-averaged oscillation ||L (X - m_J X) R||^q per cube; (b) ``_coef_sums``,
-the coefficient sandwiches ||L A_s R||^2 summed down the tree; (c)
-``_psd_top``, the top eigenvalue of PSD stacks accumulated down the tree
-and sandwiched by Y_J.
+Structure.  Every condition-family quantity runs over a cube family of
+``fields`` (``_OwnGrid``, ``_ShiftedGrid``) through three kernels: (a)
+``_oscillations``, the averaged oscillation ||L (X - m_J X) R||^q per cube;
+(b) ``_coef_sums``, the coefficient sandwiches ||L A_s R||^2 summed down
+the tree; (c) ``_psd_top``, the top eigenvalue of PSD stacks accumulated
+down the tree and sandwiched by Y_J.
 """
 
 from __future__ import annotations
@@ -28,26 +26,21 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dyadic import (
-    DyadicGrid,
-    WindowError,
-    cube_pieces,
-    enumerate_grid_cubes,
-    grid_children_index,
-    sign_table,
-)
+from .dyadic import WindowError
 from .fields import (
     MatrixField,
     FieldError,
     NotPositiveDefiniteError,
     ap_characteristic,
     generate_weight,
-    _cube_means,
+    _OwnGrid,
+    _ShiftedGrid,
+    _haar_coefs,
     _is_p2,
+    _level_argmax,
     _mat_sqrt,
     _mat_isqrt,
     _opnorms,
-    _piece_reducing,
 )
 from . import transforms as tf
 from . import opnorm as onorm
@@ -93,101 +86,9 @@ class BmoReport:
         return float(self.supremum)
 
 
-# -- cube families ---------------------------------------------------------------
-
-
-class _OwnGrid:
-    """The cubes of the window's own grid, levels 0..depth.
-
-    Reads the window's cached index plumbing, the fields' cached level
-    averages and the cached ``ReducingTable``s, so nothing is refitted.
-    """
-
-    def __init__(self, window):
-        self.window = window
-        self.top = window.depth  # the levels above the finest
-        self.volumes = window.volumes
-        self.children = [window.children_index(j) for j in range(window.depth)]
-
-    def leaf_index(self, i):
-        return self.window.block_leaf_index(i)
-
-    def piece_mean(self, i, vals):
-        return vals.mean(axis=1)  # every piece is one whole leaf
-
-    def mean(self, F, i):
-        return F.level_averages()[i]
-
-    def coefs(self, B):
-        return tf.analyze(B).coefs
-
-    def reducing(self, F, p):
-        return F.reducing_table(p).mats[: self.top]
-
-    def reducing_inv(self, F, p):
-        table = F.reducing_table(p)
-        return [table.inv(j) for j in range(self.top)]
-
-    def address(self, i, k):
-        return self.window.cube(i, k).address
-
-
-class _ShiftedGrid:
-    """The cubes of D^t inside the window box, from the coarsest level that
-    has one down to the leaf level.  Every cube of a level meets the same
-    pattern of leaf pieces, so a level is one (cubes, pieces) stack with
-    exact piece volumes."""
-
-    def __init__(self, window, t):
-        self.window = window
-        self.grid = DyadicGrid(window.d, t)
-        self.levels = [(k, pos) for k, pos in enumerate_grid_cubes(window, t) if len(pos)]
-        self.pieces = [cube_pieces(window, t, k) for k, _ in self.levels]
-        self.top = len(self.levels) - 1
-        self.volumes = [float(self.grid.cube(k, pos[0]).volume) for k, pos in self.levels]
-        self.children = [
-            grid_children_index(self.grid, k, pos, below)
-            for (k, pos), (_, below) in zip(self.levels, self.levels[1:])
-        ]
-
-    def leaf_index(self, i):
-        return self.pieces[i][0]
-
-    def piece_mean(self, i, vals):
-        return vals @ self.pieces[i][1] / self.volumes[i]
-
-    def mean(self, F, i):
-        return _cube_means(F.leaves, *self.pieces[i])
-
-    def coefs(self, B):
-        """Haar coefficients as sign-weighted child means, scaled as in
-        ``transforms.analyze``."""
-        tbl = sign_table(self.window.d)
-        aB = [self.mean(B, i) for i in range(self.top + 1)]
-        return [
-            (np.sqrt(vol) / 2**self.window.d)
-            * np.einsum("sb,kb...->ks...", tbl, aB[i + 1][ch])
-            for i, (vol, ch) in enumerate(zip(self.volumes, self.children))
-        ]
-
-    def reducing(self, F, p):
-        return _piece_reducing(F, p, self.pieces[: self.top])
-
-    def reducing_inv(self, F, p):
-        return [np.linalg.inv(V) for V in self.reducing(F, p)]
-
-    def address(self, i, c):
-        k, pos = self.levels[i]
-        return self.grid.cube(k, pos[c]).address
-
-
 def _sup_report(name, fam, per_level, params, extras=None):
-    best, wit = 0.0, (0, 0)
-    for i, vals in enumerate(per_level):
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, wit = float(vals[k]), (i, k)
-    return BmoReport(name, best, fam.address(*wit), params, extras or {})
+    best, wit = _level_argmax(per_level)
+    return BmoReport(name, best, fam.cube(*wit).address, params, extras or {})
 
 
 def _accumulate_down(fam, vals):
@@ -672,7 +573,7 @@ def bmo_over_shifted_grids(B, W, U, p, eps=1.0):
 
 def _grid_pair(fam, B, W, U, p, eps):
     bo = _bmo_original(fam, B, W, U, p, eps).supremum
-    return bo, _condition_b(fam, W, U, fam.coefs(B), p).supremum
+    return bo, _condition_b(fam, W, U, _haar_coefs(fam, B), p).supremum
 
 
 def _foreign_grid_bmo(B, W, U, p, eps, t):

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from importlib import resources
 
@@ -83,14 +81,6 @@ def _json_default(obj):
             "extras": obj.extras,
         }
     return str(obj)
-
-
-def _thread_count():
-    raw = os.environ.get("MATWEIGHT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 _GNUPLOT_TEMPLATE = """set datafile separator ','
@@ -278,19 +268,6 @@ def _identity_audits(manifest):
     return audits
 
 
-def _run_equivalence(manifest):
-    seeds = manifest.get("seeds", list(range(5)))
-    workers = _thread_count()
-    if workers <= 1 or len(seeds) <= 1:
-        return bmo_mod.equivalence_experiment(manifest)
-    chunks = [dict(manifest, seeds=[s]) for s in seeds]
-    rows = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(bmo_mod.equivalence_experiment, chunks):
-            rows.extend(part["rows"])
-    return {"rows": rows, "bands": bmo_mod.ratio_bands(rows)}
-
-
 _VERIFY_QUANTITIES = (
     "carleson_norm",
     "condition_b",
@@ -304,7 +281,7 @@ _VERIFY_QUANTITIES = (
 
 def cmd_verify(args):
     manifest = _load_manifest(args.manifest, args)
-    result = _run_equivalence(manifest)
+    result = bmo_mod.equivalence_experiment(manifest)
     audits = _identity_audits(manifest)
     rows = []
     for r in result["rows"]:

@@ -16,6 +16,16 @@ Reducing operators: at p = 2 the exact averages (m_I W)^{1/2} and
 (m_I W^{-1})^{1/2} are used.  For p != 2 a second-moment ellipsoid over a
 direction net approximates the L^p average norm; the realized two-sided
 ratio kappa is verified on an offset net and recorded, never assumed.
+
+Cube families.  A family gives the cubes of one grid inside the window,
+level by level, with their leaf pieces, children, means, reducing
+operators and witness cubes.  ``_OwnGrid`` is the window's own grid: each
+cube is a block of whole leaves, read off cached level data.
+``_ShiftedGrid`` holds the cubes of D^t inside the window box: every cube
+of a level meets the same pattern of leaf pieces, with exact volumes.  The
+A_p characteristic, the reducing fit, the Haar coefficients and the
+condition family of ``bmo`` all run over families, so every shifted grid
+has one evaluation path.
 """
 
 from __future__ import annotations
@@ -33,6 +43,8 @@ from .dyadic import (
     WindowError,
     cube_pieces,
     enumerate_grid_cubes,
+    grid_children_index,
+    sign_table,
 )
 
 __all__ = [
@@ -251,23 +263,198 @@ def pointwise_power(field, s):
     return field.power(s)
 
 
+# -- cube families ------------------------------------------------------------
+
+
+class _OwnGrid:
+    """The cubes of the window's own grid, levels 0..top.
+
+    ``top`` is the leaf level, or the last level at or above ``max_level``.
+    Every cube is a block of whole leaves, so means read the fields' cached
+    level averages and reducing operators the cached ``ReducingTable``s.
+    """
+
+    def __init__(self, window, max_level=None):
+        self.window = window
+        self.top = window.depth
+        if max_level is not None:
+            self.top = min(self.top, max_level - window.root.level)
+        self.volumes = window.volumes[: self.top + 1]
+        self.children = [window.children_index(j) for j in range(self.top)]
+
+    def leaf_index(self, i):
+        return self.window.block_leaf_index(i)
+
+    def piece_mean(self, i, vals):
+        return vals.mean(axis=1)  # every piece is one whole leaf
+
+    def mean(self, F, i):
+        return F.level_averages()[i]
+
+    def level_means(self, values, stop):
+        return self.window.level_averages(values)[:stop]
+
+    def reducing(self, F, p):
+        return F.reducing_table(p).mats[: self.top]
+
+    def reducing_inv(self, F, p):
+        table = F.reducing_table(p)
+        return [table.inv(j) for j in range(self.top)]
+
+    def gram_levels(self, W, p):
+        # Under the tree order a block of `rows` leaves is one level-j0 cube.
+        # For j <= j0 its rows lie in one level-j cube, whose columns are one
+        # contiguous range; for j > j0 the level-j cubes lie inside the block,
+        # so their columns are in the block's diagonal rows x rows sub-block.
+        win = self.window
+        pp = p / (p - 1.0)
+        d, L, total, top = win.d, win.depth, win.leafcount, self.top
+        order = win.tree_order()
+        P = W.power(2.0 / p).leaves[order]
+        N = W.power(-2.0 / p).leaves[order]
+        j0 = next(
+            (j for j in range(L + 1) if 2 ** (d * (L - j)) * total <= _ROW_BUDGET), L
+        )
+        rows = 2 ** (d * (L - j0))
+        cells = [2 ** (d * (L - j)) for j in range(top + 1)]
+        sums = [np.zeros(win.cubes_at(j)) for j in range(top + 1)]
+        for lo in range(0, total, rows):
+            H = _gram_power(P[lo : lo + rows], N, pp / 2.0)
+            seg = H.reshape(rows, total // rows, rows).sum(axis=2)
+            diag = np.ascontiguousarray(H[:, lo : lo + rows])
+            for j in range(top + 1):
+                c = cells[j]
+                if j <= j0:
+                    k = lo // c
+                    per = c // rows
+                    means = seg[:, k * per : (k + 1) * per].sum(axis=1) / c
+                    sums[j][k] += np.sum(means ** (p / pp))
+                else:
+                    m = rows // c
+                    means = np.einsum("iaib->ia", diag.reshape(m, c, m, c)) / c
+                    sums[j][lo // c : lo // c + m] += (means ** (p / pp)).sum(axis=1)
+        per_level = []
+        for j in range(top + 1):
+            vals = np.empty(win.cubes_at(j))
+            vals[win.ancestor_index(L, j)[order[:: cells[j]]]] = sums[j] / cells[j]
+            per_level.append(vals)
+        return per_level
+
+    def cube(self, i, k):
+        return self.window.cube(i, k)
+
+
+class _ShiftedGrid:
+    """The cubes of D^t inside the window box, from the coarsest level that
+    has one down to the leaf level (or ``max_level``).  Every cube of a
+    level meets the same pattern of leaf pieces, so a level is one
+    (cubes, pieces) stack with exact piece volumes."""
+
+    def __init__(self, window, t, max_level=None):
+        self.window = window
+        self.grid = DyadicGrid(window.d, t)
+        self.levels = [
+            (k, pos) for k, pos in enumerate_grid_cubes(window, t, max_level) if len(pos)
+        ]
+        self.pieces = [cube_pieces(window, t, k) for k, _ in self.levels]
+        self.top = len(self.levels) - 1
+        self.volumes = [float(self.grid.cube(k, pos[0]).volume) for k, pos in self.levels]
+        self.children = [
+            grid_children_index(self.grid, k, pos, below)
+            for (k, pos), (_, below) in zip(self.levels, self.levels[1:])
+        ]
+
+    def leaf_index(self, i):
+        return self.pieces[i][0]
+
+    def piece_mean(self, i, vals):
+        return vals @ self.pieces[i][1] / self.volumes[i]
+
+    def mean(self, F, i):
+        return _cube_means(F.leaves, *self.pieces[i])
+
+    def level_means(self, values, stop):
+        return [_cube_means(values, *pc) for pc in self.pieces[:stop]]
+
+    def reducing(self, F, p):
+        return _fit_reducing(self, F, p, stop=self.top)[0]
+
+    def reducing_inv(self, F, p):
+        return [np.linalg.inv(V) for V in self.reducing(F, p)]
+
+    def gram_levels(self, W, p):
+        # Per level, the Gram of every cube's pieces as (cubes, rows, pieces)
+        # blocks of at most _ROW_BUDGET entries: whole cubes when one fits,
+        # row blocks of a single cube otherwise.
+        pp = p / (p - 1.0)
+        P, N = W.power(2.0 / p).leaves, W.power(-2.0 / p).leaves
+        per_level = []
+        for idx, vols in self.pieces:
+            pieces = idx.shape[1]
+            w = vols / vols.sum()
+            rows = min(pieces, max(1, _ROW_BUDGET // pieces))
+            step = max(1, _ROW_BUDGET // (rows * pieces))
+            vals = np.zeros(len(idx))
+            for c in range(0, len(idx), step):
+                cols = N[idx[c : c + step]]
+                for lo in range(0, pieces, rows):
+                    H = _gram_power(P[idx[c : c + step, lo : lo + rows]], cols, pp / 2.0)
+                    vals[c : c + step] += ((H @ w) ** (p / pp)) @ w[lo : lo + rows]
+            per_level.append(vals)
+        return per_level
+
+    def cube(self, i, c):
+        k, pos = self.levels[i]
+        return self.grid.cube(k, pos[c])
+
+
+def _cube_means(values, idx, vols):
+    """Volume-weighted means of leaf data over the pieces of a stack of
+    cubes: ``idx`` (cubes, pieces) leaf indices, ``vols`` (pieces,)."""
+    return np.tensordot(values[idx], vols, axes=(1, 0)) / vols.sum()
+
+
+def _level_argmax(per_level):
+    """(largest value, (level, index)) over per-level value arrays; the first
+    cube attaining it wins, and (0.0, (0, 0)) stands when none is positive."""
+    best, wit = 0.0, (0, 0)
+    for i, vals in enumerate(per_level):
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, wit = float(vals[k]), (i, k)
+    return best, wit
+
+
+def _haar_coefs(fam, F):
+    """Haar coefficients of F on the family's cubes above its finest level:
+    sign-weighted child means scaled by sqrt(|I|) / 2^d, exactly as
+    ``transforms.analyze`` computes them on the own grid."""
+    d = fam.window.d
+    tbl = sign_table(d)
+    return [
+        (np.sqrt(vol) / 2**d) * np.einsum("sb,kb...->ks...", tbl, fam.mean(F, i + 1)[ch])
+        for i, (vol, ch) in enumerate(zip(fam.volumes, fam.children))
+    ]
+
+
 # -- A_p characteristic ---------------------------------------------------
 
-# Entries of one streamed Gram block (32 MB of float64).
+# Entries of one Gram block (32 MB of float64).
 _ROW_BUDGET = 2**22
 
 
 def _pair_gram(P, N):
-    # G[x, t] = tr(P_x N_t) / n: the squared *normalized* Frobenius norm
-    # of P_x^{1/2} N_t^{1/2}, so that the identity weight scores 1.  For
-    # Hermitian N_t the trace is the real part of <P_x, N_t>_F, one real
-    # product over the stacked real and imaginary entries.
-    n = P.shape[1]
-    VP = P.reshape(P.shape[0], n * n)
-    VN = N.reshape(N.shape[0], n * n)
-    A = np.concatenate([VP.real, VP.imag], axis=1) / n
-    B = np.concatenate([VN.real, VN.imag], axis=1)
-    return A @ B.T
+    # G[..., x, t] = tr(P_x N_t) / n: the squared *normalized* Frobenius
+    # norm of P_x^{1/2} N_t^{1/2}, so that the identity weight scores 1.
+    # For Hermitian N_t the trace is the real part of <P_x, N_t>_F, one
+    # real product over the stacked real and imaginary entries; leading
+    # axes of P and N are batch axes.
+    n = P.shape[-1]
+    VP = P.reshape(P.shape[:-2] + (n * n,))
+    VN = N.reshape(N.shape[:-2] + (n * n,))
+    A = np.concatenate([VP.real, VP.imag], axis=-1) / n
+    B = np.concatenate([VN.real, VN.imag], axis=-1)
+    return A @ np.swapaxes(B, -1, -2)
 
 
 def _gram_power(P, N, expo):
@@ -286,106 +473,12 @@ def _is_p2(p):
     return abs(p - 2.0) < 1e-12
 
 
-def _own_grid_levels_p2(W, top):
-    avgP = W.level_averages()
-    avgN = W.inverse().level_averages()
-    return [_trace_form(avgP[j], avgN[j]) for j in range(top + 1)]
-
-
-def _own_grid_levels_streamed(W, p, top):
-    # Under the tree order a block of `rows` leaves is one level-j0 cube.
-    # For j <= j0 its rows lie in one level-j cube, whose columns are one
-    # contiguous range; for j > j0 the level-j cubes lie inside the block,
-    # so their columns are in the block's diagonal rows x rows sub-block.
-    win = W.window
-    pp = p / (p - 1.0)
-    d, L, total = win.d, win.depth, win.leafcount
-    order = win.tree_order()
-    P = W.power(2.0 / p).leaves[order]
-    N = W.power(-2.0 / p).leaves[order]
-    j0 = next(
-        (j for j in range(L + 1) if 2 ** (d * (L - j)) * total <= _ROW_BUDGET), L
-    )
-    rows = 2 ** (d * (L - j0))
-    cells = [2 ** (d * (L - j)) for j in range(top + 1)]
-    sums = [np.zeros(win.cubes_at(j)) for j in range(top + 1)]
-    for lo in range(0, total, rows):
-        H = _gram_power(P[lo : lo + rows], N, pp / 2.0)
-        seg = H.reshape(rows, total // rows, rows).sum(axis=2)
-        diag = np.ascontiguousarray(H[:, lo : lo + rows])
-        for j in range(top + 1):
-            c = cells[j]
-            if j <= j0:
-                k = lo // c
-                per = c // rows
-                means = seg[:, k * per : (k + 1) * per].sum(axis=1) / c
-                sums[j][k] += np.sum(means ** (p / pp))
-            else:
-                m = rows // c
-                means = np.einsum("iaib->ia", diag.reshape(m, c, m, c)) / c
-                sums[j][lo // c : lo // c + m] += (means ** (p / pp)).sum(axis=1)
-    per_level = []
-    for j in range(top + 1):
-        vals = np.empty(win.cubes_at(j))
-        vals[win.ancestor_index(L, j)[order[:: cells[j]]]] = sums[j] / cells[j]
-        per_level.append(vals)
-    return per_level
-
-
-def _own_grid_ap(W, p, max_rel_level):
+def _ap_levels(fam, W, p):
+    """The A_p integrand of every cube of a family, level by level."""
     if _is_p2(p):
-        per_level = _own_grid_levels_p2(W, max_rel_level)
-    else:
-        per_level = _own_grid_levels_streamed(W, p, max_rel_level)
-    best, best_cube = 0.0, (0, 0)
-    for j, vals in enumerate(per_level):
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, best_cube = float(vals[k]), (j, k)
-    return best, best_cube, per_level
-
-
-def _weighted_cube_ap(P, N, w, p):
-    """sum_x w_x (sum_t w_t H[x, t])^{p/p'} over one cube's pieces, with the
-    Gram of the pieces streamed in row blocks."""
-    pp = p / (p - 1.0)
-    step = max(1, _ROW_BUDGET // len(N))
-    val = 0.0
-    for lo in range(0, len(P), step):
-        H = _gram_power(P[lo : lo + step], N, pp / 2.0)
-        val += float(((H @ w) ** (p / pp)) @ w[lo : lo + step])
-    return val
-
-
-def _cube_means(values, idx, vols):
-    """Volume-weighted means of leaf data over the pieces of a stack of
-    cubes: ``idx`` (cubes, pieces) leaf indices, ``vols`` (pieces,)."""
-    return np.tensordot(values[idx], vols, axes=(1, 0)) / vols.sum()
-
-
-def _foreign_grid_ap(W, p, shift, max_level):
-    win = W.window
-    p2 = _is_p2(p)
-    if p2:
-        P, N = W.leaves, W.inverse().leaves
-    else:
-        P, N = W.power(2.0 / p).leaves, W.power(-2.0 / p).leaves
-    grid = DyadicGrid(win.d, shift)
-    best, best_cube = 0.0, None
-    for k, positions in enumerate_grid_cubes(win, shift, max_level=max_level):
-        if len(positions) == 0:
-            continue
-        idx, vols = cube_pieces(win, shift, k)
-        if p2:
-            vals = _trace_form(_cube_means(P, idx, vols), _cube_means(N, idx, vols))
-        else:
-            w = vols / vols.sum()
-            vals = [_weighted_cube_ap(P[i], N[i], w, p) for i in idx]
-        c = int(np.argmax(vals))
-        if vals[c] > best:
-            best = float(vals[c])
-            best_cube = grid.cube(k, positions[c])
-    return best, best_cube
+        Wi = W.inverse()
+        return [_trace_form(fam.mean(W, i), fam.mean(Wi, i)) for i in range(fam.top + 1)]
+    return fam.gram_levels(W, p)
 
 
 def ap_characteristic_report(W, p, grids=None, max_level=None):
@@ -396,35 +489,30 @@ def ap_characteristic_report(W, p, grids=None, max_level=None):
     contained in the window box, down to absolute level ``max_level``.
 
     Method.  At p = 2 the double average factorizes: a cube scores
-    tr(m_I W m_I W^{-1}) / n, read off the level averages (on a foreign
-    cube, means weighted by the exact piece volumes), so no Gram is formed.
-    At p != 2 the leaf Gram tr(W_x^{2/p} W_t^{-2/p}) / n is streamed in row
+    tr(m_I W m_I W^{-1}) / n, read off the family's means (on a shifted
+    grid, means weighted by the exact piece volumes), so no Gram is formed.
+    At p != 2 the leaf Gram tr(W_x^{2/p} W_t^{-2/p}) / n is formed in
     blocks of at most 2^22 entries: O(N^2) time in about 32 MB of working
     memory beyond the O(N n^2) power leaves.  On the own grid the rows are
     taken in tree order, so each block is one cube and every cube's columns
-    are one contiguous range; a foreign cube streams the Gram of its own
-    pieces.
+    are one contiguous range; a shifted grid forms the Gram of each cube's
+    own pieces, a level's cubes batched together.
     """
     if not 1.0 < p < np.inf:
         raise FieldError(f"p must lie in (1, inf), got {p}")
     if not W.is_weight:
         raise NotPositiveDefiniteError("A_p characteristic needs a weight field")
     win = W.window
-    leaf_level = win.root.level + win.depth
-    if max_level is None:
-        max_level = leaf_level
-    max_rel = min(win.depth, max_level - win.root.level)
-    if max_rel < 0:
+    if max_level is not None and max_level < win.root.level:
         raise WindowError("max_level above the window root")
-    best, cube_ref, _ = _own_grid_ap(W, p, max_rel)
-    witness = win.cube(*cube_ref)
-    if grids:
-        for t in grids:
-            if t == win.grid.shift:
-                continue
-            val, cube = _foreign_grid_ap(W, p, t, max_level)
-            if val > best and cube is not None:
-                best, witness = val, cube
+    fams = [_OwnGrid(win, max_level)] + [
+        _ShiftedGrid(win, t, max_level) for t in grids or () if t != win.grid.shift
+    ]
+    best, witness = 0.0, None
+    for fam in fams:
+        val, (i, k) = _level_argmax(_ap_levels(fam, W, p))
+        if witness is None or val > best:
+            best, witness = val, fam.cube(i, k)
     return best, witness
 
 
@@ -437,7 +525,7 @@ def a2_exact_form(W):
     """sup_I ||(m_I W)^{1/2} (m_I W^{-1})^{1/2}||^2 over window cubes, in the
     normalized Frobenius norm: tr(m_I W m_I W^{-1}) / n from the level
     averages, the same code as ``ap_characteristic(W, 2)`` on the own grid."""
-    return _own_grid_ap(W, 2.0, W.window.depth)[0]
+    return _level_argmax(_ap_levels(_OwnGrid(W.window), W, 2.0))[0]
 
 
 # -- reducing operators -----------------------------------------------------
@@ -556,20 +644,8 @@ class ReducingTable:
             raise FieldError(f"p must lie in (1, inf), got {p}")
         if not W.is_weight:
             raise NotPositiveDefiniteError("reducing operators need a weight field")
-        win = W.window
-        if _is_p2(p):
-            src = W.inverse() if dual else W
-            mats = [_mat_sqrt(a) for a in src.level_averages()]
-            return cls(win, p, dual, mats, kappa=1.0, exact=True)
-        expo = p / (p - 1.0) if dual else p
-        P = W.power(-1.0 / p if dual else 1.0 / p).leaves
-        net, vnet = _reducing_net(P), _reducing_net(P, offset=True)
-        mats, kappa = _ellipsoid_fit(
-            win.level_averages(_net_powers(P, net, expo)),
-            win.level_averages(_net_powers(P, vnet, expo)),
-            net, vnet, expo,
-        )
-        return cls(win, p, dual, mats, kappa=kappa, exact=False)
+        mats, kappa = _fit_reducing(_OwnGrid(W.window), W, p, dual=dual)
+        return cls(W.window, p, dual, mats, kappa=kappa, exact=_is_p2(p))
 
     def mat(self, j):
         return self.mats[j]
@@ -598,20 +674,26 @@ def _opnorms(stack):
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
-def _piece_reducing(W, p, pieces):
-    """Reducing operators V_I(W, p) of the cube stacks given as
-    (idx, vols) pieces, by ``ReducingTable``'s rule: exact average square
-    roots at p = 2, the fitted ellipsoids of W^{1/p} otherwise."""
+def _fit_reducing(fam, W, p, dual=False, stop=None):
+    """Reducing operators V_I(W, p), or the dual V_I'(W, p), of a family's
+    cubes at levels 0..stop-1 (default: all), and their kappa.
+
+    At p = 2 they are the exact average square roots (kappa 1); otherwise
+    the second-moment ellipsoids of W^{+-1/p} fitted to the family's level
+    means of |W^{+-1/p} e|^expo over the direction net.
+    """
+    stop = fam.top + 1 if stop is None else stop
     if _is_p2(p):
-        return [_mat_sqrt(_cube_means(W.leaves, *pc)) for pc in pieces]
-    P = W.power(1.0 / p).leaves
+        src = W.inverse() if dual else W
+        return [_mat_sqrt(fam.mean(src, i)) for i in range(stop)], 1.0
+    expo = p / (p - 1.0) if dual else p
+    P = W.power(-1.0 / p if dual else 1.0 / p).leaves
     net, vnet = _reducing_net(P), _reducing_net(P, offset=True)
-    rho, vr = _net_powers(P, net, p), _net_powers(P, vnet, p)
     return _ellipsoid_fit(
-        [_cube_means(rho, *pc) for pc in pieces],
-        [_cube_means(vr, *pc) for pc in pieces],
-        net, vnet, p,
-    )[0]
+        fam.level_means(_net_powers(P, net, expo), stop),
+        fam.level_means(_net_powers(P, vnet, expo), stop),
+        net, vnet, expo,
+    )
 
 
 def _mat_sqrt(stack):

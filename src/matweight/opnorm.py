@@ -123,12 +123,11 @@ def _batched_apply(desc, window, n, values):
 
 
 def materialize(op, window, n):
-    """Dense matrix of an operator (descriptor dict or VectorField callable).
+    """Dense matrix of an operator descriptor (a dict with a ``kind``).
 
-    Descriptors are applied to the whole standard basis in one batched pass;
-    bare callables fall back to a column loop.  Size is capped at
-    n * leafcount <= 4096 (dense p = 2 norm cost); larger windows must use the
-    matrix-free lower bounds.
+    The descriptor is applied to the whole standard basis in one batched
+    pass.  Size is capped at n * leafcount <= 4096 (dense p = 2 norm cost);
+    larger windows must use the matrix-free lower bounds.
 
     Shift and commutator descriptors are defined only on fields with shift
     headroom; their dense matrices act as the operator composed with the
@@ -139,25 +138,12 @@ def materialize(op, window, n):
     N = n * window.leafcount
     if N > DENSE_CAP:
         raise CapError(f"dense materialization capped at {DENSE_CAP}, need {N}")
-    if isinstance(op, dict):
-        provenance = op["kind"]
-        if op["kind"] in ("haar_shift", "commutator"):
-            op = dict(op, project=True)
-            provenance = op["kind"] + "*headroom_projection"
-        basis = np.eye(N, dtype=complex).reshape(window.leafcount, n, N)
-        out = _batched_apply(op, window, n, basis)
-        cols = out.reshape(N, N)
-        return OperatorMatrix(
-            matrix=cols, window=window, n=n, provenance=provenance
-        )
-    provenance = getattr(op, "__name__", "callable")
-    cols = np.zeros((N, N), dtype=complex)
-    basis = np.zeros(N, dtype=complex)
-    for i in range(N):
-        basis[i] = 1.0
-        f = VectorField(window, basis.reshape(window.leafcount, n))
-        cols[:, i] = op(f).leaves.reshape(-1)
-        basis[i] = 0.0
+    provenance = op["kind"]
+    if op["kind"] in ("haar_shift", "commutator"):
+        op = dict(op, project=True)
+        provenance = op["kind"] + "*headroom_projection"
+    basis = np.eye(N, dtype=complex).reshape(window.leafcount, n, N)
+    cols = _batched_apply(op, window, n, basis).reshape(N, N)
     return OperatorMatrix(matrix=cols, window=window, n=n, provenance=provenance)
 
 

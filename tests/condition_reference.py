@@ -6,7 +6,9 @@ sandwich einsum, spectral norms, tree accumulation and PSD eigenvalue, and
 ``_foreign_grid_bmo`` its own copy of ``bmo_original`` and condition (b)
 over the cubes of a shifted grid.  These are those functions, kept as the
 oracle the tests compare the library against; ``haar_multiplier_sup`` is
-the supremum part of ``opnorm.haar_multiplier_norm_relation``.
+the supremum part of ``opnorm.haar_multiplier_norm_relation``, and
+``_piece_reducing`` the shifted-grid reducing fit from before it was
+shared with ``ReducingTable.build``.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -25,12 +27,30 @@ from matweight.dyadic import (
 from matweight.fields import (
     FieldError,
     _cube_means,
+    _ellipsoid_fit,
+    _is_p2,
     _mat_isqrt,
     _mat_sqrt,
+    _net_powers,
     _opnorms,
-    _piece_reducing,
+    _reducing_net,
 )
 
+
+def _piece_reducing(W, p, pieces):
+    """Reducing operators V_I(W, p) of the cube stacks given as
+    (idx, vols) pieces, by ``ReducingTable``'s rule: exact average square
+    roots at p = 2, the fitted ellipsoids of W^{1/p} otherwise."""
+    if _is_p2(p):
+        return [_mat_sqrt(_cube_means(W.leaves, *pc)) for pc in pieces]
+    P = W.power(1.0 / p).leaves
+    net, vnet = _reducing_net(P), _reducing_net(P, offset=True)
+    rho, vr = _net_powers(P, net, p), _net_powers(P, vnet, p)
+    return _ellipsoid_fit(
+        [_cube_means(rho, *pc) for pc in pieces],
+        [_cube_means(vr, *pc) for pc in pieces],
+        net, vnet, p,
+    )[0]
 
 
 @dataclass

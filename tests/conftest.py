@@ -44,3 +44,10 @@ def random_scalar_weight(rng, depth, lo=0.2, hi=5.0):
     logs -= logs.mean()
     vals = np.exp(logs)
     return np.clip(vals, lo, hi)
+
+
+def family_ap(fam, W, p):
+    """(A_p supremum, witness cube) over one cube family, the way
+    ``ap_characteristic_report`` scores each family."""
+    val, (i, k) = fields._level_argmax(fields._ap_levels(fam, W, p))
+    return val, fam.cube(i, k)

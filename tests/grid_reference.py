@@ -14,14 +14,27 @@ import numpy as np
 
 from matweight.dyadic import DyadicCube, DyadicGrid, sign_table
 from matweight.fields import (
+    _ROW_BUDGET,
+    _gram_power,
     _is_p2,
     _mat_isqrt,
     _mat_sqrt,
     _opnorms,
     _reducing_net,
     _trace_form,
-    _weighted_cube_ap,
 )
+
+
+def _weighted_cube_ap(P, N, w, p):
+    """sum_x w_x (sum_t w_t H[x, t])^{p/p'} over one cube's pieces, with the
+    Gram of the pieces streamed in row blocks."""
+    pp = p / (p - 1.0)
+    step = max(1, _ROW_BUDGET // len(N))
+    val = 0.0
+    for lo in range(0, len(P), step):
+        H = _gram_power(P[lo : lo + step], N, pp / 2.0)
+        val += float(((H @ w) ** (p / pp)) @ w[lo : lo + step])
+    return val
 
 
 def enumerate_grid_cubes(window, shift, max_level=None):

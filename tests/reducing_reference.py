@@ -3,9 +3,10 @@
 These are the kernels the library used before it computed them as plain
 matrix products: ``_net_powers`` and ``_ellipsoid_fit`` walk 3-D einsum
 temporaries, and ``_opnorms`` takes the top singular value from a batched
-SVD.  ``build`` and ``piece_reducing`` are ``ReducingTable.build`` and
-``fields._piece_reducing`` on top of them; the tests compare the library's
-tables, kappas and norms against these.
+SVD.  ``build`` and ``piece_reducing`` are ``ReducingTable.build`` and the
+shifted-grid reducing fit (``fields._fit_reducing`` over a ``_ShiftedGrid``)
+on top of them; the tests compare the library's tables, kappas and norms
+against these.
 """
 
 import numpy as np
@@ -77,7 +78,8 @@ def build(W, p, dual=False):
 
 
 def piece_reducing(W, p, pieces):
-    """``fields._piece_reducing`` on the kernels above."""
+    """The reducing operators of the (idx, vols) cube stacks ``pieces``, on
+    the kernels above."""
     if _is_p2(p):
         return [_mat_sqrt(_cube_means(W.leaves, *pc)) for pc in pieces]
     P = W.power(1.0 / p).leaves

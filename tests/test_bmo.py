@@ -8,7 +8,7 @@ from matweight import transforms as tf
 
 import grid_reference as grid_ref
 import scalar_reference as ref
-from conftest import scalar_field, scalar_vector, random_scalar_weight
+from conftest import family_ap, scalar_field, scalar_vector, random_scalar_weight
 
 
 def scalar_coef_map(win, b_vals, depth):
@@ -484,7 +484,7 @@ def test_foreign_grid_paths_match_per_cube_oracle(rng, d, depth, p, kind):
         assert np.max(np.abs(W.leaves.imag)) > 0.1
     B = bmo.random_matrix_field(win, 2, rng)
     for t in range(1, 2**d + 1):
-        val, cube = fields._foreign_grid_ap(W, p, t, depth)
+        val, cube = family_ap(fields._ShiftedGrid(win, t, depth), W, p)
         want_val, want_cube = grid_ref.foreign_grid_ap(W, p, t, depth)
         assert np.isclose(val, want_val, rtol=1e-12, atol=0)
         assert cube.address == want_cube.address

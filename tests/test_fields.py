@@ -22,7 +22,7 @@ from matweight.fields import (
 
 import reducing_reference as red_ref
 import scalar_reference as ref
-from conftest import scalar_field, random_scalar_weight
+from conftest import family_ap, scalar_field, random_scalar_weight
 
 
 def rand_spd(rng, n, scale=1.0):
@@ -292,7 +292,8 @@ def test_ap_matches_dense_gram_oracle(monkeypatch, rng, d, depth, p, kind, budge
     monkeypatch.setattr(fields, "_ROW_BUDGET", budget)
     W = _ap_weight(kind, d, depth, rng)
     win = W.window
-    best, cube, levels = fields._own_grid_ap(W, p, depth)
+    levels = fields._ap_levels(fields._OwnGrid(win), W, p)
+    best, cube = fields._level_argmax(levels)
     want_best, want_cube, want_levels = _dense_own_grid_ap(W, p, depth)
     for got, want in zip(levels, want_levels, strict=True):
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -305,7 +306,7 @@ def test_ap_matches_dense_gram_oracle(monkeypatch, rng, d, depth, p, kind, budge
     for t in range(1, 2**d + 1):
         if t == win.grid.shift:
             continue
-        got_val, got_cube = fields._foreign_grid_ap(W, p, t, depth)
+        got_val, got_cube = family_ap(fields._ShiftedGrid(win, t, depth), W, p)
         want_val, want_cube_t = _dense_foreign_grid_ap(W, p, t, depth)
         assert np.isclose(got_val, want_val, rtol=1e-12)
         assert got_cube.address == want_cube_t.address
@@ -316,6 +317,35 @@ def test_ap_matches_dense_gram_oracle(monkeypatch, rng, d, depth, p, kind, budge
     )
     assert np.isclose(value_all, want_all, rtol=1e-12)
     assert witness_all.address == want_witness.address
+
+
+@pytest.mark.parametrize("where", ["root", "middle", "leaf"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d, depth", [(1, 6), (2, 3)])
+def test_ap_max_level_matches_dense_oracle(rng, d, depth, p, where):
+    # every family is cut at max_level: the own grid and each shifted grid
+    W = _ap_weight("real", d, depth, rng)
+    win = W.window
+    rel = {"root": 0, "middle": depth // 2, "leaf": depth}[where]
+    level = win.root.level + rel
+    want, cube, _ = _dense_own_grid_ap(W, p, rel)
+    want_witness = win.cube(*cube)
+    for t in range(1, 2**d + 1):
+        if t == win.grid.shift:
+            continue
+        val, cube_t = _dense_foreign_grid_ap(W, p, t, level)
+        if where == "root":
+            assert cube_t is None  # no shifted cube fits at the root level
+        if val > want:
+            want, want_witness = val, cube_t
+    value, witness = ap_characteristic_report(
+        W, p, grids=list(range(1, 2**d + 1)), max_level=level
+    )
+    assert np.isclose(value, want, rtol=1e-12)
+    assert witness.address == want_witness.address
+    if where == "root":
+        assert witness == win.root
+        assert np.isclose(value, _dense_own_grid_ap(W, p, 0)[0], rtol=1e-12)
 
 
 def _spy_pair_gram(monkeypatch):
@@ -356,6 +386,25 @@ def test_ap_streamed_gram_blocks_bounded_and_cover_rows(monkeypatch, rng):
         return sorted(map(tuple, np.ascontiguousarray(a).view(float).tolist()))
 
     assert rows(seen) == rows(want)
+
+
+@pytest.mark.parametrize("d, depth", [(1, 12), (2, 5)])
+def test_ap_shifted_grid_gram_blocks_bounded(monkeypatch, d, depth):
+    # the own grid streams 2-D row blocks against all N columns; a shifted
+    # grid forms (cubes, rows, pieces) blocks.  At d = 1, depth 12 the
+    # coarsest shifted cube has 2049 pieces, so its Gram is split into rows.
+    win = Window.unit(d, depth)
+    W = generate_weight({"kind": "log_spd", "n": 2, "seed": 7}, win)
+    calls = _spy_pair_gram(monkeypatch)
+    ap_characteristic(W, 3.0, grids=list(range(1, 2**d + 1)))
+    shapes = [shape for _, shape in calls]
+    assert all(np.prod(shape) <= 2**22 for shape in shapes)
+    own = [s for s in shapes if len(s) == 2]
+    shifted = [s for s in shapes if len(s) == 3]
+    assert own and shifted and len(own) + len(shifted) == len(shapes)
+    assert all(cols == win.leafcount for _, cols in own)
+    if d == 1:
+        assert any(cubes == 1 and rows < pieces for cubes, rows, pieces in shifted)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -515,7 +564,7 @@ def test_piece_reducing_matches_einsum_oracle(rng, kind, p):
     for t in range(1, 2**win.d):
         levels = [k for k, pos in enumerate_grid_cubes(win, t) if len(pos)]
         pieces = [cube_pieces(win, t, k) for k in levels]
-        got = fields._piece_reducing(W, p, pieces)
+        got, _ = fields._fit_reducing(fields._ShiftedGrid(win, t), W, p)
         _assert_stacks_close(got, red_ref.piece_reducing(W, p, pieces), 1e-12)
 
 
@@ -693,14 +742,14 @@ def test_vector_field_dump_load(tmp_path, rng):
 
 
 def test_foreign_grid_ap_matches_own(rng):
-    from matweight.fields import _foreign_grid_ap
     from matweight.bmo import bounded_weight
 
     for win in (Window.unit(1, 4), Window.unit(2, 3)):
         W = bounded_weight(win, 2, rng)
         for p in (2.0, 3.0):
             own = ap_characteristic(W, p)
-            val, cube = _foreign_grid_ap(W, p, win.grid.shift, win.depth)
+            fam = fields._ShiftedGrid(win, win.grid.shift, win.depth)
+            val, cube = family_ap(fam, W, p)
             assert np.isclose(val, own, rtol=1e-9)
 
 
