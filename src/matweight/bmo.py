@@ -48,6 +48,7 @@ from . import opnorm as onorm
 __all__ = [
     "BmoReport",
     "bmo_original",
+    "bmo_original_sweep",
     "carleson_norm",
     "condition_b",
     "hlw_condition",
@@ -123,54 +124,68 @@ def _sandwich(X, left=(), right=()):
 # -- kernel (a): averaged oscillation --------------------------------------------
 
 
-def _oscillations(fam, p, eps, terms):
-    """Per term (X, q, factors), per cube J above the finest level: the
-    volume-weighted mean over J of ||L (X(x) - m_J X) R||^q.
+def _oscillations(fam, p, epsilons, terms):
+    """Per term (X, qs, factors) and per exponent q of qs, per cube J above
+    the finest level: the volume-weighted mean over J of
+    ||L (X(x) - m_J X) R||^q, one list of levels per (term, q) in order.
 
-    ``factors(i, idx)`` gives the left and right factor tuples of level i,
-    per cube or gathered per piece at the leaf indices ``idx``; it is
-    called only after the exponents are checked: p in (1, inf) and, for
-    quantities that have one, eps finite and positive.  Vector fields take
-    the Euclidean norm.
+    The sandwich and its norms are formed once per term and level, however
+    many exponents the term has.  ``factors(i, idx)`` gives the left and
+    right factor tuples of level i, per cube or gathered per piece at the
+    leaf indices ``idx``; it is called only after the exponents are checked:
+    p in (1, inf) and every eps of ``epsilons`` (the quantities that have
+    one) finite and positive.  Vector fields take the Euclidean norm.
     """
     if not 1.0 < p < np.inf:
         raise FieldError(f"p must lie in (1, inf), got {p}")
-    if eps is not None and not 0.0 < eps < np.inf:
-        raise FieldError(f"eps must be finite and positive, got {eps}")
+    for e in epsilons:
+        if not 0.0 < e < np.inf:
+            raise FieldError(f"eps must be finite and positive, got {e}")
     out = []
-    for X, q, factors in terms:
-        vals = []
+    for X, qs, factors in terms:
+        vals = [[] for _ in qs]
         for i in range(fam.top):
             idx = fam.leaf_index(i)
             M = _sandwich(X.leaves[idx] - fam.mean(X, i)[:, None], *factors(i, idx))
             norms = _opnorms(M) if M.ndim == 4 else np.linalg.norm(M, axis=2)
-            vals.append(fam.piece_mean(i, norms**q))
-        out.append(vals)
+            for v, q in zip(vals, qs):
+                v.append(fam.piece_mean(i, norms**q))
+        out.extend(vals)
     return out
 
 
 def bmo_original(B, W, U, p, eps=1.0):
     """sup_I (1/|I|) int_I ||(m_I W^{1/p}) (B - B_I) (m_I U^{1/p})^{-1}||^{1+eps}."""
+    (rep,) = bmo_original_sweep(B, W, U, p, (eps,))
+    return rep
+
+
+def bmo_original_sweep(B, W, U, p, epsilons):
+    """``bmo_original`` for each eps of ``epsilons``: one report per eps, in
+    order.  Only the power 1 + eps depends on eps, so the means, sandwiches
+    and spectral norms are formed once for the whole sweep."""
     win = B.window
     if W.window is not win or U.window is not win:
         raise WindowError("fields live on different windows")
-    return _bmo_original(_OwnGrid(win), B, W, U, p, eps)
+    return _bmo_original(_OwnGrid(win), B, W, U, p, epsilons)
 
 
-def _bmo_original(fam, B, W, U, p, eps):
+def _bmo_original(fam, B, W, U, p, epsilons):
     def factors(i, idx):
         Up = fam.mean(U.power(1.0 / p), i)
         return (fam.mean(W.power(1.0 / p), i),), (np.linalg.inv(Up),)
 
-    (vals,) = _oscillations(fam, p, eps, [(B, 1.0 + eps, factors)])
-    return _sup_report("bmo_original", fam, vals, {"p": p, "eps": eps})
+    vals = _oscillations(fam, p, epsilons, [(B, [1.0 + e for e in epsilons], factors)])
+    return [
+        _sup_report("bmo_original", fam, v, {"p": p, "eps": e}) for v, e in zip(vals, epsilons)
+    ]
 
 
 def bloom_bprime(B, W, U, p):
     """sup_J (1/|J|) int_J ||W^{1/p}(x) (B - m_J B) V_J(U)^{-1}||^p."""
     fam = _OwnGrid(B.window)
     tu, Wp = U.reducing_table(p), W.power(1.0 / p).leaves  # the table checks p
-    (vals,) = _oscillations(fam, p, None, [(B, p, lambda i, idx: ((Wp[idx],), (tu.inv(i),)))])
+    (vals,) = _oscillations(fam, p, (), [(B, (p,), lambda i, idx: ((Wp[idx],), (tu.inv(i),)))])
     return _sup_report("bloom_bprime", fam, vals, {"p": p})
 
 
@@ -178,8 +193,8 @@ def bloom_cprime(B, W, U, p):
     """sup_J (1/|J|) int_J ||U^{-1/p}(x) (B^* - m_J B^*) V_J'(W)^{-1}||^{p'}."""
     fam = _OwnGrid(B.window)
     twd, Um = W.reducing_table(p, dual=True), U.power(-1.0 / p).leaves  # the table checks p
-    terms = [(B.conj_transpose(), p / (p - 1.0), lambda i, idx: ((Um[idx],), (twd.inv(i),)))]
-    (vals,) = _oscillations(fam, p, None, terms)
+    terms = [(B.conj_transpose(), (p / (p - 1.0),), lambda i, idx: ((Um[idx],), (twd.inv(i),)))]
+    (vals,) = _oscillations(fam, p, (), terms)
     return _sup_report("bloom_cprime", fam, vals, {"p": p})
 
 
@@ -189,9 +204,9 @@ def jn_p2_pair(B, W, eps=1.0):
     fam = _OwnGrid(B.window)
     isq = [_mat_isqrt(fam.mean(W, i)) for i in range(fam.top)]
     Wm = W.power(-0.5).leaves
-    left, right = _oscillations(fam, 2.0, eps, [
-        (B, 1.0 + eps, lambda i, idx: ((isq[i],), (isq[i],))),
-        (B.conj_transpose(), 2.0, lambda i, idx: ((Wm[idx],), (isq[i],))),
+    left, right = _oscillations(fam, 2.0, (eps,), [
+        (B, (1.0 + eps,), lambda i, idx: ((isq[i],), (isq[i],))),
+        (B.conj_transpose(), (2.0,), lambda i, idx: ((Wm[idx],), (isq[i],))),
     ])
     jn_left = _sup_report("jn_left", fam, left, {"p": 2, "eps": eps})
     return jn_left, _sup_report("jn_right", fam, right, {"p": 2})
@@ -202,9 +217,9 @@ def vector_jn(f, W, p):
     (f - m_J f)|^p, together with the plain BMO oscillation of f."""
     fam = _OwnGrid(f.window)
     tw, Wp = W.reducing_table(p), W.power(1.0 / p).leaves  # the table checks p
-    wt, plain = _oscillations(fam, p, None, [
-        (f, p, lambda i, idx: ((Wp[idx], tw.inv(i)), ())),
-        (f, 1.0, lambda i, idx: ((), ())),
+    wt, plain = _oscillations(fam, p, (), [
+        (f, (p,), lambda i, idx: ((Wp[idx], tw.inv(i)), ())),
+        (f, (1.0,), lambda i, idx: ((), ())),
     ])
     wt_rep = _sup_report("vector_jn", fam, wt, {"p": p})
     return wt_rep, _sup_report("vector_bmo", fam, plain, {"p": 1})
@@ -253,6 +268,8 @@ def _psd_top(fam, acc, Y):
     for a, y, vol in zip(acc, Y, fam.volumes):
         X = np.einsum("kab,kbc,kcd->kad", y, a, y) / vol
         X = 0.5 * (X + np.conj(np.swapaxes(X, 1, 2)))
+        # eigvalsh on purpose: a 2 x 2 closed form moves the rounding-level Buckley slack
+        # (buckley_psd_slack) off its eigvalsh oracle, 9.0e-16 -> 1.4e-15
         out.append(np.maximum(np.linalg.eigvalsh(X)[:, -1], 0.0))
     return out
 
@@ -572,8 +589,8 @@ def bmo_over_shifted_grids(B, W, U, p, eps=1.0):
 
 
 def _grid_pair(fam, B, W, U, p, eps):
-    bo = _bmo_original(fam, B, W, U, p, eps).supremum
-    return bo, _condition_b(fam, W, U, _haar_coefs(fam, B), p).supremum
+    (bo,) = _bmo_original(fam, B, W, U, p, (eps,))
+    return bo.supremum, _condition_b(fam, W, U, _haar_coefs(fam, B), p).supremum
 
 
 def _foreign_grid_bmo(B, W, U, p, eps, t):

@@ -172,8 +172,7 @@ def cmd_bmo(args):
     reports = []
     if args.which == "bmo_original":
         # the exponent 1+eps is a parameter; reports carry a built-in sweep
-        for e in sorted({0.1, 0.5, 1.0, eps}):
-            reports.append(bmo_mod.bmo_original(B, W, U, p, e))
+        reports.extend(bmo_mod.bmo_original_sweep(B, W, U, p, sorted({0.1, 0.5, 1.0, eps})))
     elif args.which == "carleson":
         rep = bmo_mod.carleson_norm(W, U, tf.analyze(B), p)
         hard_ok = bool(rep.extras.get("psd_band_ok", True))

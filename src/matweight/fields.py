@@ -663,13 +663,33 @@ class ReducingTable:
 def _opnorms(stack):
     """Spectral norms of a stack of matrices (shape stack.shape[:-2]).
 
-    The norm is sqrt(max(0, top eigenvalue of the Gram M^H M)), which keeps
-    machine-epsilon relative accuracy (see ``weighted_opnorm_p2``); the
-    Gram and the eigensolve run in float64 when the stack is real.
+    The norm is the square root of the top eigenvalue of the Gram M^H M,
+    which keeps machine-epsilon relative accuracy (see
+    ``weighted_opnorm_p2``); everything runs in float64 when the stack is
+    real.  A 2 x 2 stack takes the eigenvalue in closed form from the Gram
+    entries a = |m00|^2 + |m10|^2, c = |m01|^2 + |m11|^2 and
+    b = conj(m00) m01 + conj(m10) m11:
+
+        ||M|| = sqrt((a + c)/2 + hypot((a - c)/2, |b|)).
+
+    Both terms under the root are sums of nonnegative numbers, so nothing
+    cancels, and the zero matrix gives exactly 0.  Every other size takes
+    the top eigenvalue from a batched ``eigvalsh``.
     """
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
     stack = _real_if_exact(stack)
+    if stack.shape[-2:] == (2, 2):
+        m00, m01 = stack[..., 0, 0], stack[..., 0, 1]
+        m10, m11 = stack[..., 1, 0], stack[..., 1, 1]
+        if np.iscomplexobj(stack):
+            a = m00.real**2 + m00.imag**2 + m10.real**2 + m10.imag**2
+            c = m01.real**2 + m01.imag**2 + m11.real**2 + m11.imag**2
+            b = np.abs(np.conj(m00) * m01 + np.conj(m10) * m11)
+        else:
+            a, c = m00 * m00 + m10 * m10, m01 * m01 + m11 * m11
+            b = np.abs(m00 * m01 + m10 * m11)
+        return np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
     gram = np.conj(np.swapaxes(stack, -1, -2)) @ stack
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 

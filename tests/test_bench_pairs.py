@@ -1,0 +1,109 @@
+"""tools/bench_pairs.py on synthetic perfbench result files."""
+
+import importlib.util
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PARENT_OPS = [1.0, 2.0, 3.0, 4.0, 5.0]
+CHANGE_OPS = [2.0, 2.0, 4.0, 5.0, 6.0]  # pair 2 is a tie
+CHANGE_P50 = [9.0, 11.0, 10.0, 8.0, 12.0]  # against a flat parent 10.0
+
+
+def _result(ops_per_s, op_p50_ms, fail_ratio=0.0):
+    metrics = {"ops_per_s": ops_per_s, "op_p50_ms": op_p50_ms, "op_tail_ms": 20.0,
+               "peak_rss_mb": 100.0, "setup_s": 0.5}
+    return {
+        "env": {"seconds": 30.0, "ops": {"gen": 3, "bmo": 2}},
+        "fail_ratio": fail_ratio,
+        "metrics": {name: {"value": value} for name, value in metrics.items()},
+    }
+
+
+def _write(folder, name, doc, mtime):
+    folder.mkdir(parents=True, exist_ok=True)
+    path = folder / name
+    path.write_text(json.dumps(doc))
+    os.utime(path, (mtime, mtime))
+
+
+@pytest.fixture
+def runs(tmp_path):
+    runs = tmp_path / "runs"
+    for k in range(5):
+        parent_first = k % 2 == 0
+        t = 1000.0 * (k + 1)
+        fail = 0.2 if k == 3 else 0.0  # one failed op of five
+        _write(runs / "window_seed0", f"{k + 1:02d}-parent.json",
+               _result(PARENT_OPS[k], 10.0), t if parent_first else t + 1)
+        _write(runs / "window_seed0", f"{k + 1:02d}-change.json",
+               _result(CHANGE_OPS[k], CHANGE_P50[k], fail), t + 1 if parent_first else t)
+    _write(runs / "window_seed0", "06-parent.json", _result(99.0, 1.0), 9000.0)  # no partner
+    for k in range(2):
+        _write(runs / "traced_window_seed0", f"{k + 1:02d}-parent.json",
+               _result(1.0 + k, 10.0), 100.0 * k)
+        _write(runs / "traced_window_seed0", f"{k + 1:02d}-change.json",
+               _result(2.0 + k, 9.0), 100.0 * k + 1)
+    return runs
+
+
+def test_bench_pairs_layout_and_statistics(bench_pairs, runs, tmp_path):
+    out = tmp_path / "BENCH_test.json"
+    rc = bench_pairs.main([str(runs), "--label", "test", "--parent-commit", "abc1234",
+                           "--change", "a synthetic change", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"label", "change", "parent_commit", "command", "method", "env",
+                        "workloads", "traced_window_seed0"}
+    assert (doc["label"], doc["parent_commit"]) == ("test", "abc1234")
+    assert "--seconds 30 " in doc["command"]
+    assert list(doc["workloads"]) == ["window_seed0"]
+
+    pairs = doc["workloads"]["window_seed0"]["pairs"]
+    assert [p["pair"] for p in pairs] == [1, 2, 3, 4, 5]  # the lone 06-parent is left out
+    assert [p["first"] for p in pairs] == ["parent", "change", "parent", "change", "parent"]
+    assert [p["parent"]["ops_per_s"] for p in pairs] == PARENT_OPS
+    assert [p["change"]["ops_per_s"] for p in pairs] == CHANGE_OPS
+    assert pairs[3]["change"]["attempted"] == 5
+    assert pairs[3]["change"]["failed"] == 1 and pairs[3]["change"]["correct"] is False
+    assert all(p["parent"]["correct"] and p["parent"]["failed"] == 0 for p in pairs)
+
+    summary = doc["workloads"]["window_seed0"]["summary"]
+    assert set(summary) == {"ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb", "setup_s"}
+    ops = summary["ops_per_s"]
+    assert ops["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert ops["change"] == {"median": 4.0, "q1": 2.0, "q3": 5.0}
+    assert ops["change_wins"] == "4/5"  # higher is better; the tie counts for neither side
+    assert ops["median_diff"] == 1.0
+    assert ops["parent_iqr"] == 2.0
+    assert ops["change_vs_parent"] == pytest.approx(4.0 / 3.0)
+    p50 = summary["op_p50_ms"]
+    assert p50["change_wins"] == "2/5"  # lower is better; 10.0 against 10.0 is a tie
+    assert p50["parent"] == {"median": 10.0, "q1": 10.0, "q3": 10.0}
+    assert p50["change"]["median"] == 10.0 and p50["median_diff"] == 0.0
+    assert p50["parent_iqr"] == 0.0
+    assert summary["setup_s"]["change_wins"] == "0/5"
+
+    traced = doc["traced_window_seed0"]
+    assert len(traced) == 2 and all(set(t) == {"parent", "change"} for t in traced)
+    assert [t["change"]["ops_per_s"] for t in traced] == [2.0, 3.0]
+
+
+def test_bench_pairs_refuses_empty_runs(bench_pairs, tmp_path):
+    (tmp_path / "runs" / "window_seed0").mkdir(parents=True)
+    with pytest.raises(SystemExit, match="no complete parent/change pairs"):
+        bench_pairs.main([str(tmp_path / "runs"), "--label", "x", "--parent-commit", "c",
+                          "--change", "c", "--out", str(tmp_path / "out.json")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matweight.cli import main, default_manifest_path
-from matweight import fields
+from matweight import bmo, fields
 
 
 @pytest.fixture
@@ -260,6 +260,31 @@ def test_bmo_h1_and_eps_sweep(tmp_path, weight_file):
     body = out2.read_text().strip().split("\n")[2:]
     eps_seen = {ln.split(",")[2] for ln in body}
     assert len(eps_seen) >= 3  # built-in exponent sweep
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bmo_original_sweep_matches_per_eps_calls(tmp_path, weight_file, monkeypatch, fmt):
+    W = fields.load_field(weight_file)
+    Q = np.linalg.qr(np.array([[1.0, 2.0 + 1j], [0.5j, -1.0]]))[0]
+    u_file = tmp_path / "u.mwf"
+    fields.dump_field(
+        fields.MatrixField(W.window, Q @ W.leaves[::-1] @ Q.conj().T, weight=True), u_file
+    )
+    argv = ["bmo", "--which", "bmo_original", "--b", str(weight_file), "--w", str(weight_file),
+            "--u", str(u_file), "--p", "3", "--epsilon", "0.3", "--format", fmt, "--out"]
+    assert main([*argv, str(tmp_path / "sweep")]) == 0
+    sweep = bmo.bmo_original_sweep
+
+    def per_eps(B, W, U, p, epsilons):  # one bmo_original call per eps
+        return [sweep(B, W, U, p, [e])[0] for e in epsilons]
+
+    monkeypatch.setattr(bmo, "bmo_original_sweep", per_eps)
+    assert main([*argv, str(tmp_path / "per_eps")]) == 0
+    got, want = ((tmp_path / name).read_text() for name in ("sweep", "per_eps"))
+    if fmt == "csv":  # the first line is the generation time
+        got, want = got.split("\n", 1)[1], want.split("\n", 1)[1]
+        assert len(got.splitlines()) == 5  # header and eps = 0.1, 0.3, 0.5, 1
+    assert got == want
 
 
 def test_bmo_grids_json(tmp_path, weight_file):

@@ -6,7 +6,7 @@ import pytest
 from matweight import bmo, opnorm
 from matweight import transforms as tf
 from matweight.dyadic import Window
-from matweight.fields import MatrixField, VectorField
+from matweight.fields import FieldError, MatrixField, VectorField
 
 import condition_reference as cref
 
@@ -110,6 +110,30 @@ def test_shifted_grid_families_match_oracle(rng, d, p):
             _same(g, w)
     for key in ("max_bmo_original", "max_condition_b"):
         _same(got[key], want[key])
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_bmo_original_sweep_equals_per_eps_calls(rng, d, p, kind):
+    # one norm pass serves the whole sweep, bit for bit
+    W, U, B, _ = _setup(rng, d, 2, kind)
+    epsilons = [0.1, 0.3, 0.5, 1.0, 2.5]
+    sweep = bmo.bmo_original_sweep(B, W, U, p, epsilons)
+    assert len(sweep) == len(epsilons)
+    for got, eps in zip(sweep, epsilons):
+        want = bmo.bmo_original(B, W, U, p, eps)
+        assert got.params == {"p": p, "eps": eps}
+        assert (got.quantity, got.supremum, got.witness, got.params, got.extras) == (
+            want.quantity, want.supremum, want.witness, want.params, want.extras
+        )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_bmo_original_sweep_checks_every_eps(rng, bad):
+    W, U, B, _ = _setup(rng, 1, 2, "real")
+    with pytest.raises(FieldError, match="eps must"):
+        bmo.bmo_original_sweep(B, W, U, 2.0, [0.5, bad, 1.0])
 
 
 # -- symmetries of the condition family --------------------------------------------

@@ -585,6 +585,14 @@ def test_opnorms_match_svd(rng, n, kind, shape):
     M = draw(*shape, n, n)
     M[(0,) * len(shape)] = np.outer(draw(n), draw(n))  # rank one
     M[(-1,) * len(shape)] = 0.0
+    if n == 2:  # cases that press the 2 x 2 closed form
+        Q, V = (np.linalg.qr(draw(2, 2))[0] for _ in range(2))
+        flat = M.reshape(-1, 2, 2)
+        flat[1] = Q @ np.diag([3.0, 3e-12]) @ V.conj().T  # sigma_2 / sigma_1 = 1e-12
+        flat[2] = 2.5 * Q  # equal singular values: a - c and b vanish
+        flat[3] = [[1e-3, 4.0 + (3j if kind == "complex" else 0)], [2e-4, -1e-3]]
+        flat[4] = 1e100 * draw(2, 2)
+        flat[5] = 1e-100 * draw(2, 2)
     got = fields._opnorms(M)
     want = np.linalg.svd(M, compute_uv=False)[..., 0]
     assert got.shape == shape
@@ -592,6 +600,22 @@ def test_opnorms_match_svd(rng, n, kind, shape):
     assert got[(-1,) * len(shape)] == 0.0
     if kind == "real":
         assert np.array_equal(fields._opnorms(M.real), got)
+
+
+@pytest.mark.parametrize("n, eigensolves", [(2, 0), (3, 2)])
+def test_opnorms_eigensolver_only_above_2x2(rng, monkeypatch, n, eigensolves):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    real = rng.standard_normal((6, n, n))
+    fields._opnorms(real)
+    fields._opnorms(real + 1j * rng.standard_normal((6, n, n)))
+    assert len(calls) == eigensolves
 
 
 @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2, 2), (0, 1, 1)])
