@@ -590,7 +590,8 @@ def bmo_over_shifted_grids(B, W, U, p, eps=1.0):
 
 def _grid_pair(fam, B, W, U, p, eps):
     (bo,) = _bmo_original(fam, B, W, U, p, (eps,))
-    return bo.supremum, _condition_b(fam, W, U, _haar_coefs(fam, B), p).supremum
+    coefs = _haar_coefs(fam, [fam.mean(B, i) for i in range(fam.top + 1)])
+    return bo.supremum, _condition_b(fam, W, U, coefs, p).supremum
 
 
 def _foreign_grid_bmo(B, W, U, p, eps, t):

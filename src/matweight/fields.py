@@ -246,7 +246,7 @@ class VectorField:
 
 
 def _rel(window, cube):
-    if isinstance(cube, tuple) and len(cube) == 2 and isinstance(cube[0], int):
+    if isinstance(cube, tuple) and len(cube) == 2 and isinstance(cube[0], (int, np.integer)):
         j, idx = cube
         if not 0 <= j <= window.depth or not 0 <= idx < window.cubes_at(j):
             raise WindowError("relative cube reference outside window")
@@ -425,14 +425,14 @@ def _level_argmax(per_level):
     return best, wit
 
 
-def _haar_coefs(fam, F):
-    """Haar coefficients of F on the family's cubes above its finest level:
-    sign-weighted child means scaled by sqrt(|I|) / 2^d, exactly as
-    ``transforms.analyze`` computes them on the own grid."""
+def _haar_coefs(fam, means):
+    """Haar coefficients on the family's cubes above its finest level from
+    the per-level means of some data: sign-weighted child means scaled by
+    sqrt(|I|) / 2^d.  ``transforms.analyze`` is this on the own grid."""
     d = fam.window.d
     tbl = sign_table(d)
     return [
-        (np.sqrt(vol) / 2**d) * np.einsum("sb,kb...->ks...", tbl, fam.mean(F, i + 1)[ch])
+        (np.sqrt(vol) / 2**d) * np.einsum("sb,kb...->ks...", tbl, means[i + 1][ch])
         for i, (vol, ch) in enumerate(zip(fam.volumes, fam.children))
     ]
 

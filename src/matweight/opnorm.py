@@ -1,6 +1,8 @@
 """Dense materialization of dyadic operators and weighted operator norms.
 
 Every operator here acts on leaf-resolved vector fields, i.e. on C^{n * 2^{dL}}.
+A dense matrix is the operator's ``transforms`` kernel applied to the whole
+standard basis at once, so it matches the field-level operator bit for bit.
 At p = 2 the weighted norm L^2(U) -> L^2(W) is the top singular value of the
 conjugated matrix A = blockdiag(W^{1/2}) T blockdiag(U^{-1/2}) (the uniform
 leaf mass cancels), computed as the square root of the top eigenvalue of the
@@ -56,78 +58,27 @@ class OperatorMatrix:
         return VectorField(self.window, vec.reshape(-1, self.n))
 
 
-def _batched_apply(desc, window, n, values):
-    """Apply a descriptor operator to a batch: values (leaves, n, m)."""
-    kind = desc["kind"]
-    m = values.shape[2]
-    zero_root = np.zeros((n, m), dtype=complex)
-    if kind == "paraproduct":
-        Bs = tf.analyze(desc["B"])
-        avgs = window.level_averages(values)
-        coefs = [
-            np.einsum("ksab,kbm->ksam", Bs.coefs[j], avgs[j])
-            for j in range(window.depth)
-        ]
-        return tf._synthesize_values(window, coefs, zero_root)
-    if kind == "conjugated_paraproduct":
-        A, W, U, p = desc["A"], desc["W"], desc["U"], desc["p"]
-        table = W.reducing_table(p)
-        g = np.einsum("lab,lbm->lam", U.power(-1.0 / p).leaves, values)
-        avgs = window.level_averages(g)
-        coefs = [
-            np.einsum("kab,ksbc,kcm->ksam", table.mats[j], A.coefs[j], avgs[j])
-            for j in range(window.depth)
-        ]
-        return tf._synthesize_values(window, coefs, zero_root)
-    if kind == "haar_multiplier":
-        A = desc["A"]
-        fc, _, _ = tf._analyze_values(window, values)
-        coefs = [
-            np.einsum("ksab,ksbm->ksam", A.coefs[j], fc[j])
-            for j in range(window.depth)
-        ]
-        return tf._synthesize_values(window, coefs, zero_root)
-    if kind == "dual_paraproduct":
-        Bs = tf.analyze(desc["B"])
-        fc, _, _ = tf._analyze_values(window, values)
-        acc = np.zeros((1, n, m), dtype=complex)
-        for j in range(window.depth):
-            term = (
-                np.einsum("ksab,ksbm->kam", Bs.coefs[j], fc[j])
-                / window.volumes[j]
-            )
-            nxt = np.empty((window.cubes_at(j + 1), n, m), dtype=complex)
-            nxt[window.children_index(j)] = (acc + term)[:, None]
-            acc = nxt
-        return acc
-    if kind == "haar_shift":
-        smap = desc["sigma"]
-        spec = tf.HaarSpectrum(window, *tf._analyze_values(window, values)[:2])
-        if not desc.get("project", False):
-            tf.require_headroom(spec, "shift input")
-        out = tf._shift_spectrum(smap, spec)
-        return tf._synthesize_values(window, out.coefs, zero_root)
-    if kind == "commutator":
-        B, smap = desc["B"], desc["sigma"]
-        shift = {
-            "kind": "haar_shift",
-            "sigma": smap,
-            "project": desc.get("project", False),
-        }
-        Qv = _batched_apply(shift, window, n, values)
-        BQv = np.einsum("lab,lbm->lam", B.leaves, Qv)
-        Bv = np.einsum("lab,lbm->lam", B.leaves, values)
-        QBv = _batched_apply(shift, window, n, Bv)
-        return BQv - QBv
-    raise ValueError(f"unknown operator descriptor kind {kind!r}")
+# descriptor kind -> the transforms kernel, applied to values (leaves, n, N)
+_KERNELS = {
+    "paraproduct": lambda op, win, v: tf._paraproduct(win, op["B"], v),
+    "conjugated_paraproduct": lambda op, win, v: tf._conjugated_paraproduct(
+        win, op["A"], op["W"], op["U"], op["p"], v
+    ),
+    "dual_paraproduct": lambda op, win, v: tf._dual_paraproduct(win, op["B"], v),
+    "haar_multiplier": lambda op, win, v: tf._haar_multiplier(win, op["A"], v),
+    "haar_shift": lambda op, win, v: tf._haar_shift(win, op["sigma"], v),
+    "commutator": lambda op, win, v: tf._shift_commutator(
+        win, op["B"], op["sigma"], v
+    ),
+}
 
 
 def materialize(op, window, n):
     """Dense matrix of an operator descriptor (a dict with a ``kind``).
 
-    The descriptor is applied to the whole standard basis in one batched
-    pass.  Size is capped at n * leafcount <= 4096 (dense p = 2 norm cost);
-    larger windows must use the matrix-free lower bounds.
+    The descriptor's kernel is applied to the whole standard basis in one
+    batched pass.  Size is capped at n * leafcount <= 4096 (dense p = 2 norm
+    cost); larger windows must use the matrix-free lower bounds.
 
     Shift and commutator descriptors are defined only on fields with shift
     headroom; their dense matrices act as the operator composed with the
@@ -135,15 +86,17 @@ def materialize(op, window, n):
     that composition in the provenance tag.  On headroom inputs this is the
     operator itself.
     """
+    kind = op["kind"]
+    if kind not in _KERNELS:
+        raise ValueError(f"unknown operator descriptor kind {kind!r}")
     N = n * window.leafcount
     if N > DENSE_CAP:
         raise CapError(f"dense materialization capped at {DENSE_CAP}, need {N}")
-    provenance = op["kind"]
-    if op["kind"] in ("haar_shift", "commutator"):
-        op = dict(op, project=True)
-        provenance = op["kind"] + "*headroom_projection"
+    provenance = kind
+    if kind in ("haar_shift", "commutator"):
+        provenance = kind + "*headroom_projection"
     basis = np.eye(N, dtype=complex).reshape(window.leafcount, n, N)
-    cols = _batched_apply(op, window, n, basis).reshape(N, N)
+    cols = _KERNELS[kind](op, window, basis).reshape(N, N)
     return OperatorMatrix(matrix=cols, window=window, n=n, provenance=provenance)
 
 

@@ -18,6 +18,12 @@ exact:
 
 Shift operators demand one spare level: spectra must vanish on the last
 coefficient level, else HeadroomError.
+
+Each of paraproduct, conjugated_paraproduct, dual_paraproduct,
+haar_multiplier, haar_shift and shift_commutator is written once, as a
+private kernel on leaf arrays with trailing batch axes; the public function
+checks its operands and applies the kernel to one field, and
+``opnorm.materialize`` applies the same kernel to the standard basis.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import json
 import numpy as np
 
 from .dyadic import WindowError, sign_table, Signature
-from .fields import MatrixField, VectorField
+from .fields import MatrixField, VectorField, _haar_coefs, _OwnGrid, _rel
 
 __all__ = [
     "HaarSpectrum",
@@ -94,7 +100,9 @@ class HaarSpectrum:
             if not sig.cancellative:
                 raise WindowError("only cancellative signatures carry coefficients")
             sig = sig.to_int()
-        j, idx = self.window.rel_index(cube) if not isinstance(cube, tuple) else cube
+        if not 0 <= sig < self.window.nsig:
+            raise WindowError("signature outside the cancellative range")
+        j, idx = _rel(self.window, cube)
         if j >= self.window.depth:
             raise WindowError("leaf-level cubes carry no coefficients")
         return self.coefs[j][idx, sig]
@@ -125,16 +133,9 @@ class HaarSpectrum:
 
 
 def _analyze_values(window, values):
+    """(coefficients, root average) of leaf data on the window's own grid."""
     avgs = window.level_averages(values)
-    tbl = sign_table(window.d)
-    coefs = []
-    for j in range(window.depth):
-        ch = avgs[j + 1][window.children_index(j)]  # (cubes, 2^d, *v)
-        c = (np.sqrt(window.volumes[j]) / window.nchild) * np.einsum(
-            "sb,kb...->ks...", tbl, ch
-        )
-        coefs.append(c)
-    return coefs, avgs[0][0], avgs
+    return _haar_coefs(_OwnGrid(window), avgs), avgs[0][0]
 
 
 def _synthesize_values(window, coefs, root):
@@ -154,7 +155,7 @@ def _synthesize_values(window, coefs, root):
 
 def analyze(field):
     """Haar coefficients of a vector or matrix step field (exact on leaves)."""
-    coefs, root, _ = _analyze_values(field.window, field.leaves.astype(complex))
+    coefs, root = _analyze_values(field.window, field.leaves.astype(complex))
     return HaarSpectrum(field.window, coefs, root)
 
 
@@ -189,21 +190,81 @@ def _check_windows(*fields):
     return win
 
 
+# Operator kernels on leaf arrays ``values`` (leaves, n, ...) whose trailing
+# axes are batch axes.  They check nothing: the public functions check first.
+
+
+def _zero_root(values):
+    return np.zeros(values.shape[1:], dtype=complex)
+
+
+def _leafwise(M, values):
+    return np.einsum("lab,lb...->la...", M, values)
+
+
+def _paraproduct(win, B, values):
+    Bs = analyze(B)
+    avgs = win.level_averages(values)
+    coefs = [
+        np.einsum("ksab,kb...->ksa...", Bs.coefs[j], avgs[j])
+        for j in range(win.depth)
+    ]
+    return _synthesize_values(win, coefs, _zero_root(values))
+
+
+def _conjugated_paraproduct(win, A, W, U, p, values):
+    table = W.reducing_table(p)
+    avgs = win.level_averages(_leafwise(U.power(-1.0 / p).leaves, values))
+    coefs = [
+        np.einsum("kab,ksbc,kc...->ksa...", table.mats[j], A.coefs[j], avgs[j])
+        for j in range(win.depth)
+    ]
+    return _synthesize_values(win, coefs, _zero_root(values))
+
+
+def _dual_paraproduct(win, B, values):
+    Bs = analyze(B)
+    fc, _ = _analyze_values(win, values)
+    acc = _zero_root(values)[None]
+    for j in range(win.depth):
+        term = (
+            np.einsum("ksab,ksb...->ka...", Bs.coefs[j], fc[j]) / win.volumes[j]
+        )
+        nxt = np.empty((win.cubes_at(j + 1),) + acc.shape[1:], dtype=complex)
+        nxt[win.children_index(j)] = (acc + term)[:, None]
+        acc = nxt
+    return acc
+
+
+def _haar_multiplier(win, A, values):
+    fc, _ = _analyze_values(win, values)
+    coefs = [
+        np.einsum("ksab,ksb...->ksa...", A.coefs[j], fc[j])
+        for j in range(win.depth)
+    ]
+    return _synthesize_values(win, coefs, _zero_root(values))
+
+
+def _haar_shift(win, smap, values):
+    """Q_sigma after the projection that kills the last coefficient level,
+    whose modes the shift has no level to send to."""
+    fc, _ = _analyze_values(win, values)
+    coefs = [np.zeros_like(c) for c in fc]
+    for j in range(win.depth - 1):
+        if fc[j].size:
+            np.add.at(coefs[j + 1], (smap.image_cube_index(j), smap.sig[j]), fc[j])
+    return _synthesize_values(win, coefs, _zero_root(values))
+
+
+def _shift_commutator(win, B, smap, values):
+    BQ = _leafwise(B.leaves, _haar_shift(win, smap, values))
+    return BQ - _haar_shift(win, smap, _leafwise(B.leaves, values))
+
+
 def paraproduct(B, f):
     """pi_B f = sum_eps sum_I B_I^eps (m_I f) h_I^eps over window modes."""
     win = _check_windows(B, f)
-    spec = _paraproduct_spectrum(B, f)
-    return VectorField(win, _synthesize_values(win, spec.coefs, spec.root))
-
-
-def _paraproduct_spectrum(B, f):
-    win = B.window
-    Bs = analyze(B)
-    avgs = f.level_averages()
-    out = HaarSpectrum.zeros(win, (f.n,))
-    for j in range(win.depth):
-        out.coefs[j] = np.einsum("ksab,kb...->ksa...", Bs.coefs[j], avgs[j])
-    return out
+    return VectorField(win, _paraproduct(win, B, f.leaves))
 
 
 def conjugated_paraproduct(A, W, U, p, f):
@@ -211,31 +272,13 @@ def conjugated_paraproduct(A, W, U, p, f):
     win = _check_windows(W, U, f)
     if A.window is not win:
         raise WindowError("coefficient map lives on a different window")
-    table = W.reducing_table(p)
-    g = U.power(-1.0 / p).apply(f)
-    avgs = g.level_averages()
-    out = HaarSpectrum.zeros(win, (f.n,))
-    for j in range(win.depth):
-        out.coefs[j] = np.einsum(
-            "kab,ksbc,kc...->ksa...", table.mats[j], A.coefs[j], avgs[j]
-        )
-    return VectorField(win, _synthesize_values(win, out.coefs, out.root))
+    return VectorField(win, _conjugated_paraproduct(win, A, W, U, p, f.leaves))
 
 
 def dual_paraproduct(B, f):
     """(pi_{B*})* f = sum B_I^eps f_I^eps chi_I / |I| (adjoint of pi_{B*})."""
     win = _check_windows(B, f)
-    Bs = analyze(B)
-    fs = analyze(f)
-    acc = np.zeros((1, f.n), dtype=complex)
-    for j in range(win.depth):
-        term = (
-            np.einsum("ksab,ksb->ka", Bs.coefs[j], fs.coefs[j]) / win.volumes[j]
-        )
-        nxt = np.empty((win.cubes_at(j + 1), f.n), dtype=complex)
-        nxt[win.children_index(j)] = (acc + term)[:, None]
-        acc = nxt
-    return VectorField(win, acc)
+    return VectorField(win, _dual_paraproduct(win, B, f.leaves))
 
 
 def haar_multiplier(A, f):
@@ -243,13 +286,7 @@ def haar_multiplier(A, f):
     win = _check_windows(f)
     if A.window is not win:
         raise WindowError("coefficient map lives on a different window")
-    fs = analyze(f)
-    coefs = [
-        np.einsum("ksab,ksb...->ksa...", A.coefs[j], fs.coefs[j])
-        for j in range(win.depth)
-    ]
-    root = np.zeros_like(fs.root)
-    return VectorField(win, _synthesize_values(win, coefs, root))
+    return VectorField(win, _haar_multiplier(win, A, f.leaves))
 
 
 def mu_multiplier(U, Phi):
@@ -321,25 +358,12 @@ class ShiftMap:
         return True
 
 
-def _shift_spectrum(smap, spec):
-    win = spec.window
-    out = spec.zeros_like()
-    for j in range(win.depth - 1):
-        src = spec.coefs[j]
-        if not src.size:
-            continue
-        np.add.at(out.coefs[j + 1], (smap.image_cube_index(j), smap.sig[j]), src)
-    return out
-
-
 def haar_shift(smap, f):
     """Q_sigma f: relocate every cancellative mode; the root average dies."""
     win = _check_windows(f)
-    spec = analyze(f)
-    require_headroom(spec, "shift input")
-    out = _shift_spectrum(smap, spec)
-    leaves = _synthesize_values(win, out.coefs, np.zeros_like(spec.root))
-    if spec.kind == "matrix":
+    require_headroom(analyze(f), "shift input")
+    leaves = _haar_shift(win, smap, f.leaves)
+    if leaves.ndim == 3:
         return MatrixField(win, leaves)
     return VectorField(win, leaves)
 
@@ -347,12 +371,9 @@ def haar_shift(smap, f):
 def shift_commutator(B, smap, f):
     """[B, Q_sigma] f = B (Q f) - Q (B f), computed as the direct difference."""
     win = _check_windows(B, f)
-    Bs, fs = analyze(B), analyze(f)
-    require_headroom(Bs, "commutator symbol")
-    require_headroom(fs, "commutator argument")
-    Qf = haar_shift(smap, f)
-    Bf = B.apply(f)
-    return B.apply(Qf) - haar_shift(smap, Bf)
+    require_headroom(analyze(B), "commutator symbol")
+    require_headroom(analyze(f), "commutator argument")
+    return VectorField(win, _shift_commutator(win, B, smap, f.leaves))
 
 
 def _xnor(a, b, mask):
@@ -537,14 +558,14 @@ def dump_spectrum(spectrum, path):
             + "\n"
         )
         for j in range(win.depth):
-            for k in range(win.cubes_at(j)):
-                cube = win.cube(j, k)
+            addresses = win.addresses(j, np.arange(win.cubes_at(j)))
+            for k, address in enumerate(addresses):
                 for s in range(win.nsig):
                     c = spectrum.coefs[j][k, s]
                     fh.write(
                         json.dumps(
                             {
-                                "cube": cube.address,
+                                "cube": address,
                                 "signature": format(s, f"0{win.d}b"),
                                 "re": np.real(c).tolist(),
                                 "im": np.imag(c).tolist(),

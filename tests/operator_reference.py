@@ -1,0 +1,234 @@
+"""Frozen reference implementations of the dyadic operators.
+
+A copy of the operators as they were written before each one became a
+single leaf-array kernel in ``transforms``: one function per operator on a
+single field, and ``batched_apply`` / ``materialize`` for a batch of
+columns, with the Haar analysis and synthesis they ran on.  The tests
+compare the library against this code bit for bit, so the two must never
+share an operator contraction; only the field classes, window index
+plumbing and reducing tables come from the library.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from matweight.dyadic import WindowError, sign_table
+from matweight.fields import MatrixField, VectorField
+from matweight.transforms import HaarSpectrum, require_headroom
+
+
+def _analyze_values(window, values):
+    avgs = window.level_averages(values)
+    tbl = sign_table(window.d)
+    coefs = []
+    for j in range(window.depth):
+        ch = avgs[j + 1][window.children_index(j)]  # (cubes, 2^d, *v)
+        c = (np.sqrt(window.volumes[j]) / window.nchild) * np.einsum(
+            "sb,kb...->ks...", tbl, ch
+        )
+        coefs.append(c)
+    return coefs, avgs[0][0], avgs
+
+
+def _synthesize_values(window, coefs, root):
+    tbl = sign_table(window.d)
+    avg = np.broadcast_to(root, (1,) + root.shape).astype(complex)
+    for j in range(window.depth):
+        contrib = np.einsum("ks...,sb->kb...", coefs[j], tbl) / np.sqrt(
+            window.volumes[j]
+        )
+        nxt = np.empty(
+            (window.cubes_at(j + 1),) + root.shape, dtype=complex
+        )
+        nxt[window.children_index(j)] = avg[:, None] + contrib
+        avg = nxt
+    return avg
+
+
+def analyze(field):
+    coefs, root, _ = _analyze_values(field.window, field.leaves.astype(complex))
+    return HaarSpectrum(field.window, coefs, root)
+
+
+def _check_windows(*fields):
+    win = fields[0].window
+    for f in fields[1:]:
+        if f.window is not win:
+            raise WindowError("operands live on different windows")
+    return win
+
+
+# -- single-field operators ----------------------------------------------------
+
+
+def paraproduct(B, f):
+    win = _check_windows(B, f)
+    spec = _paraproduct_spectrum(B, f)
+    return VectorField(win, _synthesize_values(win, spec.coefs, spec.root))
+
+
+def _paraproduct_spectrum(B, f):
+    win = B.window
+    Bs = analyze(B)
+    avgs = f.level_averages()
+    out = HaarSpectrum.zeros(win, (f.n,))
+    for j in range(win.depth):
+        out.coefs[j] = np.einsum("ksab,kb...->ksa...", Bs.coefs[j], avgs[j])
+    return out
+
+
+def conjugated_paraproduct(A, W, U, p, f):
+    win = _check_windows(W, U, f)
+    if A.window is not win:
+        raise WindowError("coefficient map lives on a different window")
+    table = W.reducing_table(p)
+    g = U.power(-1.0 / p).apply(f)
+    avgs = g.level_averages()
+    out = HaarSpectrum.zeros(win, (f.n,))
+    for j in range(win.depth):
+        out.coefs[j] = np.einsum(
+            "kab,ksbc,kc...->ksa...", table.mats[j], A.coefs[j], avgs[j]
+        )
+    return VectorField(win, _synthesize_values(win, out.coefs, out.root))
+
+
+def dual_paraproduct(B, f):
+    win = _check_windows(B, f)
+    Bs = analyze(B)
+    fs = analyze(f)
+    acc = np.zeros((1, f.n), dtype=complex)
+    for j in range(win.depth):
+        term = (
+            np.einsum("ksab,ksb->ka", Bs.coefs[j], fs.coefs[j]) / win.volumes[j]
+        )
+        nxt = np.empty((win.cubes_at(j + 1), f.n), dtype=complex)
+        nxt[win.children_index(j)] = (acc + term)[:, None]
+        acc = nxt
+    return VectorField(win, acc)
+
+
+def haar_multiplier(A, f):
+    win = _check_windows(f)
+    if A.window is not win:
+        raise WindowError("coefficient map lives on a different window")
+    fs = analyze(f)
+    coefs = [
+        np.einsum("ksab,ksb...->ksa...", A.coefs[j], fs.coefs[j])
+        for j in range(win.depth)
+    ]
+    root = np.zeros_like(fs.root)
+    return VectorField(win, _synthesize_values(win, coefs, root))
+
+
+def _shift_spectrum(smap, spec):
+    win = spec.window
+    out = spec.zeros_like()
+    for j in range(win.depth - 1):
+        src = spec.coefs[j]
+        if not src.size:
+            continue
+        np.add.at(out.coefs[j + 1], (smap.image_cube_index(j), smap.sig[j]), src)
+    return out
+
+
+def haar_shift(smap, f):
+    win = _check_windows(f)
+    spec = analyze(f)
+    require_headroom(spec, "shift input")
+    out = _shift_spectrum(smap, spec)
+    leaves = _synthesize_values(win, out.coefs, np.zeros_like(spec.root))
+    if spec.kind == "matrix":
+        return MatrixField(win, leaves)
+    return VectorField(win, leaves)
+
+
+def shift_commutator(B, smap, f):
+    win = _check_windows(B, f)
+    Bs, fs = analyze(B), analyze(f)
+    require_headroom(Bs, "commutator symbol")
+    require_headroom(fs, "commutator argument")
+    Qf = haar_shift(smap, f)
+    Bf = B.apply(f)
+    return B.apply(Qf) - haar_shift(smap, Bf)
+
+
+# -- batched application and dense materialization ---------------------------
+
+
+def batched_apply(desc, window, n, values):
+    """Apply a descriptor operator to a batch: values (leaves, n, m)."""
+    kind = desc["kind"]
+    m = values.shape[2]
+    zero_root = np.zeros((n, m), dtype=complex)
+    if kind == "paraproduct":
+        Bs = analyze(desc["B"])
+        avgs = window.level_averages(values)
+        coefs = [
+            np.einsum("ksab,kbm->ksam", Bs.coefs[j], avgs[j])
+            for j in range(window.depth)
+        ]
+        return _synthesize_values(window, coefs, zero_root)
+    if kind == "conjugated_paraproduct":
+        A, W, U, p = desc["A"], desc["W"], desc["U"], desc["p"]
+        table = W.reducing_table(p)
+        g = np.einsum("lab,lbm->lam", U.power(-1.0 / p).leaves, values)
+        avgs = window.level_averages(g)
+        coefs = [
+            np.einsum("kab,ksbc,kcm->ksam", table.mats[j], A.coefs[j], avgs[j])
+            for j in range(window.depth)
+        ]
+        return _synthesize_values(window, coefs, zero_root)
+    if kind == "haar_multiplier":
+        A = desc["A"]
+        fc, _, _ = _analyze_values(window, values)
+        coefs = [
+            np.einsum("ksab,ksbm->ksam", A.coefs[j], fc[j])
+            for j in range(window.depth)
+        ]
+        return _synthesize_values(window, coefs, zero_root)
+    if kind == "dual_paraproduct":
+        Bs = analyze(desc["B"])
+        fc, _, _ = _analyze_values(window, values)
+        acc = np.zeros((1, n, m), dtype=complex)
+        for j in range(window.depth):
+            term = (
+                np.einsum("ksab,ksbm->kam", Bs.coefs[j], fc[j])
+                / window.volumes[j]
+            )
+            nxt = np.empty((window.cubes_at(j + 1), n, m), dtype=complex)
+            nxt[window.children_index(j)] = (acc + term)[:, None]
+            acc = nxt
+        return acc
+    if kind == "haar_shift":
+        smap = desc["sigma"]
+        spec = HaarSpectrum(window, *_analyze_values(window, values)[:2])
+        if not desc.get("project", False):
+            require_headroom(spec, "shift input")
+        out = _shift_spectrum(smap, spec)
+        return _synthesize_values(window, out.coefs, zero_root)
+    if kind == "commutator":
+        B, smap = desc["B"], desc["sigma"]
+        shift = {
+            "kind": "haar_shift",
+            "sigma": smap,
+            "project": desc.get("project", False),
+        }
+        Qv = batched_apply(shift, window, n, values)
+        BQv = np.einsum("lab,lbm->lam", B.leaves, Qv)
+        Bv = np.einsum("lab,lbm->lam", B.leaves, values)
+        QBv = batched_apply(shift, window, n, Bv)
+        return BQv - QBv
+    raise ValueError(f"unknown operator descriptor kind {kind!r}")
+
+
+def materialize(op, window, n):
+    """(dense matrix, provenance) of a descriptor; shift kinds are composed
+    with the projection that kills the last coefficient level."""
+    N = n * window.leafcount
+    provenance = op["kind"]
+    if op["kind"] in ("haar_shift", "commutator"):
+        op = dict(op, project=True)
+        provenance = op["kind"] + "*headroom_projection"
+    basis = np.eye(N, dtype=complex).reshape(window.leafcount, n, N)
+    return batched_apply(op, window, n, basis).reshape(N, N), provenance

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from matweight import bmo
 from matweight import opnorm as onorm
 from matweight import transforms as tf
 
+import operator_reference as oref
 import scalar_reference as ref
 from conftest import scalar_field, random_scalar_weight
 
@@ -36,34 +39,126 @@ def test_materialize_constant_paraproduct_is_zero():
     assert np.max(np.abs(T.matrix)) < 1e-13
 
 
-def test_materialize_consistency_all_kinds(rng):
-    win = Window.unit(1, 4)
-    n = 2
+@functools.lru_cache(maxsize=None)
+def _operator_setup(d, n, kind):
+    """Weights, symbol, shift map and argument with shift headroom; complex
+    weights are unitary conjugates Q^* W Q, with complex B and f."""
+    rng = np.random.default_rng([d, n, kind == "complex"])
+    win = Window.unit(d, 4 if d == 1 else 3)
     W = bmo.bounded_weight(win, n, rng)
     U = bmo.bounded_weight(win, n, rng)
     B = bmo.random_matrix_field(win, n, rng, headroom=1)
-    A = tf.analyze(B)
-    smap = tf.ShiftMap.random(win, rng)
     f = bmo.random_vector_field(win, n, rng, headroom=1)
-    cases = [
-        ({"kind": "paraproduct", "B": B}, lambda g: tf.paraproduct(B, g)),
-        ({"kind": "dual_paraproduct", "B": B}, lambda g: tf.dual_paraproduct(B, g)),
-        ({"kind": "haar_multiplier", "A": A}, lambda g: tf.haar_multiplier(A, g)),
-        (
-            {"kind": "conjugated_paraproduct", "A": A, "W": W, "U": U, "p": 3.0},
-            lambda g: tf.conjugated_paraproduct(A, W, U, 3.0, g),
+    if kind == "complex":
+        Q = np.linalg.qr(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        )[0]
+        W = MatrixField(win, Q.conj().T @ W.leaves @ Q, weight=True)
+        U = MatrixField(win, Q.conj().T @ U.leaves @ Q, weight=True)
+        B = MatrixField(
+            win, B.leaves + 1j * bmo.random_matrix_field(win, n, rng, headroom=1).leaves
+        )
+        f = VectorField(
+            win, f.leaves + 1j * bmo.random_vector_field(win, n, rng, headroom=1).leaves
+        )
+    return win, W, U, B, f, tf.ShiftMap.random(win, rng)
+
+
+def _operator_cases(win, W, U, B, smap):
+    """(descriptor, single-field operator name, operands before f) per case."""
+    A = tf.analyze(B)
+    return [
+        ({"kind": "paraproduct", "B": B}, "paraproduct", (B,)),
+        ({"kind": "dual_paraproduct", "B": B}, "dual_paraproduct", (B,)),
+        ({"kind": "haar_multiplier", "A": A}, "haar_multiplier", (A,)),
+        *(
+            (
+                {"kind": "conjugated_paraproduct", "A": A, "W": W, "U": U, "p": p},
+                "conjugated_paraproduct",
+                (A, W, U, p),
+            )
+            for p in (2.0, 3.0)
         ),
-        ({"kind": "haar_shift", "sigma": smap}, lambda g: tf.haar_shift(smap, g)),
-        (
-            {"kind": "commutator", "B": B, "sigma": smap},
-            lambda g: tf.shift_commutator(B, smap, g),
-        ),
+        ({"kind": "haar_shift", "sigma": smap}, "haar_shift", (smap,)),
+        ({"kind": "commutator", "B": B, "sigma": smap}, "shift_commutator", (B, smap)),
     ]
-    for desc, direct in cases:
-        T = onorm.materialize(desc, win, n)
-        got = T.apply_field(f).leaves
-        want = direct(f).leaves
-        assert np.max(np.abs(got - want)) < 1e-10, desc["kind"]
+
+
+_CONFIGS = [
+    (d, n, kind) for d in (1, 2) for n in (1, 2, 3) for kind in ("real", "complex")
+]
+
+
+def test_materialize_consistency_all_kinds():
+    for d, n, kind in _CONFIGS:
+        win, W, U, B, f, smap = _operator_setup(d, n, kind)
+        cases = _operator_cases(win, W, U, B, smap)
+        assert {desc["kind"] for desc, _, _ in cases} == set(onorm._KERNELS)
+        for desc, name, operands in cases:
+            T = onorm.materialize(desc, win, n)
+            got = T.apply_field(f).leaves
+            for direct in (getattr(tf, name), getattr(oref, name)):
+                want = direct(*operands, f).leaves
+                assert np.max(np.abs(got - want)) < 1e-10, (desc["kind"], d, n, kind)
+
+
+@pytest.mark.parametrize("kind", sorted(onorm._KERNELS))
+def test_operator_kernels_match_reference(kind):
+    # Every kind in materialize's kernel table needs a case here, and both
+    # the dense matrix and the single-field operator must reproduce the
+    # reference implementations bit for bit.
+    checked = 0
+    for d, n, weights in _CONFIGS:
+        win, W, U, B, f, smap = _operator_setup(d, n, weights)
+        for desc, name, operands in _operator_cases(win, W, U, B, smap):
+            if desc["kind"] != kind:
+                continue
+            T = onorm.materialize(desc, win, n)
+            matrix, provenance = oref.materialize(desc, win, n)
+            assert T.provenance == provenance
+            assert np.array_equal(T.matrix, matrix), (d, n, weights)
+            got = getattr(tf, name)(*operands, f).leaves
+            want = getattr(oref, name)(*operands, f).leaves
+            assert np.array_equal(got, want), (d, n, weights)
+            if name == "haar_shift":  # the matrix-field shift
+                got = tf.haar_shift(smap, B)
+                assert isinstance(got, MatrixField)
+                assert np.array_equal(got.leaves, oref.haar_shift(smap, B).leaves)
+            checked += 1
+    assert checked, f"no reference case for descriptor kind {kind!r}"
+
+
+@pytest.mark.parametrize("kind", ["haar_shift", "commutator"])
+def test_materialized_shift_projects_input_without_headroom(kind):
+    # The dense shift and commutator act on any input as the operator after
+    # the projection that kills the last coefficient level.
+    rng = np.random.default_rng(5)
+    win, n = Window.unit(1, 5), 2
+    B = bmo.random_matrix_field(win, n, rng, headroom=1)
+    smap = tf.ShiftMap.random(win, rng)
+    f = bmo.random_vector_field(win, n, rng)
+    spec = tf.analyze(f)
+    spec.coefs[win.depth - 1][:] = 0.0
+    g = tf.synthesize(spec)
+    if kind == "haar_shift":
+        desc, name, operands = {"kind": kind, "sigma": smap}, "haar_shift", (smap,)
+    else:
+        desc = {"kind": kind, "B": B, "sigma": smap}
+        name, operands = "shift_commutator", (B, smap)
+    with pytest.raises(tf.HeadroomError):
+        getattr(tf, name)(*operands, f)
+    T = onorm.materialize(desc, win, n)
+    assert T.provenance == kind + "*headroom_projection"
+    want = getattr(oref, name)(*operands, g).leaves
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(T.apply_field(f).leaves - want)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("depth", [3, 12])
+def test_materialize_unknown_kind(depth):
+    # the kind is looked up before the size cap and the basis allocation
+    with pytest.raises(ValueError, match="unknown operator descriptor kind 'nope'"):
+        onorm.materialize({"kind": "nope"}, Window.unit(1, depth), 2)
 
 
 def _materialize_columns(op, window, n):

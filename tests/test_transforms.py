@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matweight.dyadic import Window, WindowError, Signature
+from matweight.dyadic import DyadicGrid, Window, WindowError, Signature
 from matweight.fields import MatrixField, VectorField
 from matweight import bmo
 from matweight import transforms as tf
@@ -57,8 +57,22 @@ def test_coef_lookup_by_cube_and_signature():
     spec.coefs[1][3, 2] = 7.0
     cube = win.cube(1, 3)
     assert spec.coef(cube, Signature.from_int(2, 2))[0] == 7.0
+    assert spec.coef((1, 3), 2)[0] == 7.0
+    assert spec.coef((np.int64(1), np.int64(3)), np.int64(2))[0] == 7.0
     with pytest.raises(WindowError):
         spec.coef(cube, Signature((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "cube, sig",
+    [((-1, 3), 0), ((0, -1), 0), ((1, 2), 0), ((4, 0), 0), ((0, 0), 1), ((0, 0), -1)],
+)
+def test_coef_rejects_out_of_window_references(cube, sig):
+    # negative levels, indices and signature ints must not wrap around
+    win = Window.unit(1, 4)
+    spec = tf.HaarSpectrum.zeros(win, (1,))
+    with pytest.raises(WindowError):
+        spec.coef(cube, sig)
 
 
 # -- paraproducts ----------------------------------------------------------------
@@ -412,6 +426,35 @@ def test_dump_spectrum(tmp_path, rng):
     assert len(lines) == 1 + 3  # root + cubes at levels 0,1
     row = json.loads(lines[1])
     assert "cube" in row and "signature" in row
+
+
+def test_dump_spectrum_addresses_on_shifted_grid(tmp_path, rng):
+    # byte-identical to formatting every cube's own address
+    import json
+
+    win = Window(DyadicGrid(2, 1).cube(1, (1, -2)), 3)
+    spec = tf.analyze(bmo.random_vector_field(win, 2, rng))
+    path = tmp_path / "spec.jsonl"
+    tf.dump_spectrum(spec, path)
+    root = spec.root
+    rows = [
+        {"root": win.cube(0, 0).address, "re": root.real.tolist(), "im": root.imag.tolist()}
+    ]
+    for j in range(win.depth):
+        for k in range(win.cubes_at(j)):
+            for s in range(win.nsig):
+                c = spec.coefs[j][k, s]
+                rows.append(
+                    {
+                        "cube": win.cube(j, k).address,
+                        "signature": format(s, "02b"),
+                        "re": c.real.tolist(),
+                        "im": c.imag.tolist(),
+                    }
+                )
+    expect = "".join(json.dumps(r) + "\n" for r in rows)
+    assert path.read_text() == expect
+    assert "-" in rows[1]["cube"]  # negative positions are formatted too
 
 
 def test_haar_multiplier_adjoint_consistency(rng):
