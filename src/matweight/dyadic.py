@@ -46,7 +46,6 @@ __all__ = [
     "signature_product",
     "containing_shifted_cube",
     "sign_table",
-    "cancellative_signatures",
 ]
 
 # Coordinates admitted by containing_shifted_cube.
@@ -238,10 +237,6 @@ def sign_table(d):
         for b in range(2**d):
             tbl[s, b] = _sig_child_sign(s, b, d)
     return tbl
-
-
-def cancellative_signatures(d):
-    return [Signature.from_int(s, d) for s in range(2**d - 1)]
 
 
 class Window:

@@ -221,14 +221,9 @@ class VectorField:
 
     def lp_norm(self, p, weight=None):
         """||f||_{L^p(W)} with exact leaf quadrature (weight optional)."""
-        vals = self.leaves
-        if weight is not None:
-            wp = weight.power(1.0 / p).leaves
-            vals = np.einsum("lab,lb->la", wp, vals)
-        mags = np.linalg.norm(vals, axis=1)
-        return float(
-            (self.window.leaf_volume * np.sum(mags**p)) ** (1.0 / p)
-        )
+        P = None if weight is None else weight.power(1.0 / p).leaves
+        _, _, mass = _weighted_lp_mass(P, self.leaves, p, self.window.leaf_volume)
+        return float(mass ** (1.0 / p))
 
     def __add__(self, other):
         return VectorField(self.window, self.leaves + other.leaves)
@@ -243,6 +238,18 @@ class VectorField:
 
     def __neg__(self):
         return VectorField(self.window, -self.leaves)
+
+
+def _weighted_lp_mass(P, values, p, leaf_volume):
+    """(P f, |P f| per leaf, leaf_volume * sum over leaves of |P f|^p).
+
+    ``values`` is a leaf array (leaves, n, ...) whose trailing axes are batch
+    axes, ``P`` a stack (leaves, n, n) of leaf matrices or None for the
+    identity; the mass is the p-th power of the L^p norm with weight P^p.
+    """
+    Pf = values if P is None else np.einsum("lab,lb...->la...", P, values)
+    mags = np.sqrt(np.sum(np.abs(Pf) ** 2, axis=1))
+    return Pf, mags, leaf_volume * np.sum(mags**p, axis=0)
 
 
 def _rel(window, cube):
@@ -646,9 +653,6 @@ class ReducingTable:
             raise NotPositiveDefiniteError("reducing operators need a weight field")
         mats, kappa = _fit_reducing(_OwnGrid(W.window), W, p, dual=dual)
         return cls(W.window, p, dual, mats, kappa=kappa, exact=_is_p2(p))
-
-    def mat(self, j):
-        return self.mats[j]
 
     def inv(self, j):
         if j not in self._inv:

@@ -9,7 +9,11 @@ leaf mass cancels), computed as the square root of the top eigenvalue of the
 Gram matrix A^H A; when A has no nonzero imaginary entry the Gram and its
 eigensolve run in real arithmetic.  For p != 2 only certified lower bounds
 exist at finite cost: indicator-type test functions swept over all cubes,
-refined by projected gradient ascent on the Rayleigh ratio.
+refined by gradient ascent on the Rayleigh ratio.  The test family is built
+one level at a time, as the level's (leaves, cubes) indicator times a
+per-leaf table of e_i, U^{-1/p} e_i and U^{1/p} e_i, and every weighted
+L^p mass of the sweep and the ascent is ``fields._weighted_lp_mass``, the
+helper behind ``VectorField.lp_norm``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    VectorField, _is_p2, _mat_isqrt, _mat_sqrt, _real_if_exact,
+    FieldError, VectorField, _is_p2, _mat_isqrt, _mat_sqrt, _real_if_exact,
+    _weighted_lp_mass,
 )
 from . import transforms as tf
 
@@ -66,9 +71,11 @@ _KERNELS = {
     ),
     "dual_paraproduct": lambda op, win, v: tf._dual_paraproduct(win, op["B"], v),
     "haar_multiplier": lambda op, win, v: tf._haar_multiplier(win, op["A"], v),
-    "haar_shift": lambda op, win, v: tf._haar_shift(win, op["sigma"], v),
+    "haar_shift": lambda op, win, v: tf._haar_shift(
+        win, op["sigma"], tf._analyze_values(win, v)[0]
+    ),
     "commutator": lambda op, win, v: tf._shift_commutator(
-        win, op["B"], op["sigma"], v
+        win, op["B"], op["sigma"], v, tf._analyze_values(win, v)[0]
     ),
 }
 
@@ -123,74 +130,58 @@ def weighted_opnorm_p2(T, W, U):
     return float(np.sqrt(max(0.0, top)))
 
 
-def _lp_ratio(Tm, F, WP, UP, p, leaf_volume, n):
-    """L^p(W)/L^p(U) Rayleigh ratios for columns F (N, m)."""
-    G = Tm @ F
-    num = _lp_mass(G, WP, p, leaf_volume, n)
-    den = _lp_mass(F, UP, p, leaf_volume, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(den > 0, (num / den) ** (1.0 / p), 0.0)
-    return r
-
-
-def _lp_mass(F, P, p, leaf_volume, n):
-    X = F.reshape(-1, n, F.shape[1])
-    Y = np.einsum("lab,lbm->lam", P, X)
-    mags = np.sqrt(np.sum(np.abs(Y) ** 2, axis=1))
-    return leaf_volume * np.sum(mags**p, axis=0)
-
-
 def lp_opnorm_estimate(T, W, U, p, budget=60, rng=None):
-    """(lower bound, None) for ||T||_{L^p(U) -> L^p(W)}.
+    """(lower bound, None) for ||T||_{L^p(U) -> L^p(W)}, 1 < p < inf.
 
-    Lower bound from indicator test functions chi_J e_i and their
-    U^{+-1/p}-twisted variants over every window cube, refined by gradient
-    ascent on log ||T f||_{L^p(W)} - log ||f||_{L^p(U)}.  No finite certified
-    upper bound exists for p != 2, so none is reported.
+    Test columns chi_J e_i, chi_J U^{-1/p} e_i and chi_J U^{1/p} e_i for every
+    window cube J and component i, one level at a time until a level has more
+    than 6000 columns; the best is refined by gradient ascent on
+    log ||T f||_{L^p(W)} - log ||f||_{L^p(U)}.  Every L^p mass is
+    ``fields._weighted_lp_mass``.  No finite certified upper bound exists
+    for p != 2, so none is reported.
     """
-    win, n = T.window, T.n
+    if not 1.0 < p < np.inf:
+        raise FieldError(f"p must lie in (1, inf), got {p}")
+    win, n, Tm = T.window, T.n, T.matrix
     WP = W.power(1.0 / p).leaves
     UP = U.power(1.0 / p).leaves
     UM = U.power(-1.0 / p).leaves
-    lv = win.leaf_volume
-    Tm = T.matrix
 
-    cols = []
-    eye = np.eye(n)
+    def masses(F):
+        """L^p(W) mass of T F and L^p(U) mass of F, F of shape (N, ...)."""
+        shape = (win.leafcount, n) + F.shape[1:]
+        return (
+            _weighted_lp_mass(WP, (Tm @ F).reshape(shape), p, win.leaf_volume),
+            _weighted_lp_mass(UP, F.reshape(shape), p, win.leaf_volume),
+        )
+
+    def ratios(F):
+        (_, _, num), (_, _, den) = masses(F)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den > 0, (num / den) ** (1.0 / p), 0.0)
+
+    # per-leaf test vectors, (leaves, n, i, variant): e_i, U^{-1/p} e_i, U^{1/p} e_i
+    table = np.stack([np.broadcast_to(np.eye(n), UM.shape), UM, UP], axis=-1)
+    blocks = []
     for j in range(win.depth + 1):
-        idx = win.block_leaf_index(j)
-        for k in range(win.cubes_at(j)):
-            chi = np.zeros((win.leafcount, 1))
-            chi[idx[k]] = 1.0
-            for i in range(n):
-                plain = chi * eye[i]
-                cols.append(plain.reshape(-1))
-                cols.append(
-                    np.einsum("lab,lb->la", UM, plain).reshape(-1)
-                )
-                cols.append(
-                    np.einsum("lab,lb->la", UP, plain).reshape(-1)
-                )
-        if win.cubes_at(j) * n * 3 > 6000:
+        K = win.cubes_at(j)
+        chi = np.zeros((win.leafcount, K))
+        chi[win.block_leaf_index(j), np.arange(K)[:, None]] = 1.0
+        # (leaves, n, cube, i, variant): columns in (cube, i, variant) order
+        cols = chi[:, None, :, None, None] * table[:, :, None]
+        blocks.append(cols.reshape(T.size, -1))
+        if K * n * 3 > 6000:
             break
-    F = np.stack(cols, axis=1).astype(complex)
-    ratios = _lp_ratio(Tm, F, WP, UP, p, lv, n)
-    best = float(np.max(ratios))
-    f = F[:, int(np.argmax(ratios))].copy()
+    F = np.concatenate(blocks, axis=1)
+    r = ratios(F)
+    best = float(np.max(r))
+    f = F[:, int(np.argmax(r))]
 
     if rng is None:
         rng = np.random.default_rng(7)
     f = f + 1e-3 * rng.standard_normal(f.shape)
-    ThW = None
     for _ in range(budget):
-        num_vec = (Tm @ f).reshape(-1, n)
-        den_vec = f.reshape(-1, n)
-        gw = np.einsum("lab,lb->la", WP, num_vec)
-        gu = np.einsum("lab,lb->la", UP, den_vec)
-        nw = np.sqrt(np.sum(np.abs(gw) ** 2, axis=1))
-        nu = np.sqrt(np.sum(np.abs(gu) ** 2, axis=1))
-        num = lv * np.sum(nw**p)
-        den = lv * np.sum(nu**p)
+        (gw, nw, num), (gu, nu, den) = masses(f)
         if den <= 0 or num <= 0:
             break
         # gradient of log num - log den (Wirtinger); clamp the p < 2
@@ -203,12 +194,9 @@ def lp_opnorm_estimate(T, W, U, p, budget=60, rng=None):
         grad = gn / num - gd / den
         step = 0.25 * np.linalg.norm(f) / max(np.linalg.norm(grad), 1e-30)
         f2 = f + step * grad
-        r2 = _lp_ratio(Tm, f2[:, None], WP, UP, p, lv, n)[0]
+        r2 = ratios(f2[:, None])[0]
         r1 = (num / den) ** (1.0 / p)
-        if r2 > r1:
-            f = f2
-        else:
-            f = f + 0.25 * step * grad
+        f = f2 if r2 > r1 else f + 0.25 * step * grad
         best = max(best, float(max(r1, r2)))
     return best, None
 

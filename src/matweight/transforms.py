@@ -82,14 +82,6 @@ class HaarSpectrum:
         ]
         return cls(window, coefs, np.zeros(valdims, dtype=complex))
 
-    def zeros_like(self):
-        return HaarSpectrum.zeros(self.window, self.valdims)
-
-    def copy(self):
-        return HaarSpectrum(
-            self.window, [c.copy() for c in self.coefs], self.root.copy()
-        )
-
     @property
     def kind(self):
         return "matrix" if len(self.valdims) == 2 else "vector"
@@ -116,20 +108,6 @@ class HaarSpectrum:
     def max_abs(self):
         vals = [np.max(np.abs(c)) if c.size else 0.0 for c in self.coefs]
         return float(max(vals + [np.max(np.abs(self.root))]))
-
-    def __add__(self, other):
-        return HaarSpectrum(
-            self.window,
-            [a + b for a, b in zip(self.coefs, other.coefs)],
-            self.root + other.root,
-        )
-
-    def __sub__(self, other):
-        return HaarSpectrum(
-            self.window,
-            [a - b for a, b in zip(self.coefs, other.coefs)],
-            self.root - other.root,
-        )
 
 
 def _analyze_values(window, values):
@@ -245,20 +223,22 @@ def _haar_multiplier(win, A, values):
     return _synthesize_values(win, coefs, _zero_root(values))
 
 
-def _haar_shift(win, smap, values):
+def _haar_shift(win, smap, fc):
     """Q_sigma after the projection that kills the last coefficient level,
-    whose modes the shift has no level to send to."""
-    fc, _ = _analyze_values(win, values)
+    whose modes the shift has no level to send to; ``fc`` are the input's
+    coefficient levels (the shift reads nothing else)."""
     coefs = [np.zeros_like(c) for c in fc]
     for j in range(win.depth - 1):
         if fc[j].size:
             np.add.at(coefs[j + 1], (smap.image_cube_index(j), smap.sig[j]), fc[j])
-    return _synthesize_values(win, coefs, _zero_root(values))
+    return _synthesize_values(win, coefs, np.zeros(fc[0].shape[2:], dtype=complex))
 
 
-def _shift_commutator(win, B, smap, values):
-    BQ = _leafwise(B.leaves, _haar_shift(win, smap, values))
-    return BQ - _haar_shift(win, smap, _leafwise(B.leaves, values))
+def _shift_commutator(win, B, smap, values, fc):
+    """B (Q values) - Q (B values); ``fc`` are the coefficient levels of values."""
+    BQ = _leafwise(B.leaves, _haar_shift(win, smap, fc))
+    Bc, _ = _analyze_values(win, _leafwise(B.leaves, values))
+    return BQ - _haar_shift(win, smap, Bc)
 
 
 def paraproduct(B, f):
@@ -361,8 +341,9 @@ class ShiftMap:
 def haar_shift(smap, f):
     """Q_sigma f: relocate every cancellative mode; the root average dies."""
     win = _check_windows(f)
-    require_headroom(analyze(f), "shift input")
-    leaves = _haar_shift(win, smap, f.leaves)
+    spec = analyze(f)
+    require_headroom(spec, "shift input")
+    leaves = _haar_shift(win, smap, spec.coefs)
     if leaves.ndim == 3:
         return MatrixField(win, leaves)
     return VectorField(win, leaves)
@@ -372,8 +353,9 @@ def shift_commutator(B, smap, f):
     """[B, Q_sigma] f = B (Q f) - Q (B f), computed as the direct difference."""
     win = _check_windows(B, f)
     require_headroom(analyze(B), "commutator symbol")
-    require_headroom(analyze(f), "commutator argument")
-    return VectorField(win, _shift_commutator(win, B, smap, f.leaves))
+    spec = analyze(f)
+    require_headroom(spec, "commutator argument")
+    return VectorField(win, _shift_commutator(win, B, smap, f.leaves, spec.coefs))
 
 
 def _xnor(a, b, mask):

@@ -3,9 +3,11 @@
 A copy of the operators as they were written before each one became a
 single leaf-array kernel in ``transforms``: one function per operator on a
 single field, and ``batched_apply`` / ``materialize`` for a batch of
-columns, with the Haar analysis and synthesis they ran on.  The tests
-compare the library against this code bit for bit, so the two must never
-share an operator contraction; only the field classes, window index
+columns, with the Haar analysis and synthesis they ran on; and
+``lp_opnorm_estimate`` as it was before its test columns were built one
+level at a time, with one cube and component per step.  The tests compare
+the library against this code bit for bit, so the two must never share an
+operator contraction or an L^p mass; only the field classes, window index
 plumbing and reducing tables come from the library.
 """
 
@@ -123,7 +125,7 @@ def haar_multiplier(A, f):
 
 def _shift_spectrum(smap, spec):
     win = spec.window
-    out = spec.zeros_like()
+    out = HaarSpectrum.zeros(spec.window, spec.valdims)
     for j in range(win.depth - 1):
         src = spec.coefs[j]
         if not src.size:
@@ -232,3 +234,96 @@ def materialize(op, window, n):
         provenance = op["kind"] + "*headroom_projection"
     basis = np.eye(N, dtype=complex).reshape(window.leafcount, n, N)
     return batched_apply(op, window, n, basis).reshape(N, N), provenance
+
+
+# -- the p != 2 lower bound ----------------------------------------------------
+
+
+def _lp_ratio(Tm, F, WP, UP, p, leaf_volume, n):
+    """L^p(W)/L^p(U) Rayleigh ratios for columns F (N, m)."""
+    G = Tm @ F
+    num = _lp_mass(G, WP, p, leaf_volume, n)
+    den = _lp_mass(F, UP, p, leaf_volume, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(den > 0, (num / den) ** (1.0 / p), 0.0)
+    return r
+
+
+def _lp_mass(F, P, p, leaf_volume, n):
+    X = F.reshape(-1, n, F.shape[1])
+    Y = np.einsum("lab,lbm->lam", P, X)
+    mags = np.sqrt(np.sum(np.abs(Y) ** 2, axis=1))
+    return leaf_volume * np.sum(mags**p, axis=0)
+
+
+def lp_opnorm_estimate(T, W, U, p, budget=60, rng=None):
+    """(lower bound, None) for ||T||_{L^p(U) -> L^p(W)}.
+
+    Lower bound from indicator test functions chi_J e_i and their
+    U^{+-1/p}-twisted variants over every window cube, refined by gradient
+    ascent on log ||T f||_{L^p(W)} - log ||f||_{L^p(U)}.  No finite certified
+    upper bound exists for p != 2, so none is reported.
+    """
+    win, n = T.window, T.n
+    WP = W.power(1.0 / p).leaves
+    UP = U.power(1.0 / p).leaves
+    UM = U.power(-1.0 / p).leaves
+    lv = win.leaf_volume
+    Tm = T.matrix
+
+    cols = []
+    eye = np.eye(n)
+    for j in range(win.depth + 1):
+        idx = win.block_leaf_index(j)
+        for k in range(win.cubes_at(j)):
+            chi = np.zeros((win.leafcount, 1))
+            chi[idx[k]] = 1.0
+            for i in range(n):
+                plain = chi * eye[i]
+                cols.append(plain.reshape(-1))
+                cols.append(
+                    np.einsum("lab,lb->la", UM, plain).reshape(-1)
+                )
+                cols.append(
+                    np.einsum("lab,lb->la", UP, plain).reshape(-1)
+                )
+        if win.cubes_at(j) * n * 3 > 6000:
+            break
+    F = np.stack(cols, axis=1).astype(complex)
+    ratios = _lp_ratio(Tm, F, WP, UP, p, lv, n)
+    best = float(np.max(ratios))
+    f = F[:, int(np.argmax(ratios))].copy()
+
+    if rng is None:
+        rng = np.random.default_rng(7)
+    f = f + 1e-3 * rng.standard_normal(f.shape)
+    ThW = None
+    for _ in range(budget):
+        num_vec = (Tm @ f).reshape(-1, n)
+        den_vec = f.reshape(-1, n)
+        gw = np.einsum("lab,lb->la", WP, num_vec)
+        gu = np.einsum("lab,lb->la", UP, den_vec)
+        nw = np.sqrt(np.sum(np.abs(gw) ** 2, axis=1))
+        nu = np.sqrt(np.sum(np.abs(gu) ** 2, axis=1))
+        num = lv * np.sum(nw**p)
+        den = lv * np.sum(nu**p)
+        if den <= 0 or num <= 0:
+            break
+        # gradient of log num - log den (Wirtinger); clamp the p < 2
+        # singularity at vanishing pointwise mass
+        wn = (np.maximum(nw, 1e-150) ** (p - 2.0))[:, None]
+        wu = (np.maximum(nu, 1e-150) ** (p - 2.0))[:, None]
+        gn = np.einsum("lba,lb->la", np.conj(WP), wn * gw).reshape(-1)
+        gn = np.conj(Tm.T) @ gn
+        gd = np.einsum("lba,lb->la", np.conj(UP), wu * gu).reshape(-1)
+        grad = gn / num - gd / den
+        step = 0.25 * np.linalg.norm(f) / max(np.linalg.norm(grad), 1e-30)
+        f2 = f + step * grad
+        r2 = _lp_ratio(Tm, f2[:, None], WP, UP, p, lv, n)[0]
+        r1 = (num / den) ** (1.0 / p)
+        if r2 > r1:
+            f = f2
+        else:
+            f = f + 0.25 * step * grad
+        best = max(best, float(max(r1, r2)))
+    return best, None

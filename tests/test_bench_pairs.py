@@ -107,3 +107,13 @@ def test_bench_pairs_refuses_empty_runs(bench_pairs, tmp_path):
     with pytest.raises(SystemExit, match="no complete parent/change pairs"):
         bench_pairs.main([str(tmp_path / "runs"), "--label", "x", "--parent-commit", "c",
                           "--change", "c", "--out", str(tmp_path / "out.json")])
+
+
+def test_bench_pairs_refuses_a_set_with_one_pair(bench_pairs, tmp_path):
+    folder = tmp_path / "runs" / "ensemble_seed0"
+    _write(folder, "01-parent.json", _result(1.0, 10.0), 1000.0)
+    _write(folder, "01-change.json", _result(2.0, 9.0), 1001.0)
+    _write(folder, "02-parent.json", _result(1.0, 10.0), 2000.0)  # no partner
+    with pytest.raises(SystemExit, match="ensemble_seed0 has 1 complete parent/change pair"):
+        bench_pairs.main([str(tmp_path / "runs"), "--label", "x", "--parent-commit", "c",
+                          "--change", "c", "--out", str(tmp_path / "out.json")])

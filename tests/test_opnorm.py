@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matweight.dyadic import Window
-from matweight.fields import MatrixField, VectorField
+from matweight.fields import FieldError, MatrixField, VectorField
 from matweight import bmo
 from matweight import opnorm as onorm
 from matweight import transforms as tf
@@ -341,6 +341,73 @@ def test_lp_lower_bounds(rng):
     lo2, _ = onorm.lp_opnorm_estimate(T, W, U, 2.0, budget=40)
     assert lo2 <= exact * (1 + 1e-8)
     assert lo2 >= 0.5 * exact  # ascent gets within a factor on small windows
+
+
+@functools.lru_cache(maxsize=None)
+def _lp_setup(d, n, weights):
+    """Weights and symbol on a window of at most 64 leaves; complex weights
+    are unitary conjugates Q W Q^H, with a complex B."""
+    rng = np.random.default_rng([d, n, weights == "complex", 3])
+    win = Window.unit(d, {1: 5, 2: 3, 3: 2}[d])
+    W = bmo.bounded_weight(win, n, rng)
+    U = bmo.bounded_weight(win, n, rng)
+    B = bmo.random_matrix_field(win, n, rng)
+    if weights == "complex":
+        Q = np.linalg.qr(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        )[0]
+        W = MatrixField(win, Q @ W.leaves @ Q.conj().T, weight=True)
+        U = MatrixField(win, Q @ U.leaves @ Q.conj().T, weight=True)
+        B = MatrixField(win, B.leaves + 1j * bmo.random_matrix_field(win, n, rng).leaves)
+    return win, W, U, B
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lp_opnorm_estimate_matches_reference(d):
+    # The level-by-level test family and the one L^p mass reproduce the
+    # per-cube reference bit for bit, sweep (budget 0) and ascent alike.
+    for n in (1, 2, 3):
+        for weights in ("real", "complex"):
+            win, W, U, B = _lp_setup(d, n, weights)
+            A = tf.analyze(B)
+            for p in (1.5, 3.0):
+                for desc in (
+                    {"kind": "paraproduct", "B": B},
+                    {"kind": "conjugated_paraproduct", "A": A, "W": W, "U": U, "p": p},
+                    {"kind": "haar_multiplier", "A": A},
+                ):
+                    T = onorm.materialize(desc, win, n)
+                    for budget in (0, 5, 25):
+                        got = onorm.lp_opnorm_estimate(T, W, U, p, budget=budget)
+                        want = oref.lp_opnorm_estimate(T, W, U, p, budget=budget)
+                        assert got == want, (desc["kind"], n, weights, p, budget)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, np.inf, np.nan])
+def test_lp_opnorm_estimate_rejects_p_outside_range(p, monkeypatch):
+    win = Window.unit(1, 3)
+    Iw = MatrixField.identity(win, 1)
+    T = onorm.OperatorMatrix(np.eye(win.leafcount, dtype=complex), win, 1, "identity")
+
+    def no_power(self, s):
+        raise AssertionError("a power was formed before p was checked")
+
+    monkeypatch.setattr(MatrixField, "power", no_power)
+    with pytest.raises(FieldError, match="p must lie in"):
+        onorm.lp_opnorm_estimate(T, Iw, Iw, p)
+
+
+def test_lp_norm_is_the_weighted_lp_mass(rng):
+    # ||f||_{L^p(W)}^p = sum over leaves of |x| |W^{1/p} f|^p
+    win = Window.unit(2, 2)
+    W = bmo.bounded_weight(win, 2, rng)
+    f = bmo.random_vector_field(win, 2, rng)
+    for p in (1.5, 3.0):
+        g = np.einsum("lab,lb->la", W.power(1.0 / p).leaves, f.leaves)
+        want = (win.leaf_volume * np.sum(np.linalg.norm(g, axis=1) ** p)) ** (1.0 / p)
+        assert np.isclose(f.lp_norm(p, weight=W), want, rtol=1e-14)
+        plain = (win.leaf_volume * np.sum(np.linalg.norm(f.leaves, axis=1) ** p)) ** (1.0 / p)
+        assert np.isclose(f.lp_norm(p), plain, rtol=1e-14)
 
 
 def test_martingale_transform_unweighted_norm(rng):

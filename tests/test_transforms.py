@@ -252,6 +252,29 @@ def test_haar_shift_headroom_rejected(rng):
         tf.haar_shift(smap, f)
 
 
+def test_shift_operators_analyze_each_input_once(rng, monkeypatch):
+    # the headroom check reads the coefficients that the shift then moves
+    win = Window.unit(2, 3)
+    smap = tf.ShiftMap.random(win, rng)
+    B = bmo.random_matrix_field(win, 2, rng, headroom=1)
+    f = bmo.random_vector_field(win, 2, rng, headroom=1)
+    calls = []
+    analyze_values = tf._analyze_values
+
+    def spy(window, values):
+        calls.append(values.shape)
+        return analyze_values(window, values)
+
+    monkeypatch.setattr(tf, "_analyze_values", spy)
+    tf.haar_shift(smap, f)
+    assert len(calls) == 1
+    tf.haar_shift(smap, B)
+    assert len(calls) == 2
+    calls.clear()
+    tf.shift_commutator(B, smap, f)  # B, f and B f
+    assert len(calls) == 3
+
+
 def test_commutator_decomposition_many(rng):
     win = Window.unit(1, 6)
     for trial in range(20):

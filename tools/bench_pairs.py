@@ -11,10 +11,11 @@ and overwrites it on the next run, so copy each file as soon as its run ends
     RUNS/<set>/<NN>-change.json
     RUNS/traced_<set>/<NN>-parent.json   traced runs (--trace 1), same naming
 
-Every untraced set becomes ``workloads[<set>]`` with the runs of each pair and,
-per end-to-end metric of BENCHMARK.json, the median and quartiles of each side,
-the change's wins (ties count for neither side), the difference of the medians
-and the parent's interquartile range.  Every traced set becomes a top-level
+Every untraced set needs at least two complete pairs.  It becomes
+``workloads[<set>]`` with the runs of each pair and, per end-to-end metric of
+BENCHMARK.json, the median and quartiles of each side, the change's wins (ties
+count for neither side), the difference of the medians and the parent's
+interquartile range.  Every traced set becomes a top-level
 ``traced_<set>`` list of per-layer metrics, one entry per pair.  Standard
 library only.
 """
@@ -89,6 +90,9 @@ def build(runs_dir, metrics):
             continue
         if folder.name.startswith("traced_"):
             traced[folder.name] = [{side: e[side] for side in SIDES} for e in entries]
+        elif len(entries) < 2:
+            raise SystemExit(f"error: {folder} has {len(entries)} complete parent/change "
+                             "pair; its quartiles need at least two")
         else:
             workloads[folder.name] = {"summary": summarize(entries, metrics), "pairs": entries}
     return env, workloads, traced
