@@ -429,7 +429,10 @@ def extremal_h1_instance(B, W, U, root=(0, 0)):
     jr, kr = root
     Bs = tf.analyze(B)
     aW, aU = W.level_averages(), U.level_averages()
-    spec = tf.HaarSpectrum.zeros(win, (W.n, W.n))
+    dtype = np.result_type(B.leaves, W.leaves, U.leaves)
+    spec = tf.HaarSpectrum(
+        win, [np.zeros(c.shape, dtype) for c in Bs.coefs], np.zeros((W.n, W.n), dtype)
+    )
     frob_sq = 0.0
     for j in range(jr, win.depth):
         anc = win.ancestor_index(j, jr) if j > jr else np.arange(win.cubes_at(jr))
@@ -544,26 +547,28 @@ def bounded_weight(window, n, rng, amplitude=0.5, char_cap=10.0, kind="log_spd")
 
 
 def random_matrix_field(window, n, rng, hermitian=False, headroom=0):
-    spec = tf.HaarSpectrum.zeros(window, (n, n))
-    top = window.depth - headroom
-    for j in range(top):
-        a = rng.standard_normal((window.cubes_at(j), window.nsig, n, n))
-        if hermitian:
-            a = 0.5 * (a + np.swapaxes(a, -1, -2))
-        spec.coefs[j] = (np.sqrt(window.volumes[j]) * a).astype(complex)
-    root = rng.standard_normal((n, n))
-    spec.root = root.astype(complex)
-    return tf.synthesize(spec)
+    """Real random matrix field: Gaussian Haar coefficients scaled by
+    sqrt(|I|) on levels below depth - headroom, then a Gaussian root."""
+    return tf.synthesize(_random_spectrum(window, (n, n), rng, hermitian, headroom))
 
 
 def random_vector_field(window, n, rng, headroom=0):
-    spec = tf.HaarSpectrum.zeros(window, (n,))
-    top = window.depth - headroom
-    for j in range(top):
-        a = rng.standard_normal((window.cubes_at(j), window.nsig, n))
-        spec.coefs[j] = (np.sqrt(window.volumes[j]) * a).astype(complex)
-    spec.root = rng.standard_normal(n).astype(complex)
-    return tf.synthesize(spec)
+    """Real random vector field, drawn as ``random_matrix_field``."""
+    return tf.synthesize(_random_spectrum(window, (n,), rng, False, headroom))
+
+
+def _random_spectrum(window, valdims, rng, hermitian, headroom):
+    coefs = []
+    for j in range(window.depth):
+        shape = (window.cubes_at(j), window.nsig) + valdims
+        if j >= window.depth - headroom:
+            coefs.append(np.zeros(shape))
+            continue
+        a = rng.standard_normal(shape)
+        if hermitian:
+            a = 0.5 * (a + np.swapaxes(a, -1, -2))
+        coefs.append(np.sqrt(window.volumes[j]) * a)
+    return tf.HaarSpectrum(window, coefs, rng.standard_normal(valdims))
 
 
 # -- shifted grid sweep ---------------------------------------------------------

@@ -17,6 +17,12 @@ Reducing operators: at p = 2 the exact averages (m_I W)^{1/2} and
 direction net approximates the L^p average norm; the realized two-sided
 ratio kappa is verified on an offset net and recorded, never assumed.
 
+Dtypes.  A field is float64 when the data it is built from are real and
+complex128 otherwise (``np.result_type(data, float64)``), and everything
+derived from it (powers, averages, reducing operators) keeps that type;
+only a complex operand makes a result complex.  Dumps always store
+complex128 and load back as float64 when no imaginary entry is nonzero.
+
 Cube families.  A family gives the cubes of one grid inside the window,
 level by level, with their leaf pieces, children, means, reducing
 operators and witness cubes.  ``_OwnGrid`` is the window's own grid: each
@@ -76,6 +82,12 @@ class NotPositiveDefiniteError(FieldError):
     pass
 
 
+def _real_or_complex(data):
+    """``data`` as an array of float64, or of complex128 when it is complex."""
+    data = np.asarray(data)
+    return data.astype(np.result_type(data, np.float64), copy=False)
+
+
 def _as_herm(mats, tol, what="matrix"):
     err = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))))
     scale = max(1.0, float(np.max(np.abs(mats))))
@@ -88,13 +100,13 @@ class MatrixField:
     """Piecewise-constant n x n matrix field on a window.
 
     Weight fields are Hermitian with positive definite leaves (checked);
-    general symbol fields and operator outputs may be arbitrary complex
-    matrices.  Spectral operations (powers, inverses) demand Hermitian
-    input.
+    general symbol fields and operator outputs may be arbitrary matrices.
+    Leaves are float64 for real data and complex128 otherwise.  Spectral
+    operations (powers, inverses) demand Hermitian input.
     """
 
     def __init__(self, window, leaves, weight=False):
-        leaves = np.asarray(leaves, dtype=complex)
+        leaves = _real_or_complex(leaves)
         if leaves.shape[0] != window.leafcount or leaves.ndim != 3:
             raise FieldError("leaves must have shape (leafcount, n, n)")
         if leaves.shape[1] != leaves.shape[2]:
@@ -122,7 +134,7 @@ class MatrixField:
 
     @classmethod
     def constant(cls, window, matrix, weight=False):
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = _real_or_complex(matrix)
         return cls(window, np.broadcast_to(
             matrix, (window.leafcount,) + matrix.shape).copy(), weight=weight)
 
@@ -192,10 +204,11 @@ class MatrixField:
 
 
 class VectorField:
-    """Piecewise-constant C^n-valued function on a window."""
+    """Piecewise-constant C^n-valued function on a window (float64 leaves
+    for real data)."""
 
     def __init__(self, window, leaves):
-        leaves = np.asarray(leaves, dtype=complex)
+        leaves = _real_or_complex(leaves)
         if leaves.shape[0] != window.leafcount or leaves.ndim != 2:
             raise FieldError("leaves must have shape (leafcount, n)")
         if not np.all(np.isfinite(leaves)):
@@ -207,7 +220,7 @@ class VectorField:
 
     @classmethod
     def constant(cls, window, vec):
-        vec = np.asarray(vec, dtype=complex)
+        vec = _real_or_complex(vec)
         return cls(window, np.broadcast_to(vec, (window.leafcount, vec.shape[0])).copy())
 
     def level_averages(self):
@@ -221,6 +234,8 @@ class VectorField:
 
     def lp_norm(self, p, weight=None):
         """||f||_{L^p(W)} with exact leaf quadrature (weight optional)."""
+        if not 1.0 < p < np.inf:
+            raise FieldError(f"p must lie in (1, inf), got {p}")
         P = None if weight is None else weight.power(1.0 / p).leaves
         _, _, mass = _weighted_lp_mass(P, self.leaves, p, self.window.leaf_volume)
         return float(mass ** (1.0 / p))
@@ -565,22 +580,15 @@ def direction_net(n, offset=False):
 def _reducing_net(P, offset=False):
     """Direction net for the p != 2 reducing operators of power leaves P.
 
-    Real leaves use the real net; leaves with a nonzero imaginary entry
+    Leaves with no nonzero imaginary entry use the real net; complex leaves
     add a copy with the trailing coordinates rotated by i.
     """
-    base = direction_net(P.shape[1], offset).astype(complex)
+    base = direction_net(P.shape[1], offset)
     if P.shape[1] == 1 or not np.any(P.imag):
         return base
-    phased = base.copy()
+    phased = base.astype(complex)
     phased[:, 1:] *= 1j
     return np.concatenate([base, phased], axis=0)
-
-
-def _real_if_exact(a):
-    """``a`` as float64 when it has no nonzero imaginary entry."""
-    if np.iscomplexobj(a) and not np.any(a.imag):
-        return a.real
-    return a
 
 
 def _net_powers(P, net, expo):
@@ -590,7 +598,6 @@ def _net_powers(P, net, expo):
     (leaves * n, n) against the net, in float64 when both are real; the
     squared moduli are summed over the n rows of each product.
     """
-    P, net = _real_if_exact(P), _real_if_exact(net)
     L, n = P.shape[:2]
     Pe = (P.reshape(L * n, n) @ net.T).reshape(L, n, len(net))
     sq = np.einsum("laj,laj->lj", Pe.real, Pe.real)
@@ -613,7 +620,6 @@ def _ellipsoid_fit(rho_pow, vr_pow, net, vnet, expo):
     one matmul against the (dirs, n^2) table of outer products, taken over
     its real view when the net is complex.
     """
-    net = _real_if_exact(net)
     n = net.shape[1]
     outer = (net[:, :, None] * np.conj(net)[:, None, :]).reshape(len(net), n * n)
     table = outer.view(np.float64)  # a complex entry becomes two real columns
@@ -669,20 +675,22 @@ def _opnorms(stack):
 
     The norm is the square root of the top eigenvalue of the Gram M^H M,
     which keeps machine-epsilon relative accuracy (see
-    ``weighted_opnorm_p2``); everything runs in float64 when the stack is
-    real.  A 2 x 2 stack takes the eigenvalue in closed form from the Gram
-    entries a = |m00|^2 + |m10|^2, c = |m01|^2 + |m11|^2 and
+    ``weighted_opnorm_p2``); a float64 stack runs in float64 throughout.
+    A 2 x 2 stack takes the eigenvalue in closed form from the Gram entries
+    a = |m00|^2 + |m10|^2, c = |m01|^2 + |m11|^2 and
     b = conj(m00) m01 + conj(m10) m11:
 
         ||M|| = sqrt((a + c)/2 + hypot((a - c)/2, |b|)).
 
     Both terms under the root are sums of nonnegative numbers, so nothing
     cancels, and the zero matrix gives exactly 0.  Every other size takes
-    the top eigenvalue from a batched ``eigvalsh``.
+    the top eigenvalue from a batched ``eigvalsh`` of the Gram of the real
+    2n x 2n form [[Re M, -Im M], [Im M, Re M]], whose singular values are
+    those of M, each twice: one real path for both dtypes, so a complex
+    stack with no imaginary part gives the bits of its real part.
     """
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
-    stack = _real_if_exact(stack)
     if stack.shape[-2:] == (2, 2):
         m00, m01 = stack[..., 0, 0], stack[..., 0, 1]
         m10, m11 = stack[..., 1, 0], stack[..., 1, 1]
@@ -694,7 +702,9 @@ def _opnorms(stack):
             a, c = m00 * m00 + m10 * m10, m01 * m01 + m11 * m11
             b = np.abs(m00 * m01 + m10 * m11)
         return np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
-    gram = np.conj(np.swapaxes(stack, -1, -2)) @ stack
+    re, im = stack.real, stack.imag  # the imaginary part of a real stack is 0
+    R = np.block([[re, -im], [im, re]])
+    gram = np.swapaxes(R, -1, -2) @ R
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
@@ -721,11 +731,38 @@ def _fit_reducing(fam, W, p, dual=False, stop=None):
 
 
 def _mat_sqrt(stack):
-    vals, vecs = np.linalg.eigh(stack)
+    """PSD square roots of a stack of Hermitian matrices (lower triangle read,
+    as ``eigh`` does).  A 2 x 2 stack takes the closed form
+
+        sqrt(M) = (M + s I) / t,  s = sqrt(det M),  t = sqrt(tr M + 2 s),
+
+    with the zero matrix mapped to 0; other sizes go through ``eigh``.
+    Either way a stack with an eigenvalue below -1e-10 max(1, |eigenvalues|)
+    is refused.
+    """
+    if stack.shape[-2:] != (2, 2):
+        vals, vecs = np.linalg.eigh(stack)
+        _check_semidefinite(vals)
+        vals = np.maximum(vals, 0.0)
+        return np.einsum("...ab,...b,...cb->...ac", vecs, np.sqrt(vals), np.conj(vecs))
+    a, c, b = stack[..., 0, 0].real, stack[..., 1, 1].real, stack[..., 1, 0]
+    babs = np.abs(b)
+    mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), babs)
+    _check_semidefinite(np.stack([mid - rad, mid + rad], axis=-1))
+    s = np.sqrt(np.maximum(a * c - babs * babs, 0.0))
+    t = np.sqrt(np.maximum(a + c + 2.0 * s, 0.0))
+    inv_t = np.divide(1.0, t, out=np.zeros_like(t), where=t > 0)
+    out = np.empty(stack.shape, dtype=stack.dtype)
+    out[..., 0, 0] = (a + s) * inv_t
+    out[..., 1, 1] = (c + s) * inv_t
+    out[..., 1, 0] = b * inv_t
+    out[..., 0, 1] = np.conj(b) * inv_t
+    return out
+
+
+def _check_semidefinite(vals):
     if np.min(vals) < -1e-10 * max(1.0, float(np.max(np.abs(vals)))):
         raise NotPositiveDefiniteError("matrix square root of indefinite stack")
-    vals = np.maximum(vals, 0.0)
-    return np.einsum("...ab,...b,...cb->...ac", vecs, np.sqrt(vals), np.conj(vecs))
 
 
 def _mat_isqrt(stack):
@@ -856,18 +893,20 @@ def _theta_values(spec, window, rng):
 def _log_spd_leaves(window, n, amplitude, rng, levels=None):
     from .transforms import HaarSpectrum, synthesize  # local to avoid cycle
 
-    spec = HaarSpectrum.zeros(window, (n, n))
     top = window.depth if levels is None else min(levels, window.depth)
-    for j in range(top):
-        a = rng.standard_normal((window.cubes_at(j), window.nsig, n, n))
+    coefs = []
+    for j in range(window.depth):
+        shape = (window.cubes_at(j), window.nsig, n, n)
+        if j >= top:
+            coefs.append(np.zeros(shape))
+            continue
+        a = rng.standard_normal(shape)
         a = 0.5 * (a + np.swapaxes(a, -1, -2))
-        spec.coefs[j] = (
-            amplitude * np.sqrt(window.volumes[j]) * 2.0 ** (-0.35 * j) * a
-        ).astype(complex)
-    H = synthesize(spec).leaves
-    H = 0.5 * (H + np.conj(np.swapaxes(H, 1, 2)))
+        coefs.append(amplitude * np.sqrt(window.volumes[j]) * 2.0 ** (-0.35 * j) * a)
+    H = synthesize(HaarSpectrum(window, coefs, np.zeros((n, n)))).leaves
+    H = 0.5 * (H + np.swapaxes(H, 1, 2))
     vals, vecs = np.linalg.eigh(H)
-    return np.einsum("lab,lb,lcb->lac", vecs, np.exp(vals), np.conj(vecs))
+    return np.einsum("lab,lb,lcb->lac", vecs, np.exp(vals), vecs)
 
 
 def generate_weight(spec, window=None):
@@ -895,7 +934,7 @@ def generate_weight(spec, window=None):
         if len(alphas) != n:
             raise FieldError("need one exponent per diagonal entry")
         x0 = spec.get("x0", [0.0] * window.d)
-        leaves = np.zeros((window.leafcount, n, n), dtype=complex)
+        leaves = np.zeros((window.leafcount, n, n))
         for i, alpha in enumerate(alphas):
             leaves[:, i, i] = _power_diag_entry(window, float(alpha), x0)
         return MatrixField(window, leaves, weight=True)
@@ -923,14 +962,13 @@ def generate_weight(spec, window=None):
                 raise FieldError(f"unknown lambda spec kind {skind!r}")
         R = _rotation(theta)
         leaves = np.einsum("lba,lb,lbc->lac", R, diag, R)
-        return MatrixField(window, leaves.astype(complex), weight=True)
+        return MatrixField(window, leaves, weight=True)
     if kind == "log_spd":
         amp = float(spec.get("amplitude", 0.6))
         leaves = _log_spd_leaves(window, n, amp, rng, spec.get("levels"))
         return MatrixField(window, leaves, weight=True)
     if kind == "leaves":
-        vals = np.asarray(spec["values"], dtype=complex)
-        return MatrixField(window, vals, weight=bool(spec.get("weight", True)))
+        return MatrixField(window, spec["values"], weight=bool(spec.get("weight", True)))
     raise FieldError(f"unknown weight spec kind {kind!r}")
 
 
@@ -940,7 +978,8 @@ _MAGIC = "matweight-field"
 
 
 def dump_field(field, path):
-    """Write a field dump: one JSON header line + raw little-endian payload."""
+    """Write a field dump: one JSON header line + raw little-endian complex128
+    payload, whatever the leaves' dtype."""
     is_matrix = isinstance(field, MatrixField)
     win = field.window
     header = {
@@ -962,6 +1001,8 @@ def dump_field(field, path):
 
 
 def load_field(path, window=None):
+    """Read a ``dump_field`` file; leaves are float64 when no imaginary entry
+    of the payload is nonzero, complex128 otherwise."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         if header.get("magic") != _MAGIC:
@@ -985,6 +1026,8 @@ def load_field(path, window=None):
             f"{path}: payload has {len(raw)} bytes, the header needs {need}"
         )
     data = np.frombuffer(raw, dtype="<c16")
+    if not np.any(data.imag):
+        data = data.real
     if header["kind"] == "matrix":
         leaves = data.reshape(window.leafcount, n, n).copy()
         return MatrixField(window, leaves, weight=header["weight"])

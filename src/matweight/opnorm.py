@@ -3,11 +3,13 @@
 Every operator here acts on leaf-resolved vector fields, i.e. on C^{n * 2^{dL}}.
 A dense matrix is the operator's ``transforms`` kernel applied to the whole
 standard basis at once, so it matches the field-level operator bit for bit.
+The basis is the real identity, so the matrix is float64 unless an operand
+(symbol, coefficient map or weight) is complex, and every norm below then
+runs in real arithmetic.
 At p = 2 the weighted norm L^2(U) -> L^2(W) is the top singular value of the
 conjugated matrix A = blockdiag(W^{1/2}) T blockdiag(U^{-1/2}) (the uniform
 leaf mass cancels), computed as the square root of the top eigenvalue of the
-Gram matrix A^H A; when A has no nonzero imaginary entry the Gram and its
-eigensolve run in real arithmetic.  For p != 2 only certified lower bounds
+Gram matrix A^H A.  For p != 2 only certified lower bounds
 exist at finite cost: indicator-type test functions swept over all cubes,
 refined by gradient ascent on the Rayleigh ratio.  The test family is built
 one level at a time, as the level's (leaves, cubes) indicator times a
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    FieldError, VectorField, _is_p2, _mat_isqrt, _mat_sqrt, _real_if_exact,
-    _weighted_lp_mass,
+    FieldError, VectorField, _is_p2, _mat_isqrt, _mat_sqrt, _weighted_lp_mass,
 )
 from . import transforms as tf
 
@@ -102,7 +103,7 @@ def materialize(op, window, n):
     provenance = kind
     if kind in ("haar_shift", "commutator"):
         provenance = kind + "*headroom_projection"
-    basis = np.eye(N, dtype=complex).reshape(window.leafcount, n, N)
+    basis = np.eye(N).reshape(window.leafcount, n, N)
     cols = _KERNELS[kind](op, window, basis).reshape(N, N)
     return OperatorMatrix(matrix=cols, window=window, n=n, provenance=provenance)
 
@@ -113,9 +114,8 @@ def weighted_opnorm_p2(T, W, U):
     A = blockdiag(W^{1/2}) T blockdiag(U^{-1/2}) is formed with two batched
     matmuls over leaf blocks, and the norm is sqrt(max(0, top eigenvalue of
     the Gram A^H A)); squaring perturbs sigma_max^2 by about eps sigma_max^2,
-    so the result keeps machine-epsilon relative accuracy.  When A has no
-    nonzero imaginary entry the Gram and the eigensolve run in float64,
-    which gives the same singular values at a fraction of the cost.
+    so the result keeps machine-epsilon relative accuracy.  Real T, W and
+    U keep A, its Gram and the eigensolve in float64.
     """
     L, n, N = T.window.leafcount, T.n, T.size
     Wh = _mat_sqrt(W.leaves)
@@ -125,7 +125,6 @@ def weighted_opnorm_p2(T, W, U):
     # columns, on the transpose: (M D)^T = D^T M^T with D = blockdiag(U^{-1/2})
     At = np.matmul(np.swapaxes(Uih, 1, 2), WT.T.reshape(L, n, N)).reshape(N, N)
     # At = A^T, whose Gram conj(A A^H) has the singular values of A squared
-    At = _real_if_exact(At)
     top = np.linalg.eigvalsh(At.conj().T @ At)[-1]
     return float(np.sqrt(max(0.0, top)))
 
@@ -189,7 +188,7 @@ def lp_opnorm_estimate(T, W, U, p, budget=60, rng=None):
         wn = (np.maximum(nw, 1e-150) ** (p - 2.0))[:, None]
         wu = (np.maximum(nu, 1e-150) ** (p - 2.0))[:, None]
         gn = np.einsum("lba,lb->la", np.conj(WP), wn * gw).reshape(-1)
-        gn = np.conj(Tm.T) @ gn
+        gn = np.conj(np.conj(gn) @ Tm)  # T^H gn without forming T^H
         gd = np.einsum("lba,lb->la", np.conj(UP), wu * gu).reshape(-1)
         grad = gn / num - gd / den
         step = 0.25 * np.linalg.norm(f) / max(np.linalg.norm(grad), 1e-30)

@@ -19,6 +19,11 @@ exact:
 Shift operators demand one spare level: spectra must vanish on the last
 coefficient level, else HeadroomError.
 
+Dtypes follow the operands, as in ``fields``: real data give float64
+spectra, fields and kernel outputs, and any complex operand makes the
+result complex128.  ``HaarSpectrum.zeros`` is the one exception: it is a
+complex128 buffer for callers to write arbitrary coefficients into.
+
 Each of paraproduct, conjugated_paraproduct, dual_paraproduct,
 haar_multiplier, haar_shift and shift_commutator is written once, as a
 private kernel on leaf arrays with trailing batch axes; the public function
@@ -33,7 +38,9 @@ import json
 import numpy as np
 
 from .dyadic import WindowError, sign_table, Signature
-from .fields import MatrixField, VectorField, _haar_coefs, _OwnGrid, _rel
+from .fields import (
+    MatrixField, VectorField, _haar_coefs, _mat_sqrt, _OwnGrid, _real_or_complex, _rel,
+)
 
 __all__ = [
     "HaarSpectrum",
@@ -65,17 +72,19 @@ class HaarSpectrum:
     """Haar coefficients of a step field plus the root average.
 
     ``coefs[j]`` has shape (cubes_j, nsig, *valdims) for j = 0..depth-1;
-    ``root`` has shape valdims.
+    ``root`` has shape valdims.  The constructor keeps the coefficient
+    arrays as given and takes the root as float64 when it is real.
     """
 
     def __init__(self, window, coefs, root):
         self.window = window
         self.coefs = coefs
-        self.root = np.asarray(root, dtype=complex)
+        self.root = _real_or_complex(root)
         self.valdims = self.root.shape
 
     @classmethod
     def zeros(cls, window, valdims):
+        """An all-zero complex128 spectrum, ready to be written into."""
         coefs = [
             np.zeros((window.cubes_at(j), window.nsig) + tuple(valdims), dtype=complex)
             for j in range(window.depth)
@@ -118,22 +127,21 @@ def _analyze_values(window, values):
 
 def _synthesize_values(window, coefs, root):
     tbl = sign_table(window.d)
-    avg = np.broadcast_to(root, (1,) + root.shape).astype(complex)
+    avg = np.array(root, dtype=np.result_type(root, np.float64))[None]
     for j in range(window.depth):
         contrib = np.einsum("ks...,sb->kb...", coefs[j], tbl) / np.sqrt(
             window.volumes[j]
         )
-        nxt = np.empty(
-            (window.cubes_at(j + 1),) + root.shape, dtype=complex
-        )
-        nxt[window.children_index(j)] = avg[:, None] + contrib
+        step = avg[:, None] + contrib
+        nxt = np.empty((window.cubes_at(j + 1),) + root.shape, dtype=step.dtype)
+        nxt[window.children_index(j)] = step
         avg = nxt
     return avg
 
 
 def analyze(field):
     """Haar coefficients of a vector or matrix step field (exact on leaves)."""
-    coefs, root = _analyze_values(field.window, field.leaves.astype(complex))
+    coefs, root = _analyze_values(field.window, field.leaves)
     return HaarSpectrum(field.window, coefs, root)
 
 
@@ -173,7 +181,7 @@ def _check_windows(*fields):
 
 
 def _zero_root(values):
-    return np.zeros(values.shape[1:], dtype=complex)
+    return np.zeros(values.shape[1:], dtype=values.dtype)
 
 
 def _leafwise(M, values):
@@ -208,8 +216,9 @@ def _dual_paraproduct(win, B, values):
         term = (
             np.einsum("ksab,ksb...->ka...", Bs.coefs[j], fc[j]) / win.volumes[j]
         )
-        nxt = np.empty((win.cubes_at(j + 1),) + acc.shape[1:], dtype=complex)
-        nxt[win.children_index(j)] = (acc + term)[:, None]
+        step = (acc + term)[:, None]
+        nxt = np.empty((win.cubes_at(j + 1),) + acc.shape[1:], dtype=step.dtype)
+        nxt[win.children_index(j)] = step
         acc = nxt
     return acc
 
@@ -231,7 +240,7 @@ def _haar_shift(win, smap, fc):
     for j in range(win.depth - 1):
         if fc[j].size:
             np.add.at(coefs[j + 1], (smap.image_cube_index(j), smap.sig[j]), fc[j])
-    return _synthesize_values(win, coefs, np.zeros(fc[0].shape[2:], dtype=complex))
+    return _synthesize_values(win, coefs, np.zeros(fc[0].shape[2:], dtype=fc[0].dtype))
 
 
 def _shift_commutator(win, B, smap, values, fc):
@@ -271,8 +280,6 @@ def haar_multiplier(A, f):
 
 def mu_multiplier(U, Phi):
     """M_U Phi = sum Phi_I^eps (m_I U)^{1/2} h_I^eps (right multiplication)."""
-    from .fields import _mat_sqrt
-
     win = _check_windows(U, Phi)
     if not U.is_weight:
         raise ValueError("M_U needs a weight field")
@@ -388,10 +395,10 @@ def shift_commutator_terms(B, smap, f):
     tbl = sign_table(d)
     n = f.n
 
-    diag_rel = HaarSpectrum.zeros(win, (n,))
-    diag_mult = HaarSpectrum.zeros(win, (n,))
-    child_mult = HaarSpectrum.zeros(win, (n,))
-    dbl_shift = HaarSpectrum.zeros(win, (n,))
+    dtype = np.result_type(B.leaves, f.leaves)
+    diag_rel, diag_mult, child_mult, dbl_shift = (
+        [np.zeros(c.shape, dtype) for c in fs.coefs] for _ in range(4)
+    )
 
     for j in range(L - 1):
         K = win.cubes_at(j)
@@ -406,7 +413,7 @@ def shift_commutator_terms(B, smap, f):
         sg = tbl[:, cj]  # (S_bmode, K, S_fmode)
         M = np.einsum("pks,kpab->ksab", sg, Bc)
         v = rvol * np.einsum("ksab,ksb->ksa", M, fc)
-        np.add.at(diag_rel.coefs[j + 1], (img, dj), v)
+        np.add.at(diag_rel[j + 1], (img, dj), v)
 
         # diagonal, second piece with eps != eps': -|I|^{-1/2} Q h_I^{psi}
         for sf in range(S):
@@ -419,7 +426,7 @@ def shift_commutator_terms(B, smap, f):
                 rows = np.arange(K)
                 ci2 = win.children_index(j)[rows, c2]
                 val = -rvol * np.einsum("kab,kb->ka", Bc[:, sb], fc[:, sf])
-                np.add.at(diag_mult.coefs[j + 1], (ci2, d2), val)
+                np.add.at(diag_mult[j + 1], (ci2, d2), val)
 
         # child-level pieces need B coefficients one level down
         Bc1 = Bs.coefs[j + 1]
@@ -437,7 +444,7 @@ def shift_commutator_terms(B, smap, f):
                 if np.any(sel):
                     psi2 = _xnor(e2, dsig[sel], mask)
                     np.add.at(
-                        child_mult.coefs[j + 1],
+                        child_mult[j + 1],
                         (i2[sel], psi2),
                         rvol1 * bv[sel],
                     )
@@ -447,18 +454,16 @@ def shift_commutator_terms(B, smap, f):
                     d3 = smap.sig[j + 1][i2, e2]
                     ci3 = win.children_index(j + 1)[i2, c3]
                     np.add.at(
-                        dbl_shift.coefs[j + 2],
+                        dbl_shift[j + 2],
                         (ci3, d3),
                         -(s0[:, None] * bv),
                     )
 
-    zero_root = np.zeros(n, dtype=complex)
-    t_diag_rel = VectorField(win, _synthesize_values(win, diag_rel.coefs, zero_root))
-    t_diag_mult = VectorField(win, _synthesize_values(win, diag_mult.coefs, zero_root))
-    t_child_mult = VectorField(
-        win, _synthesize_values(win, child_mult.coefs, zero_root)
-    )
-    t_dbl = VectorField(win, _synthesize_values(win, dbl_shift.coefs, zero_root))
+    zero_root = np.zeros(n, dtype)
+    t_diag_rel = VectorField(win, _synthesize_values(win, diag_rel, zero_root))
+    t_diag_mult = VectorField(win, _synthesize_values(win, diag_mult, zero_root))
+    t_child_mult = VectorField(win, _synthesize_values(win, child_mult, zero_root))
+    t_dbl = VectorField(win, _synthesize_values(win, dbl_shift, zero_root))
 
     t_shift_dual = -haar_shift(smap, dual_paraproduct(B, f))
     t_dual_shift = dual_paraproduct(B, haar_shift(smap, f))
@@ -500,7 +505,7 @@ def weighted_square_function(W, Phi):
     if not W.is_weight:
         raise ValueError("weighted square function needs a weight field")
     ps = analyze(Phi)
-    G = np.zeros((win.leafcount, W.n, W.n), dtype=complex)
+    G = np.zeros((win.leafcount, W.n, W.n), dtype=ps.root.dtype)
     for j in range(win.depth):
         c = ps.coefs[j]  # (K, S, n, n)
         contrib = (

@@ -5,6 +5,7 @@ import pytest
 
 from matweight.cli import main, default_manifest_path
 from matweight import bmo, fields
+from matweight import stopping as stop_mod
 
 
 @pytest.fixture
@@ -171,6 +172,58 @@ def test_stopping_command(tmp_path, weight_file, capsys):
     assert "lambda" in capsys.readouterr().out
     doc = json.loads((tmp_path / "forest.json").read_text())
     assert "generations" in doc
+
+
+@pytest.fixture
+def stopping_pair(tmp_path):
+    """A real W and a complex Hermitian U = Q W' Q^H, dumped; the search
+    needs several lambda steps for this pair."""
+    spec = {"kind": "log_spd", "n": 2, "d": 1, "depth": 7, "amplitude": 1.0}
+    W = fields.generate_weight(dict(spec, seed=2))
+    Wp = fields.generate_weight(dict(spec, seed=12))
+    c, s, phase = np.cos(0.6), np.sin(0.6), np.exp(0.9j)
+    Q = np.array([[c, -s * np.conj(phase)], [s * phase, c]])
+    U = fields.MatrixField(W.window, Q @ Wp.leaves @ Q.conj().T, weight=True)
+    paths = tmp_path / "w.mwf", tmp_path / "u.mwf"
+    for field, path in zip((W, U), paths):
+        fields.dump_field(field, path)
+    return paths
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_stopping_auto_walks_each_lambda_once(tmp_path, monkeypatch, stopping_pair, p):
+    w, u = stopping_pair
+    walks, forest = [], stop_mod._forest
+
+    def spy(W, U, p, root, lam):
+        walks.append(lam)
+        return forest(W, U, p, root, lam)
+
+    monkeypatch.setattr(stop_mod, "_forest", spy)
+    out = tmp_path / "forest.json"
+    rc = main(["stopping", "--w", str(w), "--u", str(u), "--p", p, "--lam", "auto",
+               "--out", str(out)])
+    assert rc == 0
+    lam = json.loads(out.read_text())["lambda"]
+    assert lam >= 4.0  # the search took more than one step
+    assert walks == [2.0**k for k in range(1, round(np.log2(lam)) + 1)]
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_stopping_auto_dump_is_the_searched_then_built_forest(tmp_path, stopping_pair, p):
+    # the dump of the searched forest is byte for byte the dump of a forest
+    # built afresh at the lambda the public search returns
+    w, u = stopping_pair
+    out = tmp_path / "forest.json"
+    rc = main(["stopping", "--w", str(w), "--u", str(u), "--p", p, "--lam", "auto",
+               "--out", str(out)])
+    assert rc == 0
+    W = fields.load_field(w)
+    U = fields.load_field(u, window=W.window)
+    assert W.leaves.dtype == np.float64 and U.leaves.dtype == np.complex128
+    lam = stop_mod.default_lambda(W, U, float(p))
+    stop_mod.dump_forest(stop_mod.build(W, U, float(p), lam=lam), tmp_path / "built.json")
+    assert out.read_bytes() == (tmp_path / "built.json").read_bytes()
 
 
 @pytest.mark.parametrize("lam, code", [("nan", 2), ("inf", 2), ("1.5", 0)])

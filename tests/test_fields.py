@@ -624,6 +624,61 @@ def test_opnorms_empty_stack_keeps_shape(shape):
     assert got.shape == shape[:-2]
 
 
+def _root_errors(M, exact):
+    """Largest entry error of the closed form and of an eigh root."""
+    vals, vecs = np.linalg.eigh(M)
+    via_eigh = np.einsum(
+        "...ab,...b,...cb->...ac", vecs, np.sqrt(np.maximum(vals, 0.0)), np.conj(vecs)
+    )
+    return np.max(np.abs(fields._mat_sqrt(M) - exact)), np.max(np.abs(via_eigh - exact))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_mat_sqrt_closed_form_as_accurate_as_eigh(rng, kind, scale):
+    # M = Q diag(lam) Q^H with eigenvalue ratios from 1 down to 0; the exact
+    # root is Q diag(sqrt(lam)) Q^H.  Near-singular M loses accuracy to the
+    # cancellation in det M, but no more than eigh loses to its rounding.
+    eps = np.finfo(float).eps
+    for ratio in (1.0, 0.5, 1e-2, 1e-4, 1e-8, 1e-12, 1e-16, 0.0):
+        Z = rng.standard_normal((64, 2, 2))
+        if kind == "complex":
+            Z = Z + 1j * rng.standard_normal((64, 2, 2))
+        Q = np.linalg.qr(Z)[0]
+        Qh = np.conj(np.swapaxes(Q, 1, 2))
+        lam = scale * np.array([1.0, ratio])
+        M = Q @ (lam[:, None] * Qh)
+        exact = Q @ (np.sqrt(lam)[:, None] * Qh)
+        closed, via_eigh = _root_errors(M, exact)
+        assert closed <= 2.0 * via_eigh + 8 * eps * np.sqrt(scale), (ratio, closed, via_eigh)
+        got = fields._mat_sqrt(M)
+        assert got.dtype == M.dtype
+        assert np.array_equal(got, np.conj(np.swapaxes(got, 1, 2)))  # exactly Hermitian
+
+
+def test_mat_sqrt_zero_and_indefinite():
+    for dtype in (float, complex):
+        zero = fields._mat_sqrt(np.zeros((3, 2, 2), dtype=dtype))
+        assert zero.dtype == dtype and not np.any(zero)
+    # eigenvalues just inside the threshold pass, as they do through eigh
+    fields._mat_sqrt(np.array([[[1.0, 0.0], [0.0, -0.5e-10]]]))
+    for M in ([[1.0, 0.0], [0.0, -2e-10]], [[0.0, 1.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, -1.0]]):
+        with pytest.raises(NotPositiveDefiniteError, match="indefinite"):
+            fields._mat_sqrt(np.array([M]))
+        with pytest.raises(NotPositiveDefiniteError, match="indefinite"):
+            fields._mat_sqrt(np.array([np.eye(2), M], dtype=complex))
+    # other sizes keep eigh, with the same check
+    with pytest.raises(NotPositiveDefiniteError, match="indefinite"):
+        fields._mat_sqrt(np.diag([1.0, 1.0, -1e-3])[None])
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, np.inf, np.nan])
+def test_lp_norm_rejects_p_outside_range(p):
+    f = VectorField.constant(Window.unit(1, 3), [1.0, 1.0])
+    with pytest.raises(FieldError, match="p must lie in"):
+        f.lp_norm(p)
+
+
 def test_comparability_identity_weight():
     win = Window.unit(1, 3)
     W = MatrixField.identity(win, 2)

@@ -61,6 +61,11 @@ def _operator_setup(d, n, kind):
         f = VectorField(
             win, f.leaves + 1j * bmo.random_vector_field(win, n, rng, headroom=1).leaves
         )
+    else:  # real data in complex128, the dtype the reference computes in
+        W = MatrixField(win, W.leaves.astype(complex), weight=True)
+        U = MatrixField(win, U.leaves.astype(complex), weight=True)
+        B = MatrixField(win, B.leaves.astype(complex))
+        f = VectorField(win, f.leaves.astype(complex))
     return win, W, U, B, f, tf.ShiftMap.random(win, rng)
 
 
@@ -359,6 +364,10 @@ def _lp_setup(d, n, weights):
         W = MatrixField(win, Q @ W.leaves @ Q.conj().T, weight=True)
         U = MatrixField(win, Q @ U.leaves @ Q.conj().T, weight=True)
         B = MatrixField(win, B.leaves + 1j * bmo.random_matrix_field(win, n, rng).leaves)
+    else:  # real data in complex128, the dtype the reference computes in
+        W = MatrixField(win, W.leaves.astype(complex), weight=True)
+        U = MatrixField(win, U.leaves.astype(complex), weight=True)
+        B = MatrixField(win, B.leaves.astype(complex))
     return win, W, U, B
 
 
