@@ -258,7 +258,8 @@ def _identity_audits(manifest):
 
     W = bmo_mod.bounded_weight(win, n, rng)
     U = bmo_mod.bounded_weight(win, n, rng)
-    _, forest = stop_mod._lambda_search(W, U, 2.0)
+    lam = stop_mod.default_lambda(W, U, 2.0)
+    forest = stop_mod.build(W, U, 2.0, lam=lam)
     audits["stopping_decay"] = stop_mod.verify_decay(forest).all_ok
 
     fkp, buck, isr = bmo_mod.buckley_fkp_summation(W)
@@ -368,10 +369,10 @@ def cmd_stopping(args):
     W = fmod.load_field(args.w)
     U = fmod.load_field(args.u, window=W.window) if args.u else W
     if args.lam == "auto":
-        lam, forest = stop_mod._lambda_search(W, U, args.p)
+        lam = stop_mod.default_lambda(W, U, args.p)
     else:
         lam = float(args.lam)
-        forest = stop_mod.build(W, U, args.p, lam=lam)
+    forest = stop_mod.build(W, U, args.p, lam=lam)
     report = stop_mod.verify_decay(forest)
     if args.out:
         stop_mod.dump_forest(forest, args.out)

@@ -683,11 +683,11 @@ def _opnorms(stack):
         ||M|| = sqrt((a + c)/2 + hypot((a - c)/2, |b|)).
 
     Both terms under the root are sums of nonnegative numbers, so nothing
-    cancels, and the zero matrix gives exactly 0.  Every other size takes
-    the top eigenvalue from a batched ``eigvalsh`` of the Gram of the real
-    2n x 2n form [[Re M, -Im M], [Im M, Re M]], whose singular values are
-    those of M, each twice: one real path for both dtypes, so a complex
-    stack with no imaginary part gives the bits of its real part.
+    cancels, and the zero matrix gives exactly 0 (a complex stack with no
+    imaginary part gives the bits of its real part).  Every other size takes
+    the top eigenvalue from a batched ``eigvalsh`` of the n x n Gram; a
+    complex stack with no nonzero imaginary entry takes the real Gram, so
+    it too gives the bits of its real part.
     """
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
@@ -702,9 +702,9 @@ def _opnorms(stack):
             a, c = m00 * m00 + m10 * m10, m01 * m01 + m11 * m11
             b = np.abs(m00 * m01 + m10 * m11)
         return np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
-    re, im = stack.real, stack.imag  # the imaginary part of a real stack is 0
-    R = np.block([[re, -im], [im, re]])
-    gram = np.swapaxes(R, -1, -2) @ R
+    if np.iscomplexobj(stack) and not stack.imag.any():
+        stack = stack.real
+    gram = np.conj(np.swapaxes(stack, -1, -2)) @ stack
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 

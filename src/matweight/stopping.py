@@ -192,18 +192,12 @@ def verify_decay(forest):
 
 def default_lambda(W, U, p, root=None, cap=LAMBDA_CAP):
     """Smallest power of two for which the decay bound verifies on the window."""
-    return _lambda_search(W, U, p, root, cap)[0]
-
-
-def _lambda_search(W, U, p, root=None, cap=LAMBDA_CAP):
-    """(lambda, forest) of ``default_lambda``: the forest is the one whose
-    decay bound verified, so a caller that needs it walks it only once."""
     root = _root_index(W.window, root)
     lam = 2.0
     while lam <= cap:
         forest = _forest(W, U, p, root, lam)
         if verify_decay(forest).all_ok:
-            return lam, forest
+            return lam
         lam *= 2.0
     raise LambdaSearchError(
         f"no lambda up to {cap:g} verified the decay bound on this window"

@@ -176,8 +176,7 @@ def test_stopping_command(tmp_path, weight_file, capsys):
 
 @pytest.fixture
 def stopping_pair(tmp_path):
-    """A real W and a complex Hermitian U = Q W' Q^H, dumped; the search
-    needs several lambda steps for this pair."""
+    """A real W and a complex Hermitian U = Q W' Q^H, dumped."""
     spec = {"kind": "log_spd", "n": 2, "d": 1, "depth": 7, "amplitude": 1.0}
     W = fields.generate_weight(dict(spec, seed=2))
     Wp = fields.generate_weight(dict(spec, seed=12))
@@ -191,28 +190,9 @@ def stopping_pair(tmp_path):
 
 
 @pytest.mark.parametrize("p", ["2", "3"])
-def test_stopping_auto_walks_each_lambda_once(tmp_path, monkeypatch, stopping_pair, p):
-    w, u = stopping_pair
-    walks, forest = [], stop_mod._forest
-
-    def spy(W, U, p, root, lam):
-        walks.append(lam)
-        return forest(W, U, p, root, lam)
-
-    monkeypatch.setattr(stop_mod, "_forest", spy)
-    out = tmp_path / "forest.json"
-    rc = main(["stopping", "--w", str(w), "--u", str(u), "--p", p, "--lam", "auto",
-               "--out", str(out)])
-    assert rc == 0
-    lam = json.loads(out.read_text())["lambda"]
-    assert lam >= 4.0  # the search took more than one step
-    assert walks == [2.0**k for k in range(1, round(np.log2(lam)) + 1)]
-
-
-@pytest.mark.parametrize("p", ["2", "3"])
-def test_stopping_auto_dump_is_the_searched_then_built_forest(tmp_path, stopping_pair, p):
-    # the dump of the searched forest is byte for byte the dump of a forest
-    # built afresh at the lambda the public search returns
+def test_stopping_auto_dump_matches_library_forest(tmp_path, stopping_pair, p):
+    # the command's dump is byte for byte the dump of the library forest
+    # built at the lambda that default_lambda returns
     w, u = stopping_pair
     out = tmp_path / "forest.json"
     rc = main(["stopping", "--w", str(w), "--u", str(u), "--p", p, "--lam", "auto",
