@@ -23,10 +23,11 @@ down the tree and sandwiched by Y_J.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
-from .dyadic import WindowError
+from .dyadic import Window, WindowError
 from .fields import (
     MatrixField,
     FieldError,
@@ -69,6 +70,7 @@ __all__ = [
     "random_vector_field",
     "matrix_weight_theorem_pipeline",
     "equivalence_experiment",
+    "jn_experiment",
     "bounded_weight",
 ]
 
@@ -463,27 +465,15 @@ def extremal_h1_instance(B, W, U, root=(0, 0)):
 def duality_experiment(spec):
     """Pairing-ratio sweep for the p = 2 duality statement.
 
-    spec: dict with n, d, depth, seeds (list), amplitude, char_cap.  Each
+    spec: the ensemble keys of ``_ensemble`` (seeds default to 0..19).  Each
     seed draws weights W, U with window A2 at most char_cap, a random
     symbol B and a random test field Phi, and records the upper-direction
     ratio |<Phi,B>| / (A2(W)^{1/2} cond_b(B)^{1/2} ||Phi||_{H^1}) plus the
     extremal-instance lower-direction data and its hard H^1 bound check.
     """
-    n = int(spec.get("n", 2))
-    d = int(spec.get("d", 1))
-    depth = int(spec.get("depth", 6))
-    seeds = spec.get("seeds", list(range(20)))
-    amp = float(spec.get("amplitude", 0.5))
-    cap = float(spec.get("char_cap", 10.0))
-    kind = spec.get("weight_kind", "log_spd")
-    from .dyadic import Window
-
     rows = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        win = Window.unit(d, depth)
-        W = bounded_weight(win, n, rng, amplitude=amp, char_cap=cap, kind=kind)
-        U = bounded_weight(win, n, rng, amplitude=amp, char_cap=cap, kind=kind)
+    for seed, rng, win, n, draw in _ensemble(spec, range(20)):
+        W, U = draw(), draw()
         B = random_matrix_field(win, n, rng)
         Phi = random_matrix_field(win, n, rng)
         pairing = frobenius_pairing(Phi, B)
@@ -498,7 +488,7 @@ def duality_experiment(spec):
         lower_denom = h1S * np.sqrt(cbJ)
         lower_ratio = abs(pairS) / lower_denom if lower_denom > 0 else 0.0
         # a second extremal instance below a random strictly deeper cube
-        jdeep = int(rng.integers(1, max(2, depth - 1)))
+        jdeep = int(rng.integers(1, max(2, win.depth - 1)))
         kdeep = int(rng.integers(0, win.cubes_at(jdeep)))
         _, pairD, predD, h1D, boundD = extremal_h1_instance(
             B, W, U, root=(jdeep, kdeep)
@@ -529,6 +519,24 @@ def duality_experiment(spec):
         )
     ceiling = max((r["upper_ratio"] for r in rows), default=0.0)
     return {"rows": rows, "upper_ratio_ceiling": ceiling}
+
+
+def _ensemble(spec, default_seeds):
+    """Read the manifest keys n, d, depth, seeds, amplitude, char_cap and
+    weight_kind once; yield (seed, rng, unit window, n, draw) per seed, where
+    draw() is ``bounded_weight`` on them under the manifest's parameters."""
+    n = int(spec.get("n", 2))
+    d = int(spec.get("d", 1))
+    depth = int(spec.get("depth", 6))
+    params = {
+        "amplitude": float(spec.get("amplitude", 0.5)),
+        "char_cap": float(spec.get("char_cap", 10.0)),
+        "kind": spec.get("weight_kind", "log_spd"),
+    }
+    for seed in spec.get("seeds", default_seeds):
+        rng = np.random.default_rng(seed)
+        win = Window.unit(d, depth)
+        yield seed, rng, win, n, partial(bounded_weight, win, n, rng, **params)
 
 
 def bounded_weight(window, n, rng, amplitude=0.5, char_cap=10.0, kind="log_spd"):
@@ -668,27 +676,16 @@ def matrix_weight_theorem_pipeline(Lam, U, p, eps=1.0):
 def equivalence_experiment(spec):
     """Measure the condition family plus the operator norm across an ensemble.
 
-    spec: n, d, depth, seeds, p_values, eps, amplitude, char_cap.  Returns
-    rows of raw quantities and pairwise ratio bands of homogeneity-aligned
-    values (every quantity normalized to quadratic degree in the symbol).
+    spec: the ensemble keys of ``_ensemble`` (seeds default to 0..19) plus
+    p_values and eps.  Returns rows of raw quantities and pairwise ratio
+    bands of homogeneity-aligned values (every quantity normalized to
+    quadratic degree in the symbol).
     """
-    from .dyadic import Window
-
-    n = int(spec.get("n", 2))
-    d = int(spec.get("d", 1))
-    depth = int(spec.get("depth", 6))
-    seeds = spec.get("seeds", list(range(20)))
     p_values = spec.get("p_values", [2.0, 3.0, 1.5])
     eps = float(spec.get("eps", 1.0))
-    amp = float(spec.get("amplitude", 0.5))
-    cap = float(spec.get("char_cap", 10.0))
-    kind = spec.get("weight_kind", "log_spd")
     rows = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        win = Window.unit(d, depth)
-        W = bounded_weight(win, n, rng, amplitude=amp, char_cap=cap, kind=kind)
-        U = bounded_weight(win, n, rng, amplitude=amp, char_cap=cap, kind=kind)
+    for seed, rng, win, n, draw in _ensemble(spec, range(20)):
+        W, U = draw(), draw()
         B = random_matrix_field(win, n, rng)
         A = tf.analyze(B)
         a2 = {"a2W": ap_characteristic(W, 2), "a2U": ap_characteristic(U, 2)}
@@ -732,6 +729,26 @@ def equivalence_experiment(spec):
                 }
             )
     return {"rows": rows, "bands": ratio_bands(rows)}
+
+
+def jn_experiment(spec):
+    """``jn_p2_pair(B, W, eps)`` and ``vector_jn(f, W, p)`` across an ensemble.
+
+    spec: the keys of ``_ensemble`` (seeds default to 0..9) plus p and eps.
+    zero_ok checks that the pair of a constant symbol is exactly 0.
+    """
+    p = float(spec.get("p", 2.0))
+    eps = float(spec.get("eps", 1.0))
+    rows = []
+    for seed, rng, win, n, draw in _ensemble(spec, range(10)):
+        W = draw()
+        B = random_matrix_field(win, n, rng)
+        f = random_vector_field(win, n, rng)
+        reports = [*jn_p2_pair(B, W, eps), *vector_jn(f, W, p)]
+        rows.append({"seed": seed, "a2W": ap_characteristic(W, 2), "reports": reports})
+    ((_, _, win, n, draw),) = _ensemble(dict(spec, seeds=[0]), ())
+    zero = jn_p2_pair(MatrixField.constant(win, np.eye(n)), draw(), eps)
+    return {"rows": rows, "zero_ok": all(rep.supremum == 0.0 for rep in zero)}
 
 
 _QUADRATIC_KEYS = ("carleson_norm", "condition_b", "hlw_condition", "pi_opnorm_sq")

@@ -38,33 +38,37 @@ CSV_COLUMNS = [
 
 
 def _fmt(x):
-    if x is None or x == "":
-        return ""
     if isinstance(x, float):
         return format(x, ".12g")
     return str(x)
 
 
-def _write_csv(path, rows):
-    lines = ["# generated: " + datetime.now(timezone.utc).isoformat()]
-    lines.append(",".join(CSV_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(c, "")) for c in CSV_COLUMNS))
-    text = "\n".join(lines) + "\n"
+def _emit(path, text):
     if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _write_csv(path, rows):
+    """One row per sequence of values in ``CSV_COLUMNS`` order."""
+    lines = ["# generated: " + datetime.now(timezone.utc).isoformat()]
+    lines.append(",".join(CSV_COLUMNS))
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, payload):
-    text = json.dumps(payload, indent=1, default=_json_default) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit(path, json.dumps(payload, indent=1, default=_json_default) + "\n")
+
+
+def _report_row(report, grid, a2W, a2U, seed):
+    """The CSV row of one ``BmoReport``."""
+    return [
+        report.quantity, report.params["p"], report.params.get("eps", ""), grid,
+        report.supremum, report.witness, a2W, a2U, seed,
+    ]
 
 
 def _json_default(obj):
@@ -73,13 +77,7 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, bmo_mod.BmoReport):
-        return {
-            "quantity": obj.quantity,
-            "supremum": obj.supremum,
-            "witness": obj.witness,
-            "params": obj.params,
-            "extras": obj.extras,
-        }
+        return vars(obj)
     return str(obj)
 
 
@@ -92,25 +90,23 @@ plot '{csv}' using 9:5 with points title 'quantities by seed'
 """
 
 
-def _write_gnuplot(path, csv_path):
-    with open(path, "w") as fh:
-        fh.write(_GNUPLOT_TEMPLATE.format(csv=csv_path))
+def _write_report(args, rows, payload):
+    """CSV rows or the JSON payload to --out, plus the --gnuplot script."""
+    if args.format == "json":
+        _write_json(args.out or "-", payload)
+        return
+    _write_csv(args.out or "-", rows)
+    if getattr(args, "gnuplot", None) and args.out:
+        _emit(args.gnuplot, _GNUPLOT_TEMPLATE.format(csv=args.out))
 
 
-def _load_manifest(path, args=None):
-    if path is None:
-        with resources.files("matweight.data").joinpath(
-            "default_verify.json"
-        ).open() as fh:
-            manifest = json.load(fh)
-    else:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    if args is not None:
-        if getattr(args, "depth", None) is not None:
-            manifest["depth"] = args.depth
-        if getattr(args, "seeds", None):
-            manifest["seeds"] = [int(s) for s in args.seeds.split(",")]
+def _load_manifest(args):
+    with open(default_manifest_path() if args.manifest is None else args.manifest) as fh:
+        manifest = json.load(fh)
+    if args.depth is not None:
+        manifest["depth"] = args.depth
+    if args.seeds:
+        manifest["seeds"] = [int(s) for s in args.seeds.split(",")]
     return manifest
 
 
@@ -125,8 +121,8 @@ def cmd_gen(args):
     with open(args.spec) as fh:
         spec = json.load(fh)
     field = fmod.generate_weight(spec)
+    char = fmod.ap_characteristic(field, args.p)  # rejects a bad p before the dump
     fmod.dump_field(field, args.out)
-    char = fmod.ap_characteristic(field, args.p)
     print(f"wrote {args.out}  (n={field.n}, d={field.window.d}, "
           f"depth={field.window.depth}, A_{args.p:g} = {char:.6g})")
     return 0
@@ -205,34 +201,22 @@ def cmd_bmo(args):
         return 0
     a2W = fmod.ap_characteristic(W, 2)
     a2U = fmod.ap_characteristic(U, 2)
-    rows = [
-        {
-            "quantity": r.quantity,
-            "p": r.params.get("p", p),
-            "epsilon": r.params.get("eps", ""),
-            "grid": W.window.grid.shift,
-            "supremum": r.supremum,
-            "witness_cube": r.witness,
-            "a2W": a2W,
-            "a2U": a2U,
-            "seed": "",
-        }
-        for r in reports
-    ]
-    if args.format == "json":
-        _write_json(args.out or "-", {"reports": reports, "hard_ok": hard_ok})
-    else:
-        _write_csv(args.out or "-", rows)
+    rows = [_report_row(r, W.window.grid.shift, a2W, a2U, "") for r in reports]
+    _write_report(args, rows, {"reports": reports, "hard_ok": hard_ok})
     return 0 if hard_ok else 1
 
 
+def _probe(manifest, seed):
+    """rng, window and n of ensemble seed ``seed`` of the manifest."""
+    ((_, rng, win, n, _),) = bmo_mod._ensemble(dict(manifest, seeds=[seed]), ())
+    return rng, win, n
+
+
 def _identity_audits(manifest):
-    """Cheap exact-identity checks backing the exit-code contract."""
-    rng = np.random.default_rng(2024)
-    n = int(manifest.get("n", 2))
-    d = int(manifest.get("d", 1))
-    depth = min(int(manifest.get("depth", 6)), 6)
-    win = Window.unit(d, depth)
+    """Cheap exact-identity checks backing the exit-code contract, drawn
+    from seed 2024 on the manifest's window cut to depth 6 at most."""
+    rng, win, n = _probe(manifest, 2024)
+    win = Window.unit(win.d, min(win.depth, 6))
     audits = {}
 
     f = bmo_mod.random_vector_field(win, n, rng)
@@ -260,7 +244,9 @@ def _identity_audits(manifest):
     U = bmo_mod.bounded_weight(win, n, rng)
     lam = stop_mod.default_lambda(W, U, 2.0)
     forest = stop_mod.build(W, U, 2.0, lam=lam)
-    audits["stopping_decay"] = stop_mod.verify_decay(forest).all_ok
+    audits["stopping_decay"] = (
+        stop_mod.verify_decay(forest).all_ok and stop_mod._rule_holds(forest, W, U)
+    )
 
     fkp, buck, isr = bmo_mod.buckley_fkp_summation(W)
     audits["buckley_psd"] = bmo_mod.buckley_psd_slack(W, buck) >= -1e-10
@@ -279,41 +265,24 @@ _VERIFY_QUANTITIES = (
 
 
 def cmd_verify(args):
-    manifest = _load_manifest(args.manifest, args)
+    manifest = _load_manifest(args)
     result = bmo_mod.equivalence_experiment(manifest)
     audits = _identity_audits(manifest)
-    rows = []
-    for r in result["rows"]:
-        for q in _VERIFY_QUANTITIES:
-            if q not in r:
-                continue
-            rows.append(
-                {
-                    "quantity": q,
-                    "p": r["p"],
-                    "epsilon": r["eps"],
-                    "grid": manifest.get("shift", 2 ** manifest.get("d", 1)),
-                    "supremum": r[q],
-                    "witness_cube": r.get(q + "_witness", ""),
-                    "a2W": r["a2W"],
-                    "a2U": r["a2U"],
-                    "seed": r["seed"],
-                }
-            )
+    grid = _probe(manifest, 0)[1].grid.shift
+    rows = [
+        [q, r["p"], r["eps"], grid, r[q], r.get(q + "_witness", ""), r["a2W"], r["a2U"], r["seed"]]
+        for r in result["rows"]
+        for q in _VERIFY_QUANTITIES
+        if q in r
+    ]
     psd_ok = all(r.get("psd_band_ok", True) for r in result["rows"])
     hard_ok = all(audits.values()) and psd_ok
-    if args.format == "json":
-        payload = {
-            "rows": result["rows"],
-            "bands": {str(k): v for k, v in result["bands"].items()},
-            "audits": audits,
-            "hard_ok": hard_ok,
-        }
-        _write_json(args.out or "-", payload)
-    else:
-        _write_csv(args.out or "-", rows)
-    if args.gnuplot and args.out and args.format == "csv":
-        _write_gnuplot(args.gnuplot, args.out)
+    _write_report(args, rows, {
+        "rows": result["rows"],
+        "bands": {str(k): v for k, v in result["bands"].items()},
+        "audits": audits,
+        "hard_ok": hard_ok,
+    })
     for name, ok in sorted(audits.items()):
         print(f"audit {name}: {'pass' if ok else 'FAIL'}")
     print(f"psd band agreement: {'pass' if psd_ok else 'FAIL'}")
@@ -323,43 +292,16 @@ def cmd_verify(args):
 
 
 def cmd_duality(args):
-    manifest = _load_manifest(args.manifest, args)
+    manifest = _load_manifest(args)
     report = bmo_mod.duality_experiment(manifest)
-    rows = []
-    for r in report["rows"]:
-        rows.append(
-            {
-                "quantity": "duality_upper_ratio",
-                "p": 2,
-                "epsilon": "",
-                "grid": 2 ** manifest.get("d", 1),
-                "supremum": r["upper_ratio"],
-                "witness_cube": "",
-                "a2W": r["a2W"],
-                "a2U": r["a2U"],
-                "seed": r["seed"],
-            }
-        )
-        rows.append(
-            {
-                "quantity": "duality_extremal_h1",
-                "p": 2,
-                "epsilon": "",
-                "grid": 2 ** manifest.get("d", 1),
-                "supremum": r["extremal_h1"],
-                "witness_cube": "",
-                "a2W": r["a2W"],
-                "a2U": r["a2U"],
-                "seed": r["seed"],
-            }
-        )
+    grid = _probe(manifest, 0)[1].grid.shift
+    rows = [
+        ["duality_" + key, 2, "", grid, r[key], "", r["a2W"], r["a2U"], r["seed"]]
+        for r in report["rows"]
+        for key in ("upper_ratio", "extremal_h1")
+    ]
     hard_ok = all(r["extremal_h1_ok"] for r in report["rows"])
-    if args.format == "json":
-        _write_json(args.out or "-", {**report, "hard_ok": hard_ok})
-    else:
-        _write_csv(args.out or "-", rows)
-    if args.gnuplot and args.out and args.format == "csv":
-        _write_gnuplot(args.gnuplot, args.out)
+    _write_report(args, rows, {**report, "hard_ok": hard_ok})
     print(f"upper ratio ceiling: {report['upper_ratio_ceiling']:.6g}")
     print(f"extremal H1 bound: {'pass' if hard_ok else 'FAIL'}")
     return 0 if hard_ok else 1
@@ -386,48 +328,17 @@ def cmd_stopping(args):
 
 
 def cmd_jn(args):
-    manifest = _load_manifest(args.manifest, args)
-    n = int(manifest.get("n", 2))
-    d = int(manifest.get("d", 1))
-    depth = int(manifest.get("depth", 6))
-    seeds = manifest.get("seeds", list(range(10)))
-    p = float(manifest.get("p", 2.0))
-    eps = float(manifest.get("eps", 1.0))
-    rows = []
-    hard_ok = True
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        win = Window.unit(d, depth)
-        W = bmo_mod.bounded_weight(win, n, rng)
-        B = bmo_mod.random_matrix_field(win, n, rng)
-        f = bmo_mod.random_vector_field(win, n, rng)
-        left, right = bmo_mod.jn_p2_pair(B, W, eps)
-        wjn, plain = bmo_mod.vector_jn(f, W, p)
-        a2W = fmod.ap_characteristic(W, 2)
-        for rep in (left, right, wjn, plain):
-            rows.append(
-                {
-                    "quantity": rep.quantity,
-                    "p": rep.params.get("p", p),
-                    "epsilon": rep.params.get("eps", ""),
-                    "grid": 2**d,
-                    "supremum": rep.supremum,
-                    "witness_cube": rep.witness,
-                    "a2W": a2W,
-                    "a2U": "",
-                    "seed": seed,
-                }
-            )
-    # exact-zero degenerate check backs the exit code
-    win = Window.unit(d, depth)
-    rng = np.random.default_rng(0)
-    W = bmo_mod.bounded_weight(win, n, rng)
-    Bc = fmod.MatrixField.constant(win, np.eye(n))
-    lz, rz = bmo_mod.jn_p2_pair(Bc, W, eps)
-    hard_ok = lz.supremum == 0.0 and rz.supremum == 0.0
+    manifest = _load_manifest(args)
+    result = bmo_mod.jn_experiment(manifest)
+    grid = _probe(manifest, 0)[1].grid.shift
+    rows = [
+        _report_row(rep, grid, r["a2W"], "", r["seed"])
+        for r in result["rows"]
+        for rep in r["reports"]
+    ]
     _write_csv(args.out or "-", rows)
-    print(f"degenerate-zero check: {'pass' if hard_ok else 'FAIL'}")
-    return 0 if hard_ok else 1
+    print(f"degenerate-zero check: {'pass' if result['zero_ok'] else 'FAIL'}")
+    return 0 if result["zero_ok"] else 1
 
 
 def cmd_thm12(args):
@@ -478,23 +389,20 @@ def main(argv=None):
     b.add_argument("--format", choices=("csv", "json"), default="csv")
     b.set_defaults(fn=cmd_bmo)
 
-    v = sub.add_parser("verify", help="ensemble equivalence experiment")
-    v.add_argument("--manifest", default=None)
-    v.add_argument("--depth", type=int, default=None)
-    v.add_argument("--seeds", default=None, help="comma list, overrides manifest")
-    v.add_argument("--out", default=None)
-    v.add_argument("--format", choices=("csv", "json"), default="csv")
-    v.add_argument("--gnuplot", default=None, help="also write a plot script")
-    v.set_defaults(fn=cmd_verify)
-
-    du = sub.add_parser("duality", help="H1-BMO duality ratio experiment")
-    du.add_argument("--manifest", default=None)
-    du.add_argument("--depth", type=int, default=None)
-    du.add_argument("--seeds", default=None, help="comma list, overrides manifest")
-    du.add_argument("--out", default=None)
-    du.add_argument("--format", choices=("csv", "json"), default="csv")
-    du.add_argument("--gnuplot", default=None, help="also write a plot script")
-    du.set_defaults(fn=cmd_duality)
+    for name, help_text, fn in (
+        ("verify", "ensemble equivalence experiment", cmd_verify),
+        ("duality", "H1-BMO duality ratio experiment", cmd_duality),
+        ("jn", "John-Nirenberg pair ensembles", cmd_jn),
+    ):
+        e = sub.add_parser(name, help=help_text)
+        e.add_argument("--manifest", default=None)
+        e.add_argument("--depth", type=int, default=None)
+        e.add_argument("--seeds", default=None, help="comma list, overrides manifest")
+        e.add_argument("--out", default=None)
+        if fn is not cmd_jn:
+            e.add_argument("--format", choices=("csv", "json"), default="csv")
+            e.add_argument("--gnuplot", default=None, help="also write a plot script")
+        e.set_defaults(fn=fn)
 
     st = sub.add_parser("stopping", help="stopping forest and decay report")
     st.add_argument("--w", required=True)
@@ -503,13 +411,6 @@ def main(argv=None):
     st.add_argument("--lam", default="auto", help="threshold or 'auto'")
     st.add_argument("--out", default=None)
     st.set_defaults(fn=cmd_stopping)
-
-    jn = sub.add_parser("jn", help="John-Nirenberg pair ensembles")
-    jn.add_argument("--manifest", default=None)
-    jn.add_argument("--depth", type=int, default=None)
-    jn.add_argument("--seeds", default=None, help="comma list, overrides manifest")
-    jn.add_argument("--out", default=None)
-    jn.set_defaults(fn=cmd_jn)
 
     t = sub.add_parser("thm12", help="two-weight construction pipeline")
     t.add_argument("--lam-field", required=True, help="Lambda weight dump")

@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -188,6 +189,37 @@ def verify_decay(forest):
     return DecayReport(
         lam=forest.lam, ratios=ratios, bounds=bounds, ok=ok, all_ok=all(ok)
     )
+
+
+def _rule_holds(forest, W, U):
+    """The stopping rule re-checked cube by cube with dense 2-norms, apart from
+    the level walk: each stopped cube's four ratios against its root exceed
+    lambda at their largest and match the recorded norms to 1e-12 relative;
+    each block cube below its root has all four at most lambda."""
+    tw, tu = W.reducing_table(forest.p), U.reducing_table(forest.p)
+    ancestor = cache(forest.window.ancestor_index)
+
+    def ratios(j, k, roots):
+        for jr in range(j):
+            kr = int(ancestor(j, jr)[k])
+            if (jr, kr) in roots:
+                mats = (tw.mats[j][k] @ tw.inv(jr)[kr], tw.inv(j)[k] @ tw.mats[jr][kr],
+                        tu.mats[j][k] @ tu.inv(jr)[kr], tu.mats[jr][kr] @ tu.inv(j)[k])
+                return np.array([np.linalg.norm(M, 2) for M in mats])
+        return np.full(4, np.nan)  # no root in the forest: fails both checks
+
+    roots = {forest.root}
+    for gen, block in zip(forest.generations + [[]], forest.blocks):
+        for j, k in gen:
+            r = ratios(j, k, roots)
+            err = abs(r - forest.stopped_norms[j, k])
+            if not (r.max() > forest.lam and np.all(err <= 1e-12 * r)):
+                return False
+        below = [ratios(j, k, roots).max() for j, k in block if (j, k) not in roots]
+        if not all(m <= forest.lam for m in below):
+            return False
+        roots = set(gen)
+    return True
 
 
 def default_lambda(W, U, p, root=None, cap=LAMBDA_CAP):

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from matweight.cli import main, default_manifest_path
+from matweight.cli import CSV_COLUMNS, _fmt, main, default_manifest_path
 from matweight import bmo, fields
+from matweight.dyadic import Window
 from matweight import stopping as stop_mod
 
 
@@ -385,3 +387,138 @@ def test_jn_rejects_bad_epsilon(tmp_path, capsys, eps):
     rc = main(["jn", "--manifest", str(manifest), "--out", str(tmp_path / "jn.csv")])
     assert rc == 2
     assert "eps must" in capsys.readouterr().err
+
+
+_OPTIONS = {
+    "gen": {"--spec", "--out", "--p"},
+    "ap": {"--weight", "--p", "--grids", "--max-level"},
+    "bmo": {"--which", "--b", "--w", "--u", "--p", "--epsilon", "--out", "--format"},
+    "verify": {"--manifest", "--depth", "--seeds", "--out", "--format", "--gnuplot"},
+    "duality": {"--manifest", "--depth", "--seeds", "--out", "--format", "--gnuplot"},
+    "stopping": {"--w", "--u", "--p", "--lam", "--out"},
+    "jn": {"--manifest", "--depth", "--seeds", "--out"},
+    "thm12": {"--lam-field", "--u", "--p", "--epsilon", "--out"},
+}
+
+
+def _help(capsys, argv):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--help"])
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_pins_the_command_set(capsys):
+    usage = _help(capsys, []).split("\n\n")[0]
+    assert set(re.search(r"\{([a-z0-9,]+)\}", usage).group(1).split(",")) == set(_OPTIONS)
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_help_pins_each_command_options(capsys, command):
+    # a shared-argument refactor must neither add nor drop an option
+    found = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _help(capsys, [command])))
+    assert found == _OPTIONS[command] | {"--help"}
+
+
+@pytest.mark.parametrize("p", ["1", "0.5"])
+def test_gen_rejects_bad_p_before_writing(tmp_path, capsys, p):
+    spec = tmp_path / "id.json"
+    spec.write_text(json.dumps({"kind": "identity", "n": 2, "d": 1, "depth": 4}))
+    out = tmp_path / "id.mwf"
+    assert main(["gen", "--spec", str(spec), "--out", str(out), "--p", p]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _csv_rows(path):
+    """The body of a CSV output as dicts keyed by CSV_COLUMNS."""
+    lines = path.read_text().splitlines()
+    assert lines[1] == ",".join(CSV_COLUMNS)
+    return [dict(zip(CSV_COLUMNS, ln.split(","))) for ln in lines[2:]]
+
+
+@pytest.mark.parametrize("command", ["verify", "jn", "bmo"])
+def test_grid_column_is_the_witness_grid(tmp_path, weight_file, command):
+    # a manifest "shift" key used to land in verify's grid column while
+    # every witness cube lay on the window's own grid 2^d
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "n": 1, "d": 1, "depth": 3, "seeds": [0], "p_values": [2.0], "shift": 1,
+    }))
+    out = tmp_path / "out.csv"
+    if command == "bmo":
+        argv = ["bmo", "--which", "bmo_original", "--b", str(weight_file),
+                "--w", str(weight_file)]
+    else:
+        argv = [command, "--manifest", str(manifest)]
+    assert main([*argv, "--out", str(out)]) == 0
+    rows = [r for r in _csv_rows(out) if r["witness_cube"]]
+    assert len(rows) >= 3
+    for row in rows:
+        assert row["grid"] == row["witness_cube"].split("/")[0]
+
+
+def _parent_jn(manifest):
+    """The ``jn`` ensemble loop as the command ran it before it moved into
+    ``bmo.jn_experiment``: CSV rows as dicts, the reports, the zero check."""
+    n = int(manifest.get("n", 2))
+    d = int(manifest.get("d", 1))
+    depth = int(manifest.get("depth", 6))
+    seeds = manifest.get("seeds", list(range(10)))
+    p = float(manifest.get("p", 2.0))
+    eps = float(manifest.get("eps", 1.0))
+    rows, reports = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        win = Window.unit(d, depth)
+        W = bmo.bounded_weight(win, n, rng)
+        B = bmo.random_matrix_field(win, n, rng)
+        f = bmo.random_vector_field(win, n, rng)
+        left, right = bmo.jn_p2_pair(B, W, eps)
+        wjn, plain = bmo.vector_jn(f, W, p)
+        a2W = fields.ap_characteristic(W, 2)
+        for rep in (left, right, wjn, plain):
+            reports.append(rep)
+            rows.append({
+                "quantity": rep.quantity, "p": rep.params.get("p", p),
+                "epsilon": rep.params.get("eps", ""), "grid": 2**d,
+                "supremum": rep.supremum, "witness_cube": rep.witness,
+                "a2W": a2W, "a2U": "", "seed": seed,
+            })
+    win = Window.unit(d, depth)
+    rng = np.random.default_rng(0)
+    W = bmo.bounded_weight(win, n, rng)
+    Bc = fields.MatrixField.constant(win, np.eye(n))
+    lz, rz = bmo.jn_p2_pair(Bc, W, eps)
+    return rows, reports, lz.supremum == 0.0 and rz.supremum == 0.0
+
+
+@pytest.mark.parametrize("manifest", [
+    {"n": 2, "d": 1, "depth": 4, "seeds": [0, 1]},
+    {"n": 1, "d": 2, "depth": 3, "seeds": [3, 4], "p": 3.0, "eps": 0.5},
+])
+def test_jn_matches_the_parent_loop(tmp_path, manifest):
+    rows, reports, zero_ok = _parent_jn(manifest)
+    result = bmo.jn_experiment(manifest)
+    assert [rep for r in result["rows"] for rep in r["reports"]] == reports
+    assert result["zero_ok"] == zero_ok
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "jn.csv"
+    assert main(["jn", "--manifest", str(path), "--out", str(out)]) == 0
+    # compared as text: d = 2 witness addresses hold commas themselves
+    want = [",".join(_fmt(row[c]) for c in CSV_COLUMNS) for row in rows]
+    assert out.read_text().splitlines()[2:] == want
+
+
+def test_jn_reads_the_manifest_weight_parameters():
+    # jn used to draw its weights at the default amplitude and cap whatever
+    # the manifest said
+    spec = {"n": 2, "d": 1, "depth": 4, "seeds": [3], "amplitude": 1.5, "char_cap": 60.0}
+    (row,) = bmo.jn_experiment(spec)["rows"]
+    rng = np.random.default_rng(3)
+    W = bmo.bounded_weight(Window.unit(1, 4), 2, rng, amplitude=1.5, char_cap=60.0)
+    assert row["a2W"] == fields.ap_characteristic(W, 2)
+    (default,) = bmo.jn_experiment(dict(spec, amplitude=0.5, char_cap=10.0))["rows"]
+    assert default["a2W"] != row["a2W"]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -228,3 +229,28 @@ def test_forest_matches_eager_oracle(tmp_path, d, depth, p, complex_u):
     assert tuple(reached) == _GENERATIONS[(d, p, complex_u)]
     if d == 1:
         assert reached[0] >= 8
+
+
+@pytest.mark.parametrize("d, depth, p, lam", [(1, 6, 2.0, 4.0), (2, 4, 3.0, 2.0)])
+def test_rule_check_catches_a_tampered_forest(d, depth, p, lam):
+    # the stopping_decay audit re-checks the rule cube by cube; a forest
+    # whose decay still verifies but whose stops are wrong must fail it
+    rng = np.random.default_rng(5)
+    win = Window.unit(d, depth)
+    W, U = bmo.bounded_weight(win, 2, rng), bmo.bounded_weight(win, 2, rng)
+    forest = st.build(W, U, p, lam=lam)
+    assert forest.generations and forest.generations[0]
+    assert st._rule_holds(forest, W, U)
+
+    cube = forest.generations[0][0]
+    norms = dict(forest.stopped_norms)
+    norms[cube] = [norms[cube][0] * (1 + 1e-9), *norms[cube][1:]]
+    assert not st._rule_holds(replace(forest, stopped_norms=norms), W, U)
+
+    moved = replace(
+        forest,
+        generations=[forest.generations[0][1:], *forest.generations[1:]],
+        blocks=[forest.blocks[0] + [cube], *forest.blocks[1:]],
+    )
+    assert st.verify_decay(moved).all_ok
+    assert not st._rule_holds(moved, W, U)
