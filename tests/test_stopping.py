@@ -254,3 +254,9 @@ def test_rule_check_catches_a_tampered_forest(d, depth, p, lam):
     )
     assert st.verify_decay(moved).all_ok
     assert not st._rule_holds(moved, W, U)
+
+    # a block cube listed under the next generation's roots, none of which
+    # it lies below
+    stray = next(c for c in forest.blocks[0] if c != forest.root)
+    strayed = replace(forest, blocks=[*forest.blocks[:1], forest.blocks[1] + [stray]])
+    assert not st._rule_holds(strayed, W, U)
