@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .dyadic import Window, WindowError
+from .dyadic import Window
 from .fields import (
     MatrixField,
     FieldError,
@@ -36,12 +36,14 @@ from .fields import (
     generate_weight,
     _OwnGrid,
     _ShiftedGrid,
+    _check_p,
     _haar_coefs,
     _is_p2,
     _level_argmax,
     _mat_sqrt,
     _mat_isqrt,
     _opnorms,
+    _same_window,
 )
 from . import transforms as tf
 from . import opnorm as onorm
@@ -138,8 +140,7 @@ def _oscillations(fam, p, epsilons, terms):
     p in (1, inf) and every eps of ``epsilons`` (the quantities that have
     one) finite and positive.  Vector fields take the Euclidean norm.
     """
-    if not 1.0 < p < np.inf:
-        raise FieldError(f"p must lie in (1, inf), got {p}")
+    _check_p(p)
     for e in epsilons:
         if not 0.0 < e < np.inf:
             raise FieldError(f"eps must be finite and positive, got {e}")
@@ -166,10 +167,7 @@ def bmo_original_sweep(B, W, U, p, epsilons):
     """``bmo_original`` for each eps of ``epsilons``: one report per eps, in
     order.  Only the power 1 + eps depends on eps, so the means, sandwiches
     and spectral norms are formed once for the whole sweep."""
-    win = B.window
-    if W.window is not win or U.window is not win:
-        raise WindowError("fields live on different windows")
-    return _bmo_original(_OwnGrid(win), B, W, U, p, epsilons)
+    return _bmo_original(_OwnGrid(_same_window(B, W, U)), B, W, U, p, epsilons)
 
 
 def _bmo_original(fam, B, W, U, p, epsilons):
@@ -185,7 +183,7 @@ def _bmo_original(fam, B, W, U, p, epsilons):
 
 def bloom_bprime(B, W, U, p):
     """sup_J (1/|J|) int_J ||W^{1/p}(x) (B - m_J B) V_J(U)^{-1}||^p."""
-    fam = _OwnGrid(B.window)
+    fam = _OwnGrid(_same_window(B, W, U))
     tu, Wp = U.reducing_table(p), W.power(1.0 / p).leaves  # the table checks p
     (vals,) = _oscillations(fam, p, (), [(B, (p,), lambda i, idx: ((Wp[idx],), (tu.inv(i),)))])
     return _sup_report("bloom_bprime", fam, vals, {"p": p})
@@ -193,7 +191,7 @@ def bloom_bprime(B, W, U, p):
 
 def bloom_cprime(B, W, U, p):
     """sup_J (1/|J|) int_J ||U^{-1/p}(x) (B^* - m_J B^*) V_J'(W)^{-1}||^{p'}."""
-    fam = _OwnGrid(B.window)
+    fam = _OwnGrid(_same_window(B, W, U))
     twd, Um = W.reducing_table(p, dual=True), U.power(-1.0 / p).leaves  # the table checks p
     terms = [(B.conj_transpose(), (p / (p - 1.0),), lambda i, idx: ((Um[idx],), (twd.inv(i),)))]
     (vals,) = _oscillations(fam, p, (), terms)
@@ -203,7 +201,7 @@ def bloom_cprime(B, W, U, p):
 def jn_p2_pair(B, W, eps=1.0):
     """Proposition-style p = 2 pair: averaged sandwich oscillation vs the
     pointwise-left-root square oscillation; returns (left, right) reports."""
-    fam = _OwnGrid(B.window)
+    fam = _OwnGrid(_same_window(B, W))
     isq = [_mat_isqrt(fam.mean(W, i)) for i in range(fam.top)]
     Wm = W.power(-0.5).leaves
     left, right = _oscillations(fam, 2.0, (eps,), [
@@ -217,7 +215,7 @@ def jn_p2_pair(B, W, eps=1.0):
 def vector_jn(f, W, p):
     """Weighted vector oscillation sup_J (1/|J|) int |W^{1/p}(x) V_J(W)^{-1}
     (f - m_J f)|^p, together with the plain BMO oscillation of f."""
-    fam = _OwnGrid(f.window)
+    fam = _OwnGrid(_same_window(f, W))
     tw, Wp = W.reducing_table(p), W.power(1.0 / p).leaves  # the table checks p
     wt, plain = _oscillations(fam, p, (), [
         (f, (p,), lambda i, idx: ((Wp[idx], tw.inv(i)), ())),
@@ -243,7 +241,7 @@ def _coef_sums(fam, coefs, left, right):
 
 def condition_b(W, U, A, p):
     """sup_J (1/|J|) sum_{I in D(J)} ||V_I(W) A_I^eps V_I(U)^{-1}||^2."""
-    return _condition_b(_OwnGrid(A.window), W, U, A.coefs, p)
+    return _condition_b(_OwnGrid(_same_window(W, U, A)), W, U, A.coefs, p)
 
 
 def _condition_b(fam, W, U, coefs, p):
@@ -284,7 +282,7 @@ def carleson_norm(W, U, A, p):
     (1/|K|) sum (A_I^eps)^* V_I(W)^2 A_I^eps <= C V_K(U)^2 per K (largest
     generalized eigenvalue) and the dimensional band check C <= B <= n C.
     """
-    win = A.window
+    win = _same_window(W, U, A)
     fam = _OwnGrid(win)
     VA = [_sandwich(c, (V,)) for c, V in zip(A.coefs, fam.reducing(W, p))]
     Uinv = fam.reducing_inv(U, p)
@@ -310,7 +308,7 @@ def carleson_norm(W, U, A, p):
 def hlw_condition(B, W, U):
     """Smallest C with sum m_I(U^{-1}) (B_I^eps)^* (m_I W) B_I^eps m_I(U^{-1})
     <= C U^{-1}(J) over J; the p = 2 testing condition."""
-    fam = _OwnGrid(B.window)
+    fam = _OwnGrid(_same_window(B, W, U))
     aW, aUi = W.level_averages(), U.inverse().level_averages()
     M = [_sandwich(c, (), (a,)) for c, a in zip(tf.analyze(B).coefs, aUi)]
     acc = _psd_sums(fam, M, aW)
@@ -359,11 +357,15 @@ def buckley_psd_slack(W, buckley_report):
 # -- H^1, pairing, duality ------------------------------------------------------
 
 
+def _hardy_square(Phi, W, U):
+    """S_{W^{-1},D} M_U Phi per leaf."""
+    _same_window(Phi, W, U)
+    return tf.weighted_square_function(W.inverse(), tf.mu_multiplier(U, Phi))
+
+
 def h1_norm(Phi, W, U):
     """||S_{W^{-1},D} M_U Phi||_{L^1}, the p = 2 Hardy-space norm."""
-    win = Phi.window
-    s = tf.weighted_square_function(W.inverse(), tf.mu_multiplier(U, Phi))
-    return float(win.leaf_volume * np.sum(s))
+    return float(Phi.window.leaf_volume * np.sum(_hardy_square(Phi, W, U)))
 
 
 def square_function_level_sets(Phi, W, U):
@@ -373,15 +375,14 @@ def square_function_level_sets(Phi, W, U):
     square function actually crosses; measures are exact multiples of the
     leaf volume and decrease in k.
     """
-    win = Phi.window
-    s = tf.weighted_square_function(W.inverse(), tf.mu_multiplier(U, Phi))
+    s = _hardy_square(Phi, W, U)
     smax = float(np.max(s))
     if smax <= 0:
         return []
     k_hi = int(np.floor(np.log2(smax)))
     out = []
     for k in range(k_hi - 20, k_hi + 1):
-        measure = float(win.leaf_volume * np.count_nonzero(s > 2.0**k))
+        measure = float(Phi.window.leaf_volume * np.count_nonzero(s > 2.0**k))
         if measure > 0:
             out.append((k, measure))
     return out
@@ -389,16 +390,14 @@ def square_function_level_sets(Phi, W, U):
 
 def frobenius_pairing(Phi, B):
     """int tr(Phi(x) B(x)^*) dx, exact on leaves."""
-    if Phi.window is not B.window:
-        raise WindowError("fields live on different windows")
-    lv = Phi.window.leaf_volume
+    lv = _same_window(Phi, B).leaf_volume
     return complex(lv * np.einsum("lab,lab->", Phi.leaves, np.conj(B.leaves)))
 
 
 def frobenius_pairing_spectral(Phi, B):
     """The same pairing summed over Haar coefficients plus the root term."""
+    win = _same_window(Phi, B)
     ps, bs = tf.analyze(Phi), tf.analyze(B)
-    win = Phi.window
     total = complex(np.einsum("ab,ab->", ps.root, np.conj(bs.root)) * win.volumes[0])
     for j in range(win.depth):
         total += complex(
@@ -427,7 +426,7 @@ def extremal_h1_instance(B, W, U, root=(0, 0)):
     h1_bound = a2_spectral(W)^{1/2} |J|^{1/2} is the exact inequality the
     construction satisfies.
     """
-    win = B.window
+    win = _same_window(B, W, U)
     jr, kr = root
     Bs = tf.analyze(B)
     aW, aU = W.level_averages(), U.level_averages()
@@ -590,7 +589,7 @@ def bmo_over_shifted_grids(B, W, U, p, eps=1.0):
     matched depth, with exact piecewise integrals.  Returns per-grid values
     and the max across grids.
     """
-    win = B.window
+    win = _same_window(B, W, U)
     out = {"per_grid": {}, "p": p, "eps": eps}
     for t in range(1, 2**win.d + 1):
         fam = _OwnGrid(win) if t == win.grid.shift else _ShiftedGrid(win, t)
@@ -624,9 +623,7 @@ def matrix_weight_theorem_pipeline(Lam, U, p, eps=1.0):
     The p = 2 special case with Lam close to W^{-1} and U close to W also
     reports the three weight summation constants.
     """
-    win = U.window
-    if Lam.window is not win:
-        raise WindowError("fields live on different windows")
+    win = _same_window(Lam, U)
     Uh = np.conj(np.swapaxes(U.leaves, 1, 2))
     core = np.einsum("lab,lbc,lcd->lad", Uh, Lam.power(2.0 / p).leaves, U.leaves)
     asym = np.max(np.abs(core - np.conj(np.swapaxes(core, 1, 2))))

@@ -11,6 +11,8 @@ byte-identical for a fixed seed list.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -52,11 +54,14 @@ def _emit(path, text):
 
 
 def _write_csv(path, rows):
-    """One row per sequence of values in ``CSV_COLUMNS`` order."""
-    lines = ["# generated: " + datetime.now(timezone.utc).isoformat()]
-    lines.append(",".join(CSV_COLUMNS))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _emit(path, "\n".join(lines) + "\n")
+    """One row per sequence of values in ``CSV_COLUMNS`` order; a field
+    holding a comma (a d >= 2 witness address) is quoted."""
+    buf = io.StringIO()
+    buf.write("# generated: " + datetime.now(timezone.utc).isoformat() + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    _emit(path, buf.getvalue())
 
 
 def _write_json(path, payload):

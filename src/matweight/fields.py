@@ -88,6 +88,25 @@ def _real_or_complex(data):
     return data.astype(np.result_type(data, np.float64), copy=False)
 
 
+def _same_window(*operands):
+    """The one window of the operands (fields, spectra, shift maps, operator
+    matrices or bare ``Window``s); WindowError unless all share it."""
+    wins = [op if isinstance(op, Window) else op.window for op in operands]
+    if any(w is not wins[0] for w in wins[1:]):
+        raise WindowError("operands live on different windows")
+    return wins[0]
+
+
+def _check_p(p):
+    if not 1.0 < p < np.inf:
+        raise FieldError(f"p must lie in (1, inf), got {p}")
+
+
+def _need_weight(F, what):
+    if not F.is_weight:
+        raise NotPositiveDefiniteError(f"{what} needs a weight field")
+
+
 def _as_herm(mats, tol, what="matrix"):
     err = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))))
     scale = max(1.0, float(np.max(np.abs(mats))))
@@ -158,7 +177,9 @@ class MatrixField:
         """Pointwise spectral power W^s as a new field (cached)."""
         key = float(s)
         if key not in self._power_cache:
-            herm = _as_herm(self.leaves, HERMITIAN_TOL, "power input")
+            # the constructor made a weight's leaves exactly Hermitian
+            herm = self.leaves if self.is_weight else _as_herm(
+                self.leaves, HERMITIAN_TOL, "power input")
             vals, vecs = np.linalg.eigh(herm)
             if np.min(vals) < EIG_FLOOR and not float(s).is_integer():
                 raise NotPositiveDefiniteError(
@@ -186,11 +207,8 @@ class MatrixField:
 
     def apply(self, vec_field):
         """Pointwise matrix-vector product, leaf by leaf."""
-        if vec_field.window is not self.window:
-            raise WindowError("fields live on different windows")
-        return VectorField(
-            self.window, np.einsum("lab,lb->la", self.leaves, vec_field.leaves)
-        )
+        win = _same_window(self, vec_field)
+        return VectorField(win, np.einsum("lab,lb->la", self.leaves, vec_field.leaves))
 
     def reducing_table(self, p, dual=False):
         key = (float(p), bool(dual))
@@ -234,8 +252,8 @@ class VectorField:
 
     def lp_norm(self, p, weight=None):
         """||f||_{L^p(W)} with exact leaf quadrature (weight optional)."""
-        if not 1.0 < p < np.inf:
-            raise FieldError(f"p must lie in (1, inf), got {p}")
+        _same_window(self, self if weight is None else weight)
+        _check_p(p)
         P = None if weight is None else weight.power(1.0 / p).leaves
         _, _, mass = _weighted_lp_mass(P, self.leaves, p, self.window.leaf_volume)
         return float(mass ** (1.0 / p))
@@ -520,10 +538,8 @@ def ap_characteristic_report(W, p, grids=None, max_level=None):
     are one contiguous range; a shifted grid forms the Gram of each cube's
     own pieces, a level's cubes batched together.
     """
-    if not 1.0 < p < np.inf:
-        raise FieldError(f"p must lie in (1, inf), got {p}")
-    if not W.is_weight:
-        raise NotPositiveDefiniteError("A_p characteristic needs a weight field")
+    _check_p(p)
+    _need_weight(W, "the A_p characteristic")
     win = W.window
     if max_level is not None and max_level < win.root.level:
         raise WindowError("max_level above the window root")
@@ -653,10 +669,8 @@ class ReducingTable:
 
     @classmethod
     def build(cls, W, p, dual=False):
-        if not 1.0 < p < np.inf:
-            raise FieldError(f"p must lie in (1, inf), got {p}")
-        if not W.is_weight:
-            raise NotPositiveDefiniteError("reducing operators need a weight field")
+        _check_p(p)
+        _need_weight(W, "a reducing table")
         mats, kappa = _fit_reducing(_OwnGrid(W.window), W, p, dual=dual)
         return cls(W.window, p, dual, mats, kappa=kappa, exact=_is_p2(p))
 
@@ -789,7 +803,7 @@ class ComparabilityReport:
     per_cube: list
 
 
-def verify_reducing_comparability(W, p, cubes=None):
+def verify_reducing_comparability(W, p):
     """Check Lemma-style comparability |V_I'(W) e| vs |m_I(W^{-1/p}) e|.
 
     The directions are the offset net of the table's own rule
@@ -801,7 +815,6 @@ def verify_reducing_comparability(W, p, cubes=None):
     the spectral-norm characteristic the comparability lemma is stated
     with, whatever the matrix-norm convention.
     """
-    win = W.window
     table = W.reducing_table(p, dual=True)
     char = ap_characteristic(W, p)
     Mi = W.power(-1.0 / p)
@@ -809,15 +822,9 @@ def verify_reducing_comparability(W, p, cubes=None):
     net = _reducing_net(Mi.leaves, offset=True)
     per_cube = []
     lo, hi = np.inf, 0.0
-    if cubes is None:
-        pairs = [(j, None) for j in range(win.depth + 1)]
-    else:
-        pairs = [_rel(win, c) for c in cubes]
-    for j, idx in pairs:
-        Vm = table.mats[j] if idx is None else table.mats[j][idx : idx + 1]
-        Am = avgs[j] if idx is None else avgs[j][idx : idx + 1]
-        ve = _net_powers(Vm, net, 1.0)
-        me = _net_powers(Am, net, 1.0)
+    for j in range(W.window.depth + 1):
+        ve = _net_powers(table.mats[j], net, 1.0)
+        me = _net_powers(avgs[j], net, 1.0)
         r = ve / np.maximum(me, 1e-300)
         per_cube.append((j, r.min(axis=1), r.max(axis=1)))
         lo = min(lo, float(r.min()))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    FieldError, VectorField, _is_p2, _mat_isqrt, _mat_sqrt, _weighted_lp_mass,
+    VectorField, _check_p, _is_p2, _mat_isqrt, _mat_sqrt, _same_window, _weighted_lp_mass,
 )
 from . import transforms as tf
 
@@ -94,6 +94,7 @@ def materialize(op, window, n):
     that composition in the provenance tag.  On headroom inputs this is the
     operator itself.
     """
+    _same_window(window, *(v for v in op.values() if hasattr(v, "window")))
     kind = op["kind"]
     if kind not in _KERNELS:
         raise ValueError(f"unknown operator descriptor kind {kind!r}")
@@ -117,7 +118,7 @@ def weighted_opnorm_p2(T, W, U):
     so the result keeps machine-epsilon relative accuracy.  Real T, W and
     U keep A, its Gram and the eigensolve in float64.
     """
-    L, n, N = T.window.leafcount, T.n, T.size
+    L, n, N = _same_window(T, W, U).leafcount, T.n, T.size
     Wh = _mat_sqrt(W.leaves)
     Uih = _mat_isqrt(U.leaves)
     # rows: leaf block i of T is scaled by W_i^{1/2}
@@ -129,7 +130,7 @@ def weighted_opnorm_p2(T, W, U):
     return float(np.sqrt(max(0.0, top)))
 
 
-def lp_opnorm_estimate(T, W, U, p, budget=60, rng=None):
+def lp_opnorm_estimate(T, W, U, p, budget=60):
     """(lower bound, None) for ||T||_{L^p(U) -> L^p(W)}, 1 < p < inf.
 
     Test columns chi_J e_i, chi_J U^{-1/p} e_i and chi_J U^{1/p} e_i for every
@@ -139,9 +140,8 @@ def lp_opnorm_estimate(T, W, U, p, budget=60, rng=None):
     ``fields._weighted_lp_mass``.  No finite certified upper bound exists
     for p != 2, so none is reported.
     """
-    if not 1.0 < p < np.inf:
-        raise FieldError(f"p must lie in (1, inf), got {p}")
-    win, n, Tm = T.window, T.n, T.matrix
+    win, n, Tm = _same_window(T, W, U), T.n, T.matrix
+    _check_p(p)
     WP = W.power(1.0 / p).leaves
     UP = U.power(1.0 / p).leaves
     UM = U.power(-1.0 / p).leaves
@@ -176,9 +176,7 @@ def lp_opnorm_estimate(T, W, U, p, budget=60, rng=None):
     best = float(np.max(r))
     f = F[:, int(np.argmax(r))]
 
-    if rng is None:
-        rng = np.random.default_rng(7)
-    f = f + 1e-3 * rng.standard_normal(f.shape)
+    f = f + 1e-3 * np.random.default_rng(7).standard_normal(f.shape)
     for _ in range(budget):
         (gw, nw, num), (gu, nu, den) = masses(f)
         if den <= 0 or num <= 0:
@@ -208,7 +206,7 @@ def haar_multiplier_norm_relation(A, W, U, p):
     """
     from .bmo import _coef_norms  # bmo imports this module
 
-    win = A.window
+    win = _same_window(A, W, U)
     tu = U.reducing_table(p)
     inv = [tu.inv(j) for j in range(win.depth)]
     norms = _coef_norms(A.coefs, W.reducing_table(p).mats, inv)

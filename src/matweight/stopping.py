@@ -30,7 +30,7 @@ from functools import cache
 
 import numpy as np
 
-from .fields import _opnorms
+from .fields import _opnorms, _same_window
 
 __all__ = [
     "StoppingError",
@@ -166,10 +166,7 @@ def _forest(W, U, p, root, lam):
 
 def build(W, U, p, root=None, lam=4.0):
     """Stopping forest for the pair (W, U) below a root cube."""
-    win = W.window
-    if U.window is not win:
-        raise StoppingError("weights live on different windows")
-    return _forest(W, U, p, _root_index(win, root), lam)
+    return _forest(W, U, p, _root_index(_same_window(W, U), root), lam)
 
 
 @dataclass
@@ -222,17 +219,18 @@ def _rule_holds(forest, W, U):
     return True
 
 
-def default_lambda(W, U, p, root=None, cap=LAMBDA_CAP):
-    """Smallest power of two for which the decay bound verifies on the window."""
-    root = _root_index(W.window, root)
+def default_lambda(W, U, p, root=None):
+    """Smallest power of two up to LAMBDA_CAP for which the decay bound
+    verifies on the window."""
+    root = _root_index(_same_window(W, U), root)
     lam = 2.0
-    while lam <= cap:
+    while lam <= LAMBDA_CAP:
         forest = _forest(W, U, p, root, lam)
         if verify_decay(forest).all_ok:
             return lam
         lam *= 2.0
     raise LambdaSearchError(
-        f"no lambda up to {cap:g} verified the decay bound on this window"
+        f"no lambda up to {LAMBDA_CAP:g} verified the decay bound on this window"
     )
 
 

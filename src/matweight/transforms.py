@@ -39,7 +39,8 @@ import numpy as np
 
 from .dyadic import WindowError, sign_table, Signature
 from .fields import (
-    MatrixField, VectorField, _haar_coefs, _mat_sqrt, _OwnGrid, _real_or_complex, _rel,
+    MatrixField, VectorField, _haar_coefs, _mat_sqrt, _need_weight, _OwnGrid,
+    _real_or_complex, _rel, _same_window,
 )
 
 __all__ = [
@@ -125,18 +126,25 @@ def _analyze_values(window, values):
     return _haar_coefs(_OwnGrid(window), avgs), avgs[0][0]
 
 
+def _descend(win, top, steps):
+    """Leaf values of a root-to-leaf walk: ``top`` is the root's value, and
+    each child at level j + 1 takes its parent's value plus ``steps[j]``,
+    shaped (cubes_j, children or 1, ...)."""
+    vals = np.asarray(top)[None]
+    for j, step in enumerate(steps):
+        kids = vals[:, None] + step
+        vals = np.empty((win.cubes_at(j + 1),) + kids.shape[2:], dtype=kids.dtype)
+        vals[win.children_index(j)] = kids
+    return vals
+
+
 def _synthesize_values(window, coefs, root):
     tbl = sign_table(window.d)
-    avg = np.array(root, dtype=np.result_type(root, np.float64))[None]
-    for j in range(window.depth):
-        contrib = np.einsum("ks...,sb->kb...", coefs[j], tbl) / np.sqrt(
-            window.volumes[j]
-        )
-        step = avg[:, None] + contrib
-        nxt = np.empty((window.cubes_at(j + 1),) + root.shape, dtype=step.dtype)
-        nxt[window.children_index(j)] = step
-        avg = nxt
-    return avg
+    top = np.array(root, dtype=np.result_type(root, np.float64))
+    return _descend(window, top, (
+        np.einsum("ks...,sb->kb...", c, tbl) / np.sqrt(vol)
+        for c, vol in zip(coefs, window.volumes)
+    ))
 
 
 def analyze(field):
@@ -166,14 +174,6 @@ def require_headroom(spectrum, what="spectrum"):
 
 
 # -- paraproducts and multipliers -------------------------------------------
-
-
-def _check_windows(*fields):
-    win = fields[0].window
-    for f in fields[1:]:
-        if f.window is not win:
-            raise WindowError("operands live on different windows")
-    return win
 
 
 # Operator kernels on leaf arrays ``values`` (leaves, n, ...) whose trailing
@@ -211,16 +211,10 @@ def _conjugated_paraproduct(win, A, W, U, p, values):
 def _dual_paraproduct(win, B, values):
     Bs = analyze(B)
     fc, _ = _analyze_values(win, values)
-    acc = _zero_root(values)[None]
-    for j in range(win.depth):
-        term = (
-            np.einsum("ksab,ksb...->ka...", Bs.coefs[j], fc[j]) / win.volumes[j]
-        )
-        step = (acc + term)[:, None]
-        nxt = np.empty((win.cubes_at(j + 1),) + acc.shape[1:], dtype=step.dtype)
-        nxt[win.children_index(j)] = step
-        acc = nxt
-    return acc
+    return _descend(win, _zero_root(values), (
+        np.einsum("ksab,ksb...->ka...", b, c)[:, None] / vol
+        for b, c, vol in zip(Bs.coefs, fc, win.volumes)
+    ))
 
 
 def _haar_multiplier(win, A, values):
@@ -252,37 +246,32 @@ def _shift_commutator(win, B, smap, values, fc):
 
 def paraproduct(B, f):
     """pi_B f = sum_eps sum_I B_I^eps (m_I f) h_I^eps over window modes."""
-    win = _check_windows(B, f)
+    win = _same_window(B, f)
     return VectorField(win, _paraproduct(win, B, f.leaves))
 
 
 def conjugated_paraproduct(A, W, U, p, f):
     """sum V_I(W) A_I^eps m_I(U^{-1/p} f) h_I^eps (Carleson-embedding operator)."""
-    win = _check_windows(W, U, f)
-    if A.window is not win:
-        raise WindowError("coefficient map lives on a different window")
+    win = _same_window(A, W, U, f)
     return VectorField(win, _conjugated_paraproduct(win, A, W, U, p, f.leaves))
 
 
 def dual_paraproduct(B, f):
     """(pi_{B*})* f = sum B_I^eps f_I^eps chi_I / |I| (adjoint of pi_{B*})."""
-    win = _check_windows(B, f)
+    win = _same_window(B, f)
     return VectorField(win, _dual_paraproduct(win, B, f.leaves))
 
 
 def haar_multiplier(A, f):
     """T_A f = sum A_I^eps f_I^eps h_I^eps (kills the root average)."""
-    win = _check_windows(f)
-    if A.window is not win:
-        raise WindowError("coefficient map lives on a different window")
+    win = _same_window(A, f)
     return VectorField(win, _haar_multiplier(win, A, f.leaves))
 
 
 def mu_multiplier(U, Phi):
     """M_U Phi = sum Phi_I^eps (m_I U)^{1/2} h_I^eps (right multiplication)."""
-    win = _check_windows(U, Phi)
-    if not U.is_weight:
-        raise ValueError("M_U needs a weight field")
+    win = _same_window(U, Phi)
+    _need_weight(U, "M_U")
     ps = analyze(Phi)
     sq = [_mat_sqrt(a) for a in U.level_averages()]
     coefs = [
@@ -347,7 +336,7 @@ class ShiftMap:
 
 def haar_shift(smap, f):
     """Q_sigma f: relocate every cancellative mode; the root average dies."""
-    win = _check_windows(f)
+    win = _same_window(smap, f)
     spec = analyze(f)
     require_headroom(spec, "shift input")
     leaves = _haar_shift(win, smap, spec.coefs)
@@ -358,7 +347,7 @@ def haar_shift(smap, f):
 
 def shift_commutator(B, smap, f):
     """[B, Q_sigma] f = B (Q f) - Q (B f), computed as the direct difference."""
-    win = _check_windows(B, f)
+    win = _same_window(B, smap, f)
     require_headroom(analyze(B), "commutator symbol")
     spec = analyze(f)
     require_headroom(spec, "commutator argument")
@@ -386,7 +375,7 @@ def shift_commutator_terms(B, smap, f):
 
     double_shift + shift_paraproduct = -Q(pi_B f) identically.
     """
-    win = _check_windows(B, f)
+    win = _same_window(B, smap, f)
     d, S, L = win.d, win.nsig, win.depth
     mask = 2**d - 1
     Bs, fs = analyze(B), analyze(f)
@@ -489,43 +478,33 @@ def shift_commutator_terms(B, smap, f):
 def dyadic_square_function(f):
     """S_D f: pointwise sqrt of sum |f_I^eps|^2 / |I| over cubes containing x."""
     win = f.window
-    fs = analyze(f)
-    g = np.zeros(win.leafcount)
-    for j in range(win.depth):
-        c = fs.coefs[j]
-        axes = tuple(range(2, c.ndim))
-        contrib = np.sum(np.abs(c) ** 2, axis=(1,) + axes) / win.volumes[j]
-        g[win.block_leaf_index(j)] += contrib[:, None]
-    return np.sqrt(g)
+    return np.sqrt(_descend(win, 0.0, (
+        np.sum(np.abs(c) ** 2, axis=tuple(range(1, c.ndim)))[:, None] / vol
+        for c, vol in zip(analyze(f).coefs, win.volumes)
+    )))
 
 
 def weighted_square_function(W, Phi):
     """S_{W,D} Phi with the Frobenius matrix norm, evaluated per leaf."""
-    win = _check_windows(W, Phi)
-    if not W.is_weight:
-        raise ValueError("weighted square function needs a weight field")
+    win = _same_window(W, Phi)
+    _need_weight(W, "the weighted square function")
     ps = analyze(Phi)
-    G = np.zeros((win.leafcount, W.n, W.n), dtype=ps.root.dtype)
-    for j in range(win.depth):
-        c = ps.coefs[j]  # (K, S, n, n)
-        contrib = (
-            np.einsum("ksab,kscb->kac", c, np.conj(c)) / win.volumes[j]
-        )
-        G[win.block_leaf_index(j)] += contrib[:, None]
+    G = _descend(win, np.zeros((W.n, W.n), dtype=ps.root.dtype), (
+        np.einsum("ksab,kscb->kac", c, np.conj(c))[:, None] / vol
+        for c, vol in zip(ps.coefs, win.volumes)
+    ))
     vals = np.real(np.einsum("lab,lba->l", W.leaves, G))
     return np.sqrt(np.maximum(vals, 0.0))
 
 
 def triebel_lizorkin_functional(W, p, f):
     """int (sum |V_I(W) f_I^eps|^2 / |I| chi_I)^{p/2} dx, leaf exact."""
-    win = _check_windows(W, f)
+    win = _same_window(W, f)
     table = W.reducing_table(p)
-    fs = analyze(f)
-    g = np.zeros(win.leafcount)
-    for j in range(win.depth):
-        v = np.einsum("kab,ksb->ksa", table.mats[j], fs.coefs[j])
-        contrib = np.sum(np.abs(v) ** 2, axis=(1, 2)) / win.volumes[j]
-        g[win.block_leaf_index(j)] += contrib[:, None]
+    g = _descend(win, 0.0, (
+        np.sum(np.abs(np.einsum("kab,ksb->ksa", V, c)) ** 2, axis=(1, 2))[:, None] / vol
+        for V, c, vol in zip(table.mats, analyze(f).coefs, win.volumes)
+    ))
     return float(win.leaf_volume * np.sum(g ** (p / 2.0)))
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -507,9 +508,9 @@ def test_jn_matches_the_parent_loop(tmp_path, manifest):
     path.write_text(json.dumps(manifest))
     out = tmp_path / "jn.csv"
     assert main(["jn", "--manifest", str(path), "--out", str(out)]) == 0
-    # compared as text: d = 2 witness addresses hold commas themselves
-    want = [",".join(_fmt(row[c]) for c in CSV_COLUMNS) for row in rows]
-    assert out.read_text().splitlines()[2:] == want
+    # compared as CSV rows: d = 2 witness addresses hold commas, so they are quoted
+    want = [[_fmt(row[c]) for c in CSV_COLUMNS] for row in rows]
+    assert list(csv.reader(out.read_text().splitlines()[2:])) == want
 
 
 def test_jn_reads_the_manifest_weight_parameters():
@@ -522,3 +523,17 @@ def test_jn_reads_the_manifest_weight_parameters():
     assert row["a2W"] == fields.ap_characteristic(W, 2)
     (default,) = bmo.jn_experiment(dict(spec, amplitude=0.5, char_cap=10.0))["rows"]
     assert default["a2W"] != row["a2W"]
+
+
+@pytest.mark.parametrize("command", ["jn", "verify"])
+def test_d2_csv_rows_have_one_field_per_column(tmp_path, command):
+    # a d = 2 witness address such as 4/2/3,1 used to be written unquoted,
+    # which gave its row one field too many
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"n": 1, "d": 2, "depth": 3, "seeds": [0], "p_values": [2.0]}))
+    out = tmp_path / "out.csv"
+    assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 0
+    header, *rows = csv.reader(out.read_text().splitlines()[1:])
+    assert header == CSV_COLUMNS
+    assert rows and all(len(row) == len(CSV_COLUMNS) for row in rows)
+    assert any("," in row[CSV_COLUMNS.index("witness_cube")] for row in rows)
