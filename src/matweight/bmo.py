@@ -40,7 +40,6 @@ from .fields import (
     _haar_coefs,
     _is_p2,
     _level_argmax,
-    _mat_sqrt,
     _mat_isqrt,
     _opnorms,
     _same_window,
@@ -365,7 +364,12 @@ def _hardy_square(Phi, W, U):
 
 def h1_norm(Phi, W, U):
     """||S_{W^{-1},D} M_U Phi||_{L^1}, the p = 2 Hardy-space norm."""
-    return float(Phi.window.leaf_volume * np.sum(_hardy_square(Phi, W, U)))
+    return _h1_of(Phi.window, _hardy_square(Phi, W, U))
+
+
+def _h1_of(win, s):
+    """The L^1 norm of leaf values ``s``."""
+    return float(win.leaf_volume * np.sum(s))
 
 
 def square_function_level_sets(Phi, W, U):
@@ -375,14 +379,18 @@ def square_function_level_sets(Phi, W, U):
     square function actually crosses; measures are exact multiples of the
     leaf volume and decrease in k.
     """
-    s = _hardy_square(Phi, W, U)
+    return _level_sets_of(Phi.window, _hardy_square(Phi, W, U))
+
+
+def _level_sets_of(win, s):
+    """The level sets of ``square_function_level_sets`` for leaf values ``s``."""
     smax = float(np.max(s))
     if smax <= 0:
         return []
     k_hi = int(np.floor(np.log2(smax)))
     out = []
     for k in range(k_hi - 20, k_hi + 1):
-        measure = float(Phi.window.leaf_volume * np.count_nonzero(s > 2.0**k))
+        measure = float(win.leaf_volume * np.count_nonzero(s > 2.0**k))
         if measure > 0:
             out.append((k, measure))
     return out
@@ -408,11 +416,10 @@ def frobenius_pairing_spectral(Phi, B):
 
 def a2_spectral(W):
     """sup_I ||(m_I W)^{1/2} (m_I W^{-1})^{1/2}||^2 in the spectral norm."""
-    aW = W.level_averages()
-    aWi = W.inverse().level_averages()
+    roots, dual_roots = W.reducing_table(2).mats, W.reducing_table(2, dual=True).mats
     best = 0.0
     for j in range(W.window.depth + 1):
-        M = _mat_sqrt(aW[j]) @ _mat_sqrt(aWi[j])
+        M = roots[j] @ dual_roots[j]
         best = max(best, float(np.max(_opnorms(M) ** 2)))
     return best
 
@@ -429,7 +436,7 @@ def extremal_h1_instance(B, W, U, root=(0, 0)):
     win = _same_window(B, W, U)
     jr, kr = root
     Bs = tf.analyze(B)
-    aW, aU = W.level_averages(), U.level_averages()
+    roots, aU = W.reducing_table(2).mats, U.level_averages()
     dtype = np.result_type(B.leaves, W.leaves, U.leaves)
     spec = tf.HaarSpectrum(
         win, [np.zeros(c.shape, dtype) for c in Bs.coefs], np.zeros((W.n, W.n), dtype)
@@ -440,7 +447,7 @@ def extremal_h1_instance(B, W, U, root=(0, 0)):
         sel = np.nonzero(anc == kr)[0]
         if sel.size == 0:
             continue
-        sq = _mat_sqrt(aW[j][sel])
+        sq = roots[j][sel]
         isq = _mat_isqrt(aU[j][sel])
         X = _sandwich(Bs.coefs[j][sel], (sq,), (isq,))
         # optimal sequence S_I = X_I^H / ||{X}||, so the S* coefficients are
@@ -477,7 +484,8 @@ def duality_experiment(spec):
         Phi = random_matrix_field(win, n, rng)
         pairing = frobenius_pairing(Phi, B)
         cb = condition_b(W, U, tf.analyze(B), 2.0).supremum
-        h1 = h1_norm(Phi, W, U)
+        square = _hardy_square(Phi, W, U)
+        h1 = _h1_of(win, square)
         a2W = a2_spectral(W)
         denom = np.sqrt(a2W) * np.sqrt(cb) * h1
         upper_ratio = abs(pairing) / denom if denom > 0 else 0.0
@@ -495,7 +503,7 @@ def duality_experiment(spec):
         deep_ok = bool(h1D <= boundD * (1 + 1e-9)) and np.isclose(
             abs(pairD), predD, rtol=1e-9, atol=1e-12
         )
-        omega = square_function_level_sets(Phi, W, U)
+        omega = _level_sets_of(win, square)
         rows.append(
             {
                 "seed": seed,
@@ -604,12 +612,6 @@ def _grid_pair(fam, B, W, U, p, eps):
     (bo,) = _bmo_original(fam, B, W, U, p, (eps,))
     coefs = _haar_coefs(fam, [fam.mean(B, i) for i in range(fam.top + 1)])
     return bo.supremum, _condition_b(fam, W, U, coefs, p).supremum
-
-
-def _foreign_grid_bmo(B, W, U, p, eps, t):
-    """bmo_original and condition (b) over the piecewise family of D^t,
-    also when t is the window's own grid."""
-    return _grid_pair(_ShiftedGrid(B.window, t), B, W, U, p, eps)
 
 
 # -- two-weight construction pipeline ------------------------------------------

@@ -5,10 +5,12 @@ cancellative signature); the root average is carried separately so that
 analysis/synthesis is an exact bijection on leaf-resolved step fields.
 
 Haar shifts relocate each cancellative mode (I, eps) to a prescribed
-(child of I, signature); the commutator [B, Q] is decomposed into eight
-named pieces whose sum reproduces the direct difference B(Qf) - Q(Bf)
-exactly.  The bookkeeping conventions that make the finite-window identity
-exact:
+(child of I, signature).  ``_shift_coefs`` is the one relocation kernel:
+haar_shift, shift_commutator, their dense matrices and the commutator
+terms all move coefficient levels through it.  The commutator [B, Q] is
+decomposed into eight named pieces whose sum reproduces the direct
+difference B(Qf) - Q(Bf) exactly.  The bookkeeping conventions that make
+the finite-window identity exact:
 
 * averages m_I f include the window root average;
 * the shifted-paraproduct piece runs over strictly-contained pairs with
@@ -34,12 +36,13 @@ checks its operands and applies the kernel to one field, and
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 import numpy as np
 
 from .dyadic import WindowError, sign_table, Signature
 from .fields import (
-    MatrixField, VectorField, _haar_coefs, _mat_sqrt, _need_weight, _OwnGrid,
+    MatrixField, VectorField, _haar_coefs, _need_weight, _OwnGrid,
     _real_or_complex, _rel, _same_window,
 )
 
@@ -226,15 +229,24 @@ def _haar_multiplier(win, A, values):
     return _synthesize_values(win, coefs, _zero_root(values))
 
 
+def _shift_coefs(win, smap, fc):
+    """Coefficient levels of Q_sigma g from those of g, ``fc`` (levels
+    0..depth-2 at least; a last level has no level to go to and is dropped):
+    each mode (I, eps) moves to sigma(I, eps), one level down.  The one
+    kernel that relocates modes."""
+    shape, dtype = fc[0].shape[2:], fc[0].dtype
+    coefs = [np.zeros((win.cubes_at(j), win.nsig) + shape, dtype) for j in range(win.depth)]
+    for j in range(win.depth - 1):
+        np.add.at(coefs[j + 1], (smap.image_cube_index(j), smap.sig[j]), fc[j])
+    return coefs
+
+
 def _haar_shift(win, smap, fc):
     """Q_sigma after the projection that kills the last coefficient level,
     whose modes the shift has no level to send to; ``fc`` are the input's
     coefficient levels (the shift reads nothing else)."""
-    coefs = [np.zeros_like(c) for c in fc]
-    for j in range(win.depth - 1):
-        if fc[j].size:
-            np.add.at(coefs[j + 1], (smap.image_cube_index(j), smap.sig[j]), fc[j])
-    return _synthesize_values(win, coefs, np.zeros(fc[0].shape[2:], dtype=fc[0].dtype))
+    zero_root = np.zeros(fc[0].shape[2:], dtype=fc[0].dtype)
+    return _synthesize_values(win, _shift_coefs(win, smap, fc), zero_root)
 
 
 def _shift_commutator(win, B, smap, values, fc):
@@ -273,7 +285,7 @@ def mu_multiplier(U, Phi):
     win = _same_window(U, Phi)
     _need_weight(U, "M_U")
     ps = analyze(Phi)
-    sq = [_mat_sqrt(a) for a in U.level_averages()]
+    sq = U.reducing_table(2).mats  # (m_I U)^{1/2}, the exact p = 2 table
     coefs = [
         np.einsum("ksab,kbc->ksac", ps.coefs[j], sq[j]) for j in range(win.depth)
     ]
@@ -327,11 +339,10 @@ class ShiftMap:
         return win.children_index(j)[rows, self.child[j]]
 
     def is_injective(self):
-        for j in range(len(self.child)):
-            pairs = self.image_cube_index(j) * self.window.nsig + self.sig[j]
-            if len(np.unique(pairs)) != pairs.size:
-                return False
-        return True
+        """No two modes share an image: Q moves one unit mass per mode."""
+        win = self.window
+        ones = [np.ones((win.cubes_at(j), win.nsig)) for j in range(win.depth)]
+        return all(np.max(c, initial=0.0) <= 1.0 for c in _shift_coefs(win, self, ones))
 
 
 def haar_shift(smap, f):
@@ -354,8 +365,27 @@ def shift_commutator(B, smap, f):
     return VectorField(win, _shift_commutator(win, B, smap, f.leaves, spec.coefs))
 
 
-def _xnor(a, b, mask):
-    return ~(a ^ b) & mask
+def _products(win, Bc, coefs):
+    """P(B, g): the coefficient levels of the cancellative part of
+    sum_{b, e} B_I^b g_I^e h_I^b h_I^e.  The pairs b != e give
+    |I|^{-1/2} h_I^{xnor(b, e)}; the pairs b = e give chi_I / |I| and are
+    left out."""
+    S = win.nsig
+    tbl = _product_table(win.d).reshape(S * S, S).T  # (psi, (b, e))
+    out = []
+    for b, c, vol in zip(Bc, coefs, win.volumes):
+        pairs = b[:, :, None] @ c[:, None, :, :, None]  # B_I^b g_I^e: (cubes, b, e, n, 1)
+        out.append(tbl @ pairs.reshape(len(c), S * S, -1) / np.sqrt(vol))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _product_table(d):
+    """(S, S, S) table T with h^b h^e = |I|^{-1/2} sum_psi T[b, e, psi] h^psi
+    on a cube I for b != e, and T[b, b] = 0: the mean over children of the
+    product of the three sign vectors."""
+    tbl = sign_table(d)
+    return np.einsum("bc,ec,pc->bep", tbl, tbl, tbl) / 2**d
 
 
 def shift_commutator_terms(B, smap, f):
@@ -374,101 +404,53 @@ def shift_commutator_terms(B, smap, f):
     paraproduct_shift        pi_B Q f
 
     double_shift + shift_paraproduct = -Q(pi_B f) identically.
+
+    Kernels: Q is ``_shift_coefs`` on coefficient levels and P(B, g) is
+    ``_products``, the product table contracted with whole levels, so that
+
+    * diagonal_relocation is Q of the per-cube diagonal sum
+      sum_{eps'} h_I^{eps'}(sigma I) B_I^{eps'} f_I^eps;
+    * diagonal_multiplier is -Q P(B, f);
+    * child_multiplier is P(B, Q f);
+    * double_shift is -Q(B_J a_J), a_J = sum h_I^eps(sigma I) f_I^eps over
+      the modes (I, eps) that Q moves into J.
+
+    The other four compose the public haar_shift, paraproduct and
+    dual_paraproduct.
     """
     win = _same_window(B, smap, f)
-    d, S, L = win.d, win.nsig, win.depth
-    mask = 2**d - 1
     Bs, fs = analyze(B), analyze(f)
     require_headroom(Bs, "commutator symbol")
     require_headroom(fs, "commutator argument")
-    tbl = sign_table(d)
-    n = f.n
+    Bc, fc = Bs.coefs, fs.coefs
+    tbl = sign_table(win.d)
+    # hs[j][p, k, s]: h_I^p on the child of I that sigma(I, s) lies in, for
+    # the k-th cube I of level j
+    hs = [tbl[:, c] / np.sqrt(vol) for c, vol in zip(smap.child, win.volumes)]
+    Qf = _shift_coefs(win, smap, fc)
+    diag = [
+        (np.einsum("pks,kpab->ksab", h, b) @ c[..., None])[..., 0]
+        for h, b, c in zip(hs, Bc, fc)
+    ]
+    a = _shift_coefs(win, smap, [np.einsum("sks,ksa->ksa", h, c) for h, c in zip(hs, fc)])
+    Ba = [np.einsum("ksab,kb->ksa", b, np.sum(aJ, axis=1)) for b, aJ in zip(Bc, a)]
 
-    dtype = np.result_type(B.leaves, f.leaves)
-    diag_rel, diag_mult, child_mult, dbl_shift = (
-        [np.zeros(c.shape, dtype) for c in fs.coefs] for _ in range(4)
-    )
+    zero_root = np.zeros(f.n, np.result_type(B.leaves, f.leaves))
 
-    for j in range(L - 1):
-        K = win.cubes_at(j)
-        Bc = Bs.coefs[j]
-        fc = fs.coefs[j]
-        cj = smap.child[j]
-        dj = smap.sig[j]
-        img = smap.image_cube_index(j)
-        rvol = 1.0 / np.sqrt(win.volumes[j])
+    def field(coefs):
+        return VectorField(win, _synthesize_values(win, coefs, zero_root))
 
-        # diagonal, first piece: h_I^{eps'} (Q h_I^{eps})
-        sg = tbl[:, cj]  # (S_bmode, K, S_fmode)
-        M = np.einsum("pks,kpab->ksab", sg, Bc)
-        v = rvol * np.einsum("ksab,ksb->ksa", M, fc)
-        np.add.at(diag_rel[j + 1], (img, dj), v)
-
-        # diagonal, second piece with eps != eps': -|I|^{-1/2} Q h_I^{psi}
-        for sf in range(S):
-            for sb in range(S):
-                if sb == sf:
-                    continue
-                psi = _xnor(sb, sf, mask)
-                c2 = cj[:, psi]
-                d2 = dj[:, psi]
-                rows = np.arange(K)
-                ci2 = win.children_index(j)[rows, c2]
-                val = -rvol * np.einsum("kab,kb->ka", Bc[:, sb], fc[:, sf])
-                np.add.at(diag_mult[j + 1], (ci2, d2), val)
-
-        # child-level pieces need B coefficients one level down
-        Bc1 = Bs.coefs[j + 1]
-        rvol1 = 1.0 / np.sqrt(win.volumes[j + 1])
-        for sf in range(S):
-            i2 = img[:, sf]  # sigma(I, eps) cube index at level j+1
-            dsig = dj[:, sf]
-            fvec = fc[:, sf]
-            s0 = tbl[sf, cj[:, sf]] * rvol  # value of h_I^eps on sigma(I)
-            for e2 in range(S):
-                bmat = Bc1[i2, e2]
-                bv = np.einsum("kab,kb->ka", bmat, fvec)
-                # product h_{sigma I}^{eps'} h_{sigma I}^{sigma eps}, eps' != sigma eps
-                sel = e2 != dsig
-                if np.any(sel):
-                    psi2 = _xnor(e2, dsig[sel], mask)
-                    np.add.at(
-                        child_mult[j + 1],
-                        (i2[sel], psi2),
-                        rvol1 * bv[sel],
-                    )
-                # -Q(h_{sigma I}^{eps'} h_I^eps): relocate (sigma I, eps')
-                if j + 1 <= L - 2:
-                    c3 = smap.child[j + 1][i2, e2]
-                    d3 = smap.sig[j + 1][i2, e2]
-                    ci3 = win.children_index(j + 1)[i2, c3]
-                    np.add.at(
-                        dbl_shift[j + 2],
-                        (ci3, d3),
-                        -(s0[:, None] * bv),
-                    )
-
-    zero_root = np.zeros(n, dtype)
-    t_diag_rel = VectorField(win, _synthesize_values(win, diag_rel, zero_root))
-    t_diag_mult = VectorField(win, _synthesize_values(win, diag_mult, zero_root))
-    t_child_mult = VectorField(win, _synthesize_values(win, child_mult, zero_root))
-    t_dbl = VectorField(win, _synthesize_values(win, dbl_shift, zero_root))
-
-    t_shift_dual = -haar_shift(smap, dual_paraproduct(B, f))
-    t_dual_shift = dual_paraproduct(B, haar_shift(smap, f))
-    q_pi_b = haar_shift(smap, paraproduct(B, f))
-    t_shift_para = -q_pi_b - t_dbl
-    t_para_shift = paraproduct(B, haar_shift(smap, f))
-
+    t_dbl = -field(_shift_coefs(win, smap, Ba))
+    Qf_field = field(Qf)
     return [
-        ("diagonal_relocation", t_diag_rel),
-        ("diagonal_multiplier", t_diag_mult),
-        ("shift_dual_paraproduct", t_shift_dual),
-        ("dual_paraproduct_shift", t_dual_shift),
-        ("child_multiplier", t_child_mult),
+        ("diagonal_relocation", field(_shift_coefs(win, smap, diag))),
+        ("diagonal_multiplier", -field(_shift_coefs(win, smap, _products(win, Bc, fc)))),
+        ("shift_dual_paraproduct", -haar_shift(smap, dual_paraproduct(B, f))),
+        ("dual_paraproduct_shift", dual_paraproduct(B, Qf_field)),
+        ("child_multiplier", field(_products(win, Bc, Qf))),
         ("double_shift", t_dbl),
-        ("shift_paraproduct", t_shift_para),
-        ("paraproduct_shift", t_para_shift),
+        ("shift_paraproduct", -haar_shift(smap, paraproduct(B, f)) - t_dbl),
+        ("paraproduct_shift", paraproduct(B, Qf_field)),
     ]
 
 

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from matweight.dyadic import Window
-from matweight import fields
+from matweight import bmo, fields
 
 
 @pytest.fixture
@@ -51,3 +51,9 @@ def family_ap(fam, W, p):
     ``ap_characteristic_report`` scores each family."""
     val, (i, k) = fields._level_argmax(fields._ap_levels(fam, W, p))
     return val, fam.cube(i, k)
+
+
+def foreign_grid_bmo(B, W, U, p, eps, t):
+    """(bmo_original, condition (b)) over the piecewise family of the grid
+    D^t, also when t is the window's own grid."""
+    return bmo._grid_pair(fields._ShiftedGrid(B.window, t), B, W, U, p, eps)

@@ -5,10 +5,14 @@ single leaf-array kernel in ``transforms``: one function per operator on a
 single field, and ``batched_apply`` / ``materialize`` for a batch of
 columns, with the Haar analysis and synthesis they ran on; and
 ``lp_opnorm_estimate`` as it was before its test columns were built one
-level at a time, with one cube and component per step.  The tests compare
-the library against this code bit for bit, so the two must never share an
-operator contraction or an L^p mass; only the field classes, window index
-plumbing and reducing tables come from the library.
+level at a time, with one cube and component per step; and
+``shift_commutator_terms`` as it was before its four hand-built terms
+became whole-level coefficient products, with one Python loop per pair of
+signatures and one scatter per term.  The tests compare the library
+against this code bit for bit (the commutator terms, summed in another
+order, at 1e-12 relative), so the two must never share an operator
+contraction or an L^p mass; only the field classes, window index plumbing
+and reducing tables come from the library.
 """
 
 from __future__ import annotations
@@ -153,6 +157,124 @@ def shift_commutator(B, smap, f):
     Qf = haar_shift(smap, f)
     Bf = B.apply(f)
     return B.apply(Qf) - haar_shift(smap, Bf)
+
+
+def _xnor(a, b, mask):
+    return ~(a ^ b) & mask
+
+
+def shift_commutator_terms(B, smap, f):
+    """The eight-term case decomposition of [B, Q_sigma] f.
+
+    Returns an ordered list of (name, VectorField) whose sum equals
+    shift_commutator(B, smap, f) exactly:
+
+    diagonal_relocation      B_I^{eps'} f_I^eps h_I^{eps'}(sigma I) h_{sigma I}^{sigma eps}
+    diagonal_multiplier      -|I|^{-1/2} B_I^{eps'} f_I^eps h at sigma(I, psi), eps' != eps
+    shift_dual_paraproduct   -Q (pi_{B*})* f          (diagonal, eps' = eps)
+    dual_paraproduct_shift   (pi_{B*})* Q f           (child level, eps' = sigma eps)
+    child_multiplier         |sigma I|^{-1/2} B_{sigma I}^{eps'} f_I^eps h^psi, eps' != sigma eps
+    double_shift             -h_I^eps(sigma I) B_{sigma I}^{eps'} f_I^eps h at sigma(sigma I, eps')
+    shift_paraproduct        the strictly-triangular -Q(h h) pairs plus root bookkeeping
+    paraproduct_shift        pi_B Q f
+
+    double_shift + shift_paraproduct = -Q(pi_B f) identically.
+    """
+    win = _check_windows(B, smap, f)
+    d, S, L = win.d, win.nsig, win.depth
+    mask = 2**d - 1
+    Bs, fs = analyze(B), analyze(f)
+    require_headroom(Bs, "commutator symbol")
+    require_headroom(fs, "commutator argument")
+    tbl = sign_table(d)
+    n = f.n
+
+    dtype = complex  # the reference analysis and synthesis run in complex
+    diag_rel, diag_mult, child_mult, dbl_shift = (
+        [np.zeros(c.shape, dtype) for c in fs.coefs] for _ in range(4)
+    )
+
+    for j in range(L - 1):
+        K = win.cubes_at(j)
+        Bc = Bs.coefs[j]
+        fc = fs.coefs[j]
+        cj = smap.child[j]
+        dj = smap.sig[j]
+        img = smap.image_cube_index(j)
+        rvol = 1.0 / np.sqrt(win.volumes[j])
+
+        # diagonal, first piece: h_I^{eps'} (Q h_I^{eps})
+        sg = tbl[:, cj]  # (S_bmode, K, S_fmode)
+        M = np.einsum("pks,kpab->ksab", sg, Bc)
+        v = rvol * np.einsum("ksab,ksb->ksa", M, fc)
+        np.add.at(diag_rel[j + 1], (img, dj), v)
+
+        # diagonal, second piece with eps != eps': -|I|^{-1/2} Q h_I^{psi}
+        for sf in range(S):
+            for sb in range(S):
+                if sb == sf:
+                    continue
+                psi = _xnor(sb, sf, mask)
+                c2 = cj[:, psi]
+                d2 = dj[:, psi]
+                rows = np.arange(K)
+                ci2 = win.children_index(j)[rows, c2]
+                val = -rvol * np.einsum("kab,kb->ka", Bc[:, sb], fc[:, sf])
+                np.add.at(diag_mult[j + 1], (ci2, d2), val)
+
+        # child-level pieces need B coefficients one level down
+        Bc1 = Bs.coefs[j + 1]
+        rvol1 = 1.0 / np.sqrt(win.volumes[j + 1])
+        for sf in range(S):
+            i2 = img[:, sf]  # sigma(I, eps) cube index at level j+1
+            dsig = dj[:, sf]
+            fvec = fc[:, sf]
+            s0 = tbl[sf, cj[:, sf]] * rvol  # value of h_I^eps on sigma(I)
+            for e2 in range(S):
+                bmat = Bc1[i2, e2]
+                bv = np.einsum("kab,kb->ka", bmat, fvec)
+                # product h_{sigma I}^{eps'} h_{sigma I}^{sigma eps}, eps' != sigma eps
+                sel = e2 != dsig
+                if np.any(sel):
+                    psi2 = _xnor(e2, dsig[sel], mask)
+                    np.add.at(
+                        child_mult[j + 1],
+                        (i2[sel], psi2),
+                        rvol1 * bv[sel],
+                    )
+                # -Q(h_{sigma I}^{eps'} h_I^eps): relocate (sigma I, eps')
+                if j + 1 <= L - 2:
+                    c3 = smap.child[j + 1][i2, e2]
+                    d3 = smap.sig[j + 1][i2, e2]
+                    ci3 = win.children_index(j + 1)[i2, c3]
+                    np.add.at(
+                        dbl_shift[j + 2],
+                        (ci3, d3),
+                        -(s0[:, None] * bv),
+                    )
+
+    zero_root = np.zeros(n, dtype)
+    t_diag_rel = VectorField(win, _synthesize_values(win, diag_rel, zero_root))
+    t_diag_mult = VectorField(win, _synthesize_values(win, diag_mult, zero_root))
+    t_child_mult = VectorField(win, _synthesize_values(win, child_mult, zero_root))
+    t_dbl = VectorField(win, _synthesize_values(win, dbl_shift, zero_root))
+
+    t_shift_dual = -haar_shift(smap, dual_paraproduct(B, f))
+    t_dual_shift = dual_paraproduct(B, haar_shift(smap, f))
+    q_pi_b = haar_shift(smap, paraproduct(B, f))
+    t_shift_para = -q_pi_b - t_dbl
+    t_para_shift = paraproduct(B, haar_shift(smap, f))
+
+    return [
+        ("diagonal_relocation", t_diag_rel),
+        ("diagonal_multiplier", t_diag_mult),
+        ("shift_dual_paraproduct", t_shift_dual),
+        ("dual_paraproduct_shift", t_dual_shift),
+        ("child_multiplier", t_child_mult),
+        ("double_shift", t_dbl),
+        ("shift_paraproduct", t_shift_para),
+        ("paraproduct_shift", t_para_shift),
+    ]
 
 
 # -- batched application and dense materialization ---------------------------

@@ -8,7 +8,9 @@ from matweight import transforms as tf
 
 import grid_reference as grid_ref
 import scalar_reference as ref
-from conftest import family_ap, scalar_field, scalar_vector, random_scalar_weight
+from conftest import (
+    family_ap, foreign_grid_bmo, random_scalar_weight, scalar_field, scalar_vector,
+)
 
 
 def scalar_coef_map(win, b_vals, depth):
@@ -436,7 +438,7 @@ def test_foreign_grid_machinery_matches_own_grid(rng):
         B = bmo.random_matrix_field(win, 2, rng)
         own_shift = win.grid.shift
         for p in (2.0, 3.0):
-            bo, cb = bmo._foreign_grid_bmo(B, W, U, p, 1.0, own_shift)
+            bo, cb = foreign_grid_bmo(B, W, U, p, 1.0, own_shift)
             assert np.isclose(bo, bmo.bmo_original(B, W, U, p, 1.0).supremum, rtol=1e-9)
             assert np.isclose(
                 cb, bmo.condition_b(W, U, tf.analyze(B), p).supremum, rtol=1e-9
@@ -463,7 +465,7 @@ def test_foreign_grid_machinery_matches_own_grid_complex_weights(rng):
         U = _rotated(bmo.bounded_weight(win, 2, rng), Q)
         assert np.max(np.abs(W.leaves.imag)) > 0.1
         B = bmo.random_matrix_field(win, 2, rng)
-        _, cb = bmo._foreign_grid_bmo(B, W, U, 3.0, 1.0, win.grid.shift)
+        _, cb = foreign_grid_bmo(B, W, U, 3.0, 1.0, win.grid.shift)
         assert np.isclose(
             cb, bmo.condition_b(W, U, tf.analyze(B), 3.0).supremum, rtol=1e-9
         )
@@ -489,7 +491,7 @@ def test_foreign_grid_paths_match_per_cube_oracle(rng, d, depth, p, kind):
         assert np.isclose(val, want_val, rtol=1e-12, atol=0)
         assert cube.address == want_cube.address
         np.testing.assert_allclose(
-            bmo._foreign_grid_bmo(B, W, U, p, 1.0, t),
+            foreign_grid_bmo(B, W, U, p, 1.0, t),
             grid_ref.foreign_grid_bmo(B, W, U, p, 1.0, t),
             rtol=1e-12,
         )

@@ -525,6 +525,21 @@ def test_jn_reads_the_manifest_weight_parameters():
     assert default["a2W"] != row["a2W"]
 
 
+def test_verify_d3_manifest(tmp_path, capsys):
+    # a d = 3 window end to end: every identity audit, the commutator
+    # decomposition among them, passes and the CSV parses row by row
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"n": 2, "d": 3, "depth": 2, "seeds": [0, 1]}))
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--manifest", str(manifest), "--out", str(out)]) == 0
+    audits = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("audit ")]
+    assert "audit commutator_decomposition: pass" in audits
+    assert all(ln.endswith(": pass") for ln in audits), audits
+    header, *rows = csv.reader(out.read_text().splitlines()[1:])
+    assert header == CSV_COLUMNS
+    assert rows and all(len(row) == len(CSV_COLUMNS) == 9 for row in rows)
+
+
 @pytest.mark.parametrize("command", ["jn", "verify"])
 def test_d2_csv_rows_have_one_field_per_column(tmp_path, command):
     # a d = 2 witness address such as 4/2/3,1 used to be written unquoted,

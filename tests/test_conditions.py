@@ -9,6 +9,7 @@ from matweight.dyadic import Window
 from matweight.fields import FieldError, MatrixField, VectorField
 
 import condition_reference as cref
+from conftest import foreign_grid_bmo
 
 RTOL = 1e-12
 
@@ -104,7 +105,7 @@ def test_shifted_grid_families_match_oracle(rng, d, p):
         for key, value in vals.items():
             _same(got["per_grid"][t][key], value)
         for g, w in zip(
-            bmo._foreign_grid_bmo(B, W, U, p, 0.5, t),
+            foreign_grid_bmo(B, W, U, p, 0.5, t),
             cref._foreign_grid_bmo(B, W, U, p, 0.5, t),
         ):
             _same(g, w)

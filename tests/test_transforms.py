@@ -6,6 +6,7 @@ from matweight.fields import MatrixField, VectorField
 from matweight import bmo
 from matweight import transforms as tf
 
+import operator_reference as oref
 import scalar_reference as ref
 from conftest import scalar_field, scalar_vector, random_scalar_weight
 
@@ -289,13 +290,40 @@ def test_commutator_decomposition_many(rng):
 
 
 def test_commutator_decomposition_2d(rng):
-    win = Window.unit(2, 3)
+    # and d = 3, whose seven signatures no other identity test reaches
+    for d, injective in ((2, True), (3, True), (3, False)):
+        win = Window.unit(d, 3)
+        B = bmo.random_matrix_field(win, 2, rng, headroom=1)
+        f = bmo.random_vector_field(win, 2, rng, headroom=1)
+        smap = tf.ShiftMap.random(win, rng, injective=injective)
+        direct = tf.shift_commutator(B, smap, f)
+        total = sum(t.leaves for _, t in tf.shift_commutator_terms(B, smap, f))
+        assert np.max(np.abs(total - direct.leaves)) < 1e-9, (d, injective)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("injective", [True, False])
+@pytest.mark.parametrize("d, depth", [(1, 6), (2, 4), (3, 4)])
+def test_commutator_terms_match_reference(d, depth, injective, kind):
+    # every term against the per-signature loops it replaced, relative to
+    # the largest term (a term can vanish up to rounding, e.g.
+    # paraproduct_shift when B lives on one level above the last)
+    rng = np.random.default_rng(100 * d + depth)
+    win = Window.unit(d, depth)
     B = bmo.random_matrix_field(win, 2, rng, headroom=1)
+    if kind == "complex":
+        im = bmo.random_matrix_field(win, 2, rng, headroom=1)
+        B = MatrixField(win, B.leaves + 1j * im.leaves)
     f = bmo.random_vector_field(win, 2, rng, headroom=1)
-    smap = tf.ShiftMap.random(win, rng)
-    direct = tf.shift_commutator(B, smap, f)
-    total = sum(t.leaves for _, t in tf.shift_commutator_terms(B, smap, f))
-    assert np.max(np.abs(total - direct.leaves)) < 1e-9
+    smap = tf.ShiftMap.random(win, rng, injective=injective)
+    assert smap.is_injective() == (injective or d == 1)  # d = 1: one mode per cube
+    got = tf.shift_commutator_terms(B, smap, f)
+    want = oref.shift_commutator_terms(B, smap, f)
+    assert [name for name, _ in got] == [name for name, _ in want]
+    scale = max(float(np.max(np.abs(t.leaves))) for _, t in want)
+    for (name, g), (_, w) in zip(got, want):
+        assert g.leaves.dtype == np.result_type(B.leaves, f.leaves), name
+        assert np.max(np.abs(g.leaves - w.leaves)) <= 1e-12 * scale, name
 
 
 def test_commutator_constant_symbol_and_linearity(rng):
