@@ -433,7 +433,13 @@ def extremal_h1_instance(B, W, U, root=(0, 0)):
     h1_bound = a2_spectral(W)^{1/2} |J|^{1/2} is the exact inequality the
     construction satisfies.
     """
-    win = _same_window(B, W, U)
+    _same_window(B, W, U)
+    return _extremal_instance(B, W, U, root, a2_spectral(W))
+
+
+def _extremal_instance(B, W, U, root, a2W):
+    """``extremal_h1_instance`` for a checked window and a2W = a2_spectral(W)."""
+    win = W.window
     jr, kr = root
     Bs = tf.analyze(B)
     roots, aU = W.reducing_table(2).mats, U.level_averages()
@@ -463,8 +469,8 @@ def extremal_h1_instance(B, W, U, root=(0, 0)):
     field = tf.synthesize(spec)
     pairing = frobenius_pairing(field, B)
     volJ = win.volumes[jr]
-    h1 = h1_norm(field, W, U)
-    bound = np.sqrt(a2_spectral(W)) * np.sqrt(volJ)
+    h1 = _h1_of(win, _hardy_square(field, W, U))
+    bound = np.sqrt(a2W) * np.sqrt(volJ)
     return field, complex(pairing), scale, h1, float(bound)
 
 
@@ -489,7 +495,7 @@ def duality_experiment(spec):
         a2W = a2_spectral(W)
         denom = np.sqrt(a2W) * np.sqrt(cb) * h1
         upper_ratio = abs(pairing) / denom if denom > 0 else 0.0
-        _, pairS, predicted, h1S, bound = extremal_h1_instance(B, W, U)
+        _, pairS, predicted, h1S, bound = _extremal_instance(B, W, U, (0, 0), a2W)
         # Frobenius condition-(b) mass below the root: predicted^2 / |J|
         cbJ = predicted**2 / win.volumes[0]
         lower_denom = h1S * np.sqrt(cbJ)
@@ -497,9 +503,7 @@ def duality_experiment(spec):
         # a second extremal instance below a random strictly deeper cube
         jdeep = int(rng.integers(1, max(2, win.depth - 1)))
         kdeep = int(rng.integers(0, win.cubes_at(jdeep)))
-        _, pairD, predD, h1D, boundD = extremal_h1_instance(
-            B, W, U, root=(jdeep, kdeep)
-        )
+        _, pairD, predD, h1D, boundD = _extremal_instance(B, W, U, (jdeep, kdeep), a2W)
         deep_ok = bool(h1D <= boundD * (1 + 1e-9)) and np.isclose(
             abs(pairD), predD, rtol=1e-9, atol=1e-12
         )

@@ -124,7 +124,9 @@ class MatrixField:
     operations (powers, inverses) demand Hermitian input.
     """
 
-    def __init__(self, window, leaves, weight=False):
+    def __init__(self, window, leaves, weight=False, _eigvals=None):
+        # _eigvals: the leaves' eigenvalues when the caller has them already
+        # (``power``), so that the positivity check needs no eigensolve
         leaves = _real_or_complex(leaves)
         if leaves.shape[0] != window.leafcount or leaves.ndim != 3:
             raise FieldError("leaves must have shape (leafcount, n, n)")
@@ -140,7 +142,7 @@ class MatrixField:
         self.leaves.setflags(write=False)
         self.is_weight = bool(weight)
         if weight:
-            mineig = np.min(np.linalg.eigvalsh(leaves))
+            mineig = np.min(np.linalg.eigvalsh(leaves) if _eigvals is None else _eigvals)
             if mineig <= 0:
                 raise NotPositiveDefiniteError(
                     f"weight field has non-positive leaf (min eig {mineig:.3e})"
@@ -187,11 +189,10 @@ class MatrixField:
                 )
             if np.min(vals) <= 0 and float(s) < 0:
                 raise NotPositiveDefiniteError("negative power of singular leaf")
-            pw = np.einsum(
-                "lab,lb,lcb->lac", vecs, np.power(vals, key), np.conj(vecs)
-            )
+            pw_vals = np.power(vals, key)
+            pw = np.einsum("lab,lb,lcb->lac", vecs, pw_vals, np.conj(vecs))
             self._power_cache[key] = MatrixField(
-                self.window, pw, weight=self.is_weight
+                self.window, pw, weight=self.is_weight, _eigvals=pw_vals
             )
         return self._power_cache[key]
 

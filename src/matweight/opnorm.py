@@ -1,17 +1,25 @@
-"""Dense materialization of dyadic operators and weighted operator norms.
+"""Weighted operator norms of dyadic operators, matrix-free and dense.
 
 Every operator here acts on leaf-resolved vector fields, i.e. on C^{n * 2^{dL}}.
+An operator is a descriptor (a dict with a ``kind``) whose ``transforms``
+kernel is ``_KERNELS[kind]`` and whose adjoint kernel is ``_ADJOINTS[kind]``.
+``weighted_norm_p2`` takes a descriptor and computes the p = 2 norm
+L^2(U) -> L^2(W) without any matrix: Lanczos with full reorthogonalization
+on U^{-1/2} T^H W T U^{-1/2}, applied through the two kernels and leafwise
+factors, so its cost is some ten to twenty kernel pairs and windows past
+``DENSE_CAP`` are in reach.  The dense path below is its oracle.
 A dense matrix is the operator's ``transforms`` kernel applied to the whole
 standard basis at once, so it matches the field-level operator bit for bit.
 The basis is the real identity, so the matrix is float64 unless an operand
 (symbol, coefficient map or weight) is complex, and every norm below then
 runs in real arithmetic.
-At p = 2 the weighted norm L^2(U) -> L^2(W) is the top singular value of the
-conjugated matrix A = blockdiag(W^{1/2}) T blockdiag(U^{-1/2}) (the uniform
-leaf mass cancels), computed as the square root of the top eigenvalue of the
-Gram matrix A^H A.  For p != 2 only certified lower bounds
-exist at finite cost: indicator-type test functions swept over all cubes,
-refined by gradient ascent on the Rayleigh ratio.  The test family is built
+The dense p = 2 norm (``weighted_opnorm_p2``) is the top singular value of
+the conjugated matrix A = blockdiag(W^{1/2}) T blockdiag(U^{-1/2}) (the
+uniform leaf mass cancels), computed as the square root of the top
+eigenvalue of the Gram matrix A^H A.  For p != 2 only certified lower bounds
+exist at finite cost, and they still need the dense matrix: indicator-type
+test functions swept over all cubes, refined by gradient ascent on the
+Rayleigh ratio.  The test family is built
 one level at a time, as the level's (leaves, cubes) indicator times a
 per-leaf table of e_i, U^{-1/p} e_i and U^{1/p} e_i, and every weighted
 L^p mass of the sweep and the ascent is ``fields._weighted_lp_mass``, the
@@ -25,15 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    VectorField, _check_p, _is_p2, _mat_isqrt, _mat_sqrt, _same_window, _weighted_lp_mass,
+    VectorField, _check_p, _is_p2, _mat_isqrt, _mat_sqrt, _need_weight, _same_window,
+    _weighted_lp_mass,
 )
 from . import transforms as tf
 
 __all__ = [
     "CapError",
+    "LanczosError",
     "OperatorMatrix",
     "materialize",
     "weighted_opnorm_p2",
+    "weighted_norm_p2",
     "lp_opnorm_estimate",
     "haar_multiplier_norm_relation",
     "dump_operator",
@@ -64,14 +75,16 @@ class OperatorMatrix:
         return VectorField(self.window, vec.reshape(-1, self.n))
 
 
-# descriptor kind -> the transforms kernel, applied to values (leaves, n, N)
+# descriptor kind -> the transforms kernel, applied to values (leaves, n, ...)
 _KERNELS = {
-    "paraproduct": lambda op, win, v: tf._paraproduct(win, op["B"], v),
+    "paraproduct": lambda op, win, v: tf._paraproduct(win, tf.analyze(op["B"]).coefs, v),
     "conjugated_paraproduct": lambda op, win, v: tf._conjugated_paraproduct(
         win, op["A"], op["W"], op["U"], op["p"], v
     ),
-    "dual_paraproduct": lambda op, win, v: tf._dual_paraproduct(win, op["B"], v),
-    "haar_multiplier": lambda op, win, v: tf._haar_multiplier(win, op["A"], v),
+    "dual_paraproduct": lambda op, win, v: tf._dual_paraproduct(
+        win, tf.analyze(op["B"]).coefs, v
+    ),
+    "haar_multiplier": lambda op, win, v: tf._haar_multiplier(win, op["A"].coefs, v),
     "haar_shift": lambda op, win, v: tf._haar_shift(
         win, op["sigma"], tf._analyze_values(win, v)[0]
     ),
@@ -79,6 +92,37 @@ _KERNELS = {
         win, op["B"], op["sigma"], v, tf._analyze_values(win, v)[0]
     ),
 }
+
+# descriptor kind -> the kernel of the adjoint operator, same calling convention
+_ADJOINTS = {
+    "paraproduct": lambda op, win, v: tf._dual_paraproduct(
+        win, tf._adjoint_levels(tf.analyze(op["B"]).coefs), v
+    ),
+    "conjugated_paraproduct": lambda op, win, v: tf._conjugated_paraproduct_adjoint(
+        win, op["A"], op["W"], op["U"], op["p"], v
+    ),
+    "dual_paraproduct": lambda op, win, v: tf._paraproduct(
+        win, tf._adjoint_levels(tf.analyze(op["B"]).coefs), v
+    ),
+    "haar_multiplier": lambda op, win, v: tf._haar_multiplier(
+        win, tf._adjoint_levels(op["A"].coefs), v
+    ),
+    "haar_shift": lambda op, win, v: tf._haar_shift(
+        win, op["sigma"], tf._analyze_values(win, v)[0], adjoint=True
+    ),
+    "commutator": lambda op, win, v: tf._shift_commutator(
+        win, op["B"], op["sigma"], v, tf._analyze_values(win, v)[0], adjoint=True
+    ),
+}
+
+
+def _descriptor_window(op, *operands):
+    """The one window of a descriptor's operands and ``operands``; also
+    refuses an unknown kind."""
+    win = _same_window(*operands, *(v for v in op.values() if hasattr(v, "window")))
+    if op["kind"] not in _KERNELS:
+        raise ValueError(f"unknown operator descriptor kind {op['kind']!r}")
+    return win
 
 
 def materialize(op, window, n):
@@ -94,10 +138,8 @@ def materialize(op, window, n):
     that composition in the provenance tag.  On headroom inputs this is the
     operator itself.
     """
-    _same_window(window, *(v for v in op.values() if hasattr(v, "window")))
+    _descriptor_window(op, window)
     kind = op["kind"]
-    if kind not in _KERNELS:
-        raise ValueError(f"unknown operator descriptor kind {kind!r}")
     N = n * window.leafcount
     if N > DENSE_CAP:
         raise CapError(f"dense materialization capped at {DENSE_CAP}, need {N}")
@@ -128,6 +170,72 @@ def weighted_opnorm_p2(T, W, U):
     # At = A^T, whose Gram conj(A A^H) has the singular values of A squared
     top = np.linalg.eigvalsh(At.conj().T @ At)[-1]
     return float(np.sqrt(max(0.0, top)))
+
+
+def weighted_norm_p2(op, W, U):
+    """||T||_{L^2(U) -> L^2(W)} of an operator descriptor, without its matrix.
+
+    Lanczos with full reorthogonalization runs on the Gram map
+    A^H A = U^{-1/2} T^H W T U^{-1/2}, applied leaf by leaf and through the
+    descriptor's kernel and adjoint kernel: no dense matrix and no W^{1/2}
+    is formed, so windows past ``DENSE_CAP`` are in reach.  The start
+    vector is drawn from a fixed seed, and real operands keep every vector
+    in float64.  The result is sqrt(theta) for the top Ritz value theta,
+    once the residual bracket |beta_k y_k| <= 1e-10 theta closes;
+    LanczosError if it has not closed after n * leafcount steps.
+    """
+    win = _descriptor_window(op, W, U)
+    _need_weight(W, "the weighted norm")
+    _need_weight(U, "the weighted norm")
+    forward, adjoint = _KERNELS[op["kind"]], _ADJOINTS[op["kind"]]
+    Uih = U.power(-0.5).leaves
+    shape = (win.leafcount, U.n)
+
+    def gram(x):
+        y = forward(op, win, tf._leafwise(Uih, x.reshape(shape)))
+        y = adjoint(op, win, tf._leafwise(W.leaves, y))
+        return tf._leafwise(Uih, y).reshape(-1)
+
+    return float(np.sqrt(max(0.0, _lanczos_top(gram, win.leafcount * U.n))))
+
+
+class LanczosError(ValueError):
+    """The Lanczos residual bracket did not close within the Krylov space."""
+
+
+_LANCZOS_RTOL = 1e-10
+
+
+def _lanczos_top(gram, N):
+    """Top eigenvalue of the Hermitian positive semidefinite map ``gram`` on
+    vectors of length N, by Lanczos with full reorthogonalization from a
+    fixed random start (Golub and Van Loan, ch. 10).  Each step
+    orthogonalizes the new vector against the whole basis twice, and stops
+    when the top Ritz pair (theta, y) of the tridiagonal T_k has
+    |beta_k y_k| <= _LANCZOS_RTOL |theta|."""
+    q = np.random.default_rng(2).standard_normal(N)
+    q /= np.linalg.norm(q)
+    w = gram(q)
+    basis = np.zeros((min(N, 32), N), np.result_type(w, q))
+    basis[0] = q
+    alpha, beta = [], []
+    for k in range(N):
+        V = basis[: k + 1]
+        alpha.append(float(np.real(np.vdot(V[k], w))))
+        for _ in range(2):
+            w = w - V.T @ (V.conj() @ w)
+        beta.append(float(np.linalg.norm(w)))
+        # eigh reads the lower triangle: the beta's go below the diagonal
+        vals, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+        if beta[-1] * abs(vecs[-1, -1]) <= _LANCZOS_RTOL * abs(vals[-1]):
+            return float(vals[-1])
+        if k + 1 == N:
+            break
+        if k + 1 == len(basis):
+            basis = np.concatenate([basis, np.zeros_like(basis)])[:N]
+        basis[k + 1] = w / beta[-1]
+        w = gram(basis[k + 1])
+    raise LanczosError(f"Lanczos bracket still open after {N} steps")
 
 
 def lp_opnorm_estimate(T, W, U, p, budget=60):
@@ -201,8 +309,9 @@ def lp_opnorm_estimate(T, W, U, p, budget=60):
 def haar_multiplier_norm_relation(A, W, U, p):
     """Compare sup_I ||V_I(W) A_I^eps V_I(U)^{-1}|| with the T_A operator norm.
 
-    At p = 2 the operator norm is exact (``weighted_opnorm_p2``); otherwise
-    only the lower bound is reported and ``exact`` is False.
+    At p = 2 the operator norm is exact (``weighted_norm_p2``, matrix-free);
+    otherwise only the lower bound of the dense ``lp_opnorm_estimate`` is
+    reported and ``exact`` is False.
     """
     from .bmo import _coef_norms  # bmo imports this module
 
@@ -211,12 +320,12 @@ def haar_multiplier_norm_relation(A, W, U, p):
     inv = [tu.inv(j) for j in range(win.depth)]
     norms = _coef_norms(A.coefs, W.reducing_table(p).mats, inv)
     sup = max((float(np.max(v)) for v in norms if v.size), default=0.0)
-    T = materialize({"kind": "haar_multiplier", "A": A}, win, U.n)
+    op = {"kind": "haar_multiplier", "A": A}
     if _is_p2(p):
-        norm = weighted_opnorm_p2(T, W, U)
+        norm = weighted_norm_p2(op, W, U)
         exact = True
     else:
-        norm, _ = lp_opnorm_estimate(T, W, U, p)
+        norm, _ = lp_opnorm_estimate(materialize(op, win, U.n), W, U, p)
         exact = False
     ratio = norm / sup if sup > 0 else (0.0 if norm == 0 else np.inf)
     return {

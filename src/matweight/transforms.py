@@ -31,6 +31,11 @@ haar_multiplier, haar_shift and shift_commutator is written once, as a
 private kernel on leaf arrays with trailing batch axes; the public function
 checks its operands and applies the kernel to one field, and
 ``opnorm.materialize`` applies the same kernel to the standard basis.
+Each adjoint is written once too, for ``opnorm.weighted_norm_p2``: the
+multiplier and the two paraproducts on ``_adjoint_levels`` of their
+coefficients, ``_conjugated_paraproduct_adjoint``, and the shift and the
+commutator with ``adjoint=True``, whose relocation is ``_unshift_coefs``,
+the transpose of ``_shift_coefs``.
 """
 
 from __future__ import annotations
@@ -191,13 +196,15 @@ def _leafwise(M, values):
     return np.einsum("lab,lb...->la...", M, values)
 
 
-def _paraproduct(win, B, values):
-    Bs = analyze(B)
+def _adjoint_levels(levels):
+    """Leafwise conjugate transposes of matrix coefficient levels."""
+    return [np.conj(np.swapaxes(c, -1, -2)) for c in levels]
+
+
+def _paraproduct(win, Bc, values):
+    """sum B_I^eps m_I(values) h_I^eps for coefficient levels ``Bc``."""
     avgs = win.level_averages(values)
-    coefs = [
-        np.einsum("ksab,kb...->ksa...", Bs.coefs[j], avgs[j])
-        for j in range(win.depth)
-    ]
+    coefs = [np.einsum("ksab,kb...->ksa...", b, a) for b, a in zip(Bc, avgs)]
     return _synthesize_values(win, coefs, _zero_root(values))
 
 
@@ -211,21 +218,31 @@ def _conjugated_paraproduct(win, A, W, U, p, values):
     return _synthesize_values(win, coefs, _zero_root(values))
 
 
-def _dual_paraproduct(win, B, values):
-    Bs = analyze(B)
+def _conjugated_paraproduct_adjoint(win, A, W, U, p, values):
+    """U^{-1/p} sum_I chi_I / |I| (V_I(W) A_I^eps)^H g_I^eps: the adjoint of
+    ``_conjugated_paraproduct``, a dual paraproduct between two leafwise
+    factors."""
+    VA = [np.einsum("kab,ksbc->ksac", V, c) for V, c in zip(W.reducing_table(p).mats, A.coefs)]
+    dual = _dual_paraproduct(win, _adjoint_levels(VA), values)
+    return _leafwise(U.power(-1.0 / p).leaves, dual)
+
+
+def _dual_paraproduct(win, Bc, values):
+    """sum B_I^eps values_I^eps chi_I / |I| for coefficient levels ``Bc``;
+    on ``_adjoint_levels`` of B it is the adjoint of ``_paraproduct``, and
+    the reverse."""
     fc, _ = _analyze_values(win, values)
     return _descend(win, _zero_root(values), (
         np.einsum("ksab,ksb...->ka...", b, c)[:, None] / vol
-        for b, c, vol in zip(Bs.coefs, fc, win.volumes)
+        for b, c, vol in zip(Bc, fc, win.volumes)
     ))
 
 
-def _haar_multiplier(win, A, values):
+def _haar_multiplier(win, Ac, values):
+    """sum A_I^eps values_I^eps h_I^eps for coefficient levels ``Ac``; its
+    adjoint is the same kernel on ``_adjoint_levels(Ac)``."""
     fc, _ = _analyze_values(win, values)
-    coefs = [
-        np.einsum("ksab,ksb...->ksa...", A.coefs[j], fc[j])
-        for j in range(win.depth)
-    ]
+    coefs = [np.einsum("ksab,ksb...->ksa...", a, c) for a, c in zip(Ac, fc)]
     return _synthesize_values(win, coefs, _zero_root(values))
 
 
@@ -241,25 +258,39 @@ def _shift_coefs(win, smap, fc):
     return coefs
 
 
-def _haar_shift(win, smap, fc):
+def _unshift_coefs(win, smap, gc):
+    """The transpose of ``_shift_coefs``: each mode (I, eps) of level j
+    gathers the coefficient at sigma(I, eps) from level j + 1, and the last
+    level stays zero.  Modes that sigma sends to one image all read it."""
+    coefs = [gc[j + 1][smap.image_cube_index(j), smap.sig[j]] for j in range(win.depth - 1)]
+    return coefs + [np.zeros_like(gc[win.depth - 1])]
+
+
+def _haar_shift(win, smap, fc, adjoint=False):
     """Q_sigma after the projection that kills the last coefficient level,
-    whose modes the shift has no level to send to; ``fc`` are the input's
-    coefficient levels (the shift reads nothing else)."""
+    whose modes the shift has no level to send to, or with ``adjoint`` its
+    adjoint; ``fc`` are the input's coefficient levels (the shift reads
+    nothing else)."""
+    move = _unshift_coefs if adjoint else _shift_coefs
     zero_root = np.zeros(fc[0].shape[2:], dtype=fc[0].dtype)
-    return _synthesize_values(win, _shift_coefs(win, smap, fc), zero_root)
+    return _synthesize_values(win, move(win, smap, fc), zero_root)
 
 
-def _shift_commutator(win, B, smap, values, fc):
-    """B (Q values) - Q (B values); ``fc`` are the coefficient levels of values."""
-    BQ = _leafwise(B.leaves, _haar_shift(win, smap, fc))
-    Bc, _ = _analyze_values(win, _leafwise(B.leaves, values))
-    return BQ - _haar_shift(win, smap, Bc)
+def _shift_commutator(win, B, smap, values, fc, adjoint=False):
+    """B (Q values) - Q (B values), or with ``adjoint`` its adjoint
+    Q^* (B^H values) - B^H (Q^* values); ``fc`` are the coefficient levels
+    of values."""
+    M = np.conj(np.swapaxes(B.leaves, 1, 2)) if adjoint else B.leaves
+    MQ = _leafwise(M, _haar_shift(win, smap, fc, adjoint))
+    Mc, _ = _analyze_values(win, _leafwise(M, values))
+    QM = _haar_shift(win, smap, Mc, adjoint)
+    return QM - MQ if adjoint else MQ - QM
 
 
 def paraproduct(B, f):
     """pi_B f = sum_eps sum_I B_I^eps (m_I f) h_I^eps over window modes."""
     win = _same_window(B, f)
-    return VectorField(win, _paraproduct(win, B, f.leaves))
+    return VectorField(win, _paraproduct(win, analyze(B).coefs, f.leaves))
 
 
 def conjugated_paraproduct(A, W, U, p, f):
@@ -271,13 +302,13 @@ def conjugated_paraproduct(A, W, U, p, f):
 def dual_paraproduct(B, f):
     """(pi_{B*})* f = sum B_I^eps f_I^eps chi_I / |I| (adjoint of pi_{B*})."""
     win = _same_window(B, f)
-    return VectorField(win, _dual_paraproduct(win, B, f.leaves))
+    return VectorField(win, _dual_paraproduct(win, analyze(B).coefs, f.leaves))
 
 
 def haar_multiplier(A, f):
     """T_A f = sum A_I^eps f_I^eps h_I^eps (kills the root average)."""
     win = _same_window(A, f)
-    return VectorField(win, _haar_multiplier(win, A, f.leaves))
+    return VectorField(win, _haar_multiplier(win, A.coefs, f.leaves))
 
 
 def mu_multiplier(U, Phi):

@@ -48,6 +48,7 @@ CONTRACT = [
     tf.triebel_lizorkin_functional,
     opnorm.materialize,
     opnorm.weighted_opnorm_p2,
+    opnorm.weighted_norm_p2,
     opnorm.lp_opnorm_estimate,
     opnorm.haar_multiplier_norm_relation,
     stopping.build,

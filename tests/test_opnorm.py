@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matweight.dyadic import Window
-from matweight.fields import FieldError, MatrixField, VectorField
+from matweight.fields import FieldError, MatrixField, NotPositiveDefiniteError, VectorField
 from matweight import bmo
 from matweight import opnorm as onorm
 from matweight import transforms as tf
@@ -109,9 +109,10 @@ def test_materialize_consistency_all_kinds():
 
 @pytest.mark.parametrize("kind", sorted(onorm._KERNELS))
 def test_operator_kernels_match_reference(kind):
-    # Every kind in materialize's kernel table needs a case here, and both
-    # the dense matrix and the single-field operator must reproduce the
-    # reference implementations bit for bit.
+    # Every kind in materialize's kernel table needs a case here and an
+    # adjoint kernel, and both the dense matrix and the single-field
+    # operator must reproduce the reference implementations bit for bit.
+    assert kind in onorm._ADJOINTS, f"descriptor kind {kind!r} has no adjoint kernel"
     checked = 0
     for d, n, weights in _CONFIGS:
         win, W, U, B, f, smap = _operator_setup(d, n, weights)
@@ -131,6 +132,122 @@ def test_operator_kernels_match_reference(kind):
                 assert np.array_equal(got.leaves, oref.haar_shift(smap, B).leaves)
             checked += 1
     assert checked, f"no reference case for descriptor kind {kind!r}"
+
+
+@functools.lru_cache(maxsize=None)
+def _adjoint_setup(d, n, kind):
+    """Every descriptor of ``_operator_cases`` on float64 (real) or complex
+    operands, plus the shift and the commutator on a shift map drawn with
+    ``injective=False``: in d = 2 some of its modes collide, and only the
+    gather of a collided image tests the transpose of the scatter-add."""
+    win, W, U, B, f, smap = _operator_setup(d, n, kind)
+    if kind == "real":
+        W = MatrixField(win, W.leaves.real, weight=True)
+        U = MatrixField(win, U.leaves.real, weight=True)
+        B = MatrixField(win, B.leaves.real)
+    collide = tf.ShiftMap.random(win, np.random.default_rng([d, n, 17]), injective=False)
+    descs = [desc for desc, _, _ in _operator_cases(win, W, U, B, smap)]
+    descs += [{"kind": "haar_shift", "sigma": collide}, {"kind": "commutator", "B": B, "sigma": collide}]
+    return win, W, U, descs
+
+
+def test_adjoint_cases_reach_colliding_shifts():
+    sigmas = [
+        desc["sigma"] for d, n, kind in _CONFIGS for desc in _adjoint_setup(d, n, kind)[3]
+        if "sigma" in desc and desc["sigma"].window.d == 2
+    ]
+    assert any(not smap.is_injective() for smap in sigmas)
+
+
+@pytest.mark.parametrize("kind", sorted(onorm._KERNELS))
+def test_adjoint_kernels(kind):
+    # <T f, g> = <f, T* g> on random batched blocks, and T* applied to the
+    # standard basis is the conjugate transpose of the dense matrix.
+    checked = 0
+    for d, n, weights in _CONFIGS:
+        win, W, U, descs = _adjoint_setup(d, n, weights)
+        rng = np.random.default_rng([d, n, 23])
+        L, N = win.leafcount, n * win.leafcount
+        X, Y = (
+            rng.standard_normal((L, n, 4))
+            + (1j * rng.standard_normal((L, n, 4)) if weights == "complex" else 0.0)
+            for _ in range(2)
+        )
+        for desc in descs:
+            if desc["kind"] != kind:
+                continue
+            TX = onorm._KERNELS[kind](desc, win, X)
+            TsY = onorm._ADJOINTS[kind](desc, win, Y)
+            if weights == "real":
+                assert TsY.dtype == np.float64, (d, n)
+            lhs = np.einsum("lab,lab->b", TX, np.conj(Y))
+            rhs = np.einsum("lab,lab->b", X, np.conj(TsY))
+            scale = np.linalg.norm(TX) * np.linalg.norm(Y) + np.linalg.norm(X) * np.linalg.norm(TsY)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale, (d, n, weights)
+            dense = onorm.materialize(desc, win, n).matrix.conj().T
+            Ts = onorm._ADJOINTS[kind](desc, win, np.eye(N).reshape(L, n, N)).reshape(N, N)
+            assert np.max(np.abs(Ts - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense))), (d, n, weights)
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("kind", sorted(onorm._KERNELS))
+def test_weighted_norm_p2_matches_dense(kind):
+    # W != U, and the complex configurations have complex weights
+    for d, n, weights in _CONFIGS:
+        win, W, U, descs = _adjoint_setup(d, n, weights)
+        for desc in descs:
+            if desc["kind"] != kind:
+                continue
+            want = onorm.weighted_opnorm_p2(onorm.materialize(desc, win, n), W, U)
+            got = onorm.weighted_norm_p2(desc, W, U)
+            assert abs(got - want) <= 1e-12 * want, (d, n, weights, got, want)
+
+
+def test_weighted_norm_p2_past_the_dense_cap():
+    # n * leafcount = 8192: materialize refuses, the matrix-free norm runs,
+    # and ||T||_{U -> W} = ||T*||_{W^-1 -> U^-1} for T_A (T* = T_{A^H}) and
+    # for pi_B (pi_B* = the dual paraproduct of B^H)
+    rng = np.random.default_rng(8192)
+    win, n = Window.unit(1, 12), 2
+    W = bmo.bounded_weight(win, n, rng)
+    U = bmo.bounded_weight(win, n, rng)
+    B = bmo.random_matrix_field(win, n, rng)
+    A = tf.analyze(B)
+    Ah = tf.HaarSpectrum(win, [np.conj(np.swapaxes(c, -1, -2)) for c in A.coefs], A.root)
+    Bh = MatrixField(win, np.conj(np.swapaxes(B.leaves, 1, 2)))
+    pairs = [
+        ({"kind": "haar_multiplier", "A": A}, {"kind": "haar_multiplier", "A": Ah}),
+        ({"kind": "paraproduct", "B": B}, {"kind": "dual_paraproduct", "B": Bh}),
+    ]
+    for op, adjoint in pairs:
+        with pytest.raises(onorm.CapError):
+            onorm.materialize(op, win, n)
+        lhs = onorm.weighted_norm_p2(op, W, U)
+        rhs = onorm.weighted_norm_p2(adjoint, U.inverse(), W.inverse())
+        assert lhs > 0
+        assert abs(lhs - rhs) <= 1e-12 * lhs, (op["kind"], lhs, rhs)
+
+
+def test_weighted_norm_p2_zero_operator_and_open_bracket(rng, monkeypatch):
+    win = Window.unit(1, 2)
+    W, U = bmo.bounded_weight(win, 2, rng), _complex_weight(win, rng)
+    zero = {"kind": "haar_multiplier", "A": tf.HaarSpectrum.zeros(win, (2, 2))}
+    assert onorm.weighted_norm_p2(zero, W, U) == 0.0
+    op = {"kind": "paraproduct", "B": bmo.random_matrix_field(win, 2, rng)}
+    monkeypatch.setattr(onorm, "_LANCZOS_RTOL", -1.0)  # a bracket that never closes
+    with pytest.raises(onorm.LanczosError, match="after 8 steps"):
+        onorm.weighted_norm_p2(op, W, U)
+
+
+def test_weighted_norm_p2_refuses_bad_operands(rng):
+    win = Window.unit(1, 3)
+    W = bmo.bounded_weight(win, 2, rng)
+    B = bmo.random_matrix_field(win, 2, rng)
+    with pytest.raises(ValueError, match="unknown operator descriptor kind 'nope'"):
+        onorm.weighted_norm_p2({"kind": "nope"}, W, W)
+    with pytest.raises(NotPositiveDefiniteError):
+        onorm.weighted_norm_p2({"kind": "paraproduct", "B": B}, W, B)
 
 
 @pytest.mark.parametrize("kind", ["haar_shift", "commutator"])

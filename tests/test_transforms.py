@@ -277,16 +277,24 @@ def test_shift_operators_analyze_each_input_once(rng, monkeypatch):
 
 
 def test_commutator_decomposition_many(rng):
-    win = Window.unit(1, 6)
+    # The odd trials draw with injective=False on a d = 2 window: in d = 1
+    # each cube has one mode, which goes to a child of its own cube, so
+    # such a draw is injective there and no two modes would ever collide.
+    windows = {True: Window.unit(1, 6), False: Window.unit(2, 4)}
+    collided = 0
     for trial in range(20):
+        injective = trial % 2 == 0
+        win = windows[injective]
         B = bmo.random_matrix_field(win, 2, rng, headroom=1)
         f = bmo.random_vector_field(win, 2, rng, headroom=1)
-        smap = tf.ShiftMap.random(win, rng, injective=(trial % 2 == 0))
+        smap = tf.ShiftMap.random(win, rng, injective=injective)
+        collided += not smap.is_injective()
         direct = tf.shift_commutator(B, smap, f)
         terms = tf.shift_commutator_terms(B, smap, f)
         total = sum(t.leaves for _, t in terms)
         scale = max(1.0, float(np.max(np.abs(direct.leaves))))
         assert np.max(np.abs(total - direct.leaves)) < 1e-9 * scale
+    assert collided
 
 
 def test_commutator_decomposition_2d(rng):
