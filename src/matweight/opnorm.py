@@ -1,40 +1,42 @@
 """Weighted operator norms of dyadic operators, matrix-free and dense.
 
 Every operator here acts on leaf-resolved vector fields, i.e. on C^{n * 2^{dL}}.
-An operator is a descriptor (a dict with a ``kind``) whose ``transforms``
-kernel is ``_KERNELS[kind]`` and whose adjoint kernel is ``_ADJOINTS[kind]``.
-``weighted_norm_p2`` takes a descriptor and computes the p = 2 norm
-L^2(U) -> L^2(W) without any matrix: Lanczos with full reorthogonalization
-on U^{-1/2} T^H W T U^{-1/2}, applied through the two kernels and leafwise
-factors, so its cost is some ten to twenty kernel pairs and windows past
-``DENSE_CAP`` are in reach.  The dense path below is its oracle.
+An operator is a descriptor (a dict with a ``kind``); ``_KERNELS[kind]``
+and ``_ADJOINTS[kind]`` prepare its ``transforms`` kernel and adjoint
+kernel once per operator.
+Both p = 2 norms L^2(U) -> L^2(W) run one Lanczos (``_lanczos_top``, full
+reorthogonalization from a fixed start) on the Gram map
+U^{-1/2} T^H W T U^{-1/2}, applied as T and T^H between leafwise factors,
+with one stopping rule: the residual bracket closes to 1e-10 of the top
+Ritz value, or LanczosError.  ``weighted_norm_p2`` applies T and T^H
+through the two kernels, without any matrix, so its cost is some ten to
+twenty kernel pairs and windows past ``DENSE_CAP`` are in reach;
+``weighted_opnorm_p2`` applies them as dense matrix-vector products of an
+``OperatorMatrix``, and never forms the conjugated matrix, its Gram or a
+full eigensolve.
 A dense matrix is the operator's ``transforms`` kernel applied to the whole
 standard basis at once, so it matches the field-level operator bit for bit.
 The basis is the real identity, so the matrix is float64 unless an operand
 (symbol, coefficient map or weight) is complex, and every norm below then
 runs in real arithmetic.
-The dense p = 2 norm (``weighted_opnorm_p2``) is the top singular value of
-the conjugated matrix A = blockdiag(W^{1/2}) T blockdiag(U^{-1/2}) (the
-uniform leaf mass cancels), computed as the square root of the top
-eigenvalue of the Gram matrix A^H A.  For p != 2 only certified lower bounds
-exist at finite cost, and they still need the dense matrix: indicator-type
-test functions swept over all cubes, refined by gradient ascent on the
-Rayleigh ratio.  The test family is built
-one level at a time, as the level's (leaves, cubes) indicator times a
-per-leaf table of e_i, U^{-1/p} e_i and U^{1/p} e_i, and every weighted
-L^p mass of the sweep and the ascent is ``fields._weighted_lp_mass``, the
-helper behind ``VectorField.lp_norm``.
+For p != 2 only certified lower bounds exist at finite cost, and they
+still need the dense matrix: indicator-type test functions swept over all
+cubes, refined by gradient ascent on the Rayleigh ratio.  The test family
+is built one level at a time, as the level's (leaves, cubes) indicator
+times a per-leaf table of e_i, U^{-1/p} e_i and U^{1/p} e_i, and every
+weighted L^p mass of the sweep and the ascent is
+``fields._weighted_lp_mass``, the helper behind ``VectorField.lp_norm``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .fields import (
-    VectorField, _check_p, _is_p2, _mat_isqrt, _mat_sqrt, _need_weight, _same_window,
-    _weighted_lp_mass,
+    VectorField, _check_p, _is_p2, _need_weight, _same_window, _weighted_lp_mass,
 )
 from . import transforms as tf
 
@@ -75,42 +77,47 @@ class OperatorMatrix:
         return VectorField(self.window, vec.reshape(-1, self.n))
 
 
-# descriptor kind -> the transforms kernel, applied to values (leaves, n, ...)
+# descriptor kind -> prepare(op, win): the operator's transforms kernel on
+# leaf arrays (leaves, n, ...), with the work that depends only on the
+# operator (the Haar analysis of a symbol, adjoint coefficient levels) done
+# once, so a norm that applies it many times pays for it once
 _KERNELS = {
-    "paraproduct": lambda op, win, v: tf._paraproduct(win, tf.analyze(op["B"]).coefs, v),
-    "conjugated_paraproduct": lambda op, win, v: tf._conjugated_paraproduct(
-        win, op["A"], op["W"], op["U"], op["p"], v
+    "paraproduct": lambda op, win: partial(tf._paraproduct, win, tf.analyze(op["B"]).coefs),
+    "conjugated_paraproduct": lambda op, win: partial(
+        tf._conjugated_paraproduct, win, op["A"], op["W"], op["U"], op["p"]
     ),
-    "dual_paraproduct": lambda op, win, v: tf._dual_paraproduct(
-        win, tf.analyze(op["B"]).coefs, v
+    "dual_paraproduct": lambda op, win: partial(
+        tf._dual_paraproduct, win, tf.analyze(op["B"]).coefs
     ),
-    "haar_multiplier": lambda op, win, v: tf._haar_multiplier(win, op["A"].coefs, v),
-    "haar_shift": lambda op, win, v: tf._haar_shift(
+    "haar_multiplier": lambda op, win: partial(tf._haar_multiplier, win, op["A"].coefs),
+    "haar_shift": lambda op, win: lambda v: tf._haar_shift(
         win, op["sigma"], tf._analyze_values(win, v)[0]
     ),
-    "commutator": lambda op, win, v: tf._shift_commutator(
+    "commutator": lambda op, win: lambda v: tf._shift_commutator(
         win, op["B"], op["sigma"], v, tf._analyze_values(win, v)[0]
     ),
 }
 
-# descriptor kind -> the kernel of the adjoint operator, same calling convention
+# descriptor kind -> prepare(op, win) for the adjoint operator, same convention
 _ADJOINTS = {
-    "paraproduct": lambda op, win, v: tf._dual_paraproduct(
-        win, tf._adjoint_levels(tf.analyze(op["B"]).coefs), v
+    "paraproduct": lambda op, win: partial(
+        tf._dual_paraproduct, win, tf._adjoint_levels(tf.analyze(op["B"]).coefs)
     ),
-    "conjugated_paraproduct": lambda op, win, v: tf._conjugated_paraproduct_adjoint(
-        win, op["A"], op["W"], op["U"], op["p"], v
+    "conjugated_paraproduct": lambda op, win: partial(
+        tf._conjugated_paraproduct_adjoint, win,
+        tf._conjugated_adjoint_levels(op["A"], op["W"], op["p"]),
+        op["U"].power(-1.0 / op["p"]).leaves,
     ),
-    "dual_paraproduct": lambda op, win, v: tf._paraproduct(
-        win, tf._adjoint_levels(tf.analyze(op["B"]).coefs), v
+    "dual_paraproduct": lambda op, win: partial(
+        tf._paraproduct, win, tf._adjoint_levels(tf.analyze(op["B"]).coefs)
     ),
-    "haar_multiplier": lambda op, win, v: tf._haar_multiplier(
-        win, tf._adjoint_levels(op["A"].coefs), v
+    "haar_multiplier": lambda op, win: partial(
+        tf._haar_multiplier, win, tf._adjoint_levels(op["A"].coefs)
     ),
-    "haar_shift": lambda op, win, v: tf._haar_shift(
+    "haar_shift": lambda op, win: lambda v: tf._haar_shift(
         win, op["sigma"], tf._analyze_values(win, v)[0], adjoint=True
     ),
-    "commutator": lambda op, win, v: tf._shift_commutator(
+    "commutator": lambda op, win: lambda v: tf._shift_commutator(
         win, op["B"], op["sigma"], v, tf._analyze_values(win, v)[0], adjoint=True
     ),
 }
@@ -128,9 +135,10 @@ def _descriptor_window(op, *operands):
 def materialize(op, window, n):
     """Dense matrix of an operator descriptor (a dict with a ``kind``).
 
-    The descriptor's kernel is applied to the whole standard basis in one
-    batched pass.  Size is capped at n * leafcount <= 4096 (dense p = 2 norm
-    cost); larger windows must use the matrix-free lower bounds.
+    The descriptor's kernel is prepared once and applied to the whole
+    standard basis in one batched pass.  Size is capped at
+    n * leafcount <= 4096 (the N x N matrix itself); larger windows must
+    use ``weighted_norm_p2``, which needs no matrix.
 
     Shift and commutator descriptors are defined only on fields with shift
     headroom; their dense matrices act as the operator composed with the
@@ -147,56 +155,68 @@ def materialize(op, window, n):
     if kind in ("haar_shift", "commutator"):
         provenance = kind + "*headroom_projection"
     basis = np.eye(N).reshape(window.leafcount, n, N)
-    cols = _KERNELS[kind](op, window, basis).reshape(N, N)
+    cols = _KERNELS[kind](op, window)(basis).reshape(N, N)
     return OperatorMatrix(matrix=cols, window=window, n=n, provenance=provenance)
 
 
 def weighted_opnorm_p2(T, W, U):
-    """||T||_{L^2(U) -> L^2(W)}: top singular value after weight conjugation.
+    """||T||_{L^2(U) -> L^2(W)} of a dense ``OperatorMatrix``.
 
-    A = blockdiag(W^{1/2}) T blockdiag(U^{-1/2}) is formed with two batched
-    matmuls over leaf blocks, and the norm is sqrt(max(0, top eigenvalue of
-    the Gram A^H A)); squaring perturbs sigma_max^2 by about eps sigma_max^2,
-    so the result keeps machine-epsilon relative accuracy.  Real T, W and
-    U keep A, its Gram and the eigensolve in float64.
+    The same Lanczos as ``weighted_norm_p2``, on the Gram map
+    U^{-1/2} T^H W T U^{-1/2} applied as two dense matrix-vector products
+    (T and T^H) between leafwise factors: no conjugated matrix, no
+    N x N Gram and no full eigensolve is formed.  Real T, W and U keep
+    every Lanczos vector in float64.  LanczosError if the residual bracket
+    has not closed after n * leafcount steps.
     """
-    L, n, N = _same_window(T, W, U).leafcount, T.n, T.size
-    Wh = _mat_sqrt(W.leaves)
-    Uih = _mat_isqrt(U.leaves)
-    # rows: leaf block i of T is scaled by W_i^{1/2}
-    WT = np.matmul(Wh, T.matrix.reshape(L, n, N)).reshape(N, N)
-    # columns, on the transpose: (M D)^T = D^T M^T with D = blockdiag(U^{-1/2})
-    At = np.matmul(np.swapaxes(Uih, 1, 2), WT.T.reshape(L, n, N)).reshape(N, N)
-    # At = A^T, whose Gram conj(A A^H) has the singular values of A squared
-    top = np.linalg.eigvalsh(At.conj().T @ At)[-1]
-    return float(np.sqrt(max(0.0, top)))
+    _same_window(T, W, U)
+    _need_weight(W, "the weighted norm")
+    _need_weight(U, "the weighted norm")
+    M = T.matrix
+
+    def forward(v):
+        return (M @ v.reshape(-1)).reshape(v.shape)
+
+    def adjoint(v):
+        # T^H v as (v^H T)^H: no conjugate copy of T
+        return np.conj(np.conj(v.reshape(-1)) @ M).reshape(v.shape)
+
+    return _gram_norm(forward, adjoint, W, U)
 
 
 def weighted_norm_p2(op, W, U):
     """||T||_{L^2(U) -> L^2(W)} of an operator descriptor, without its matrix.
 
-    Lanczos with full reorthogonalization runs on the Gram map
-    A^H A = U^{-1/2} T^H W T U^{-1/2}, applied leaf by leaf and through the
-    descriptor's kernel and adjoint kernel: no dense matrix and no W^{1/2}
-    is formed, so windows past ``DENSE_CAP`` are in reach.  The start
-    vector is drawn from a fixed seed, and real operands keep every vector
-    in float64.  The result is sqrt(theta) for the top Ritz value theta,
-    once the residual bracket |beta_k y_k| <= 1e-10 theta closes;
-    LanczosError if it has not closed after n * leafcount steps.
+    Lanczos on U^{-1/2} T^H W T U^{-1/2} through the descriptor's kernel and
+    adjoint kernel, each prepared once: no dense matrix and no W^{1/2} is
+    formed, so windows past ``DENSE_CAP`` are in reach.  Real operands keep
+    every vector in float64.  LanczosError if the residual bracket has not
+    closed after n * leafcount steps.
     """
     win = _descriptor_window(op, W, U)
     _need_weight(W, "the weighted norm")
     _need_weight(U, "the weighted norm")
-    forward, adjoint = _KERNELS[op["kind"]], _ADJOINTS[op["kind"]]
+    kind = op["kind"]
+    return _gram_norm(_KERNELS[kind](op, win), _ADJOINTS[kind](op, win), W, U)
+
+
+def _gram_norm(forward, adjoint, W, U):
+    """sqrt(theta) for the top eigenvalue theta of the Gram map
+    A^H A = U^{-1/2} T^H W T U^{-1/2}, where ``forward`` applies T and
+    ``adjoint`` applies T^H to leaf arrays (leaves, n); U^{-1/2} is the
+    cached ``U.power(-0.5)`` and W is applied as it is.  theta comes from
+    ``_lanczos_top``, once its residual bracket |beta_k y_k| <= 1e-10 theta
+    closes (the uniform leaf mass cancels).  The callers check the
+    weights."""
     Uih = U.power(-0.5).leaves
-    shape = (win.leafcount, U.n)
+    shape = (U.window.leafcount, U.n)
 
     def gram(x):
-        y = forward(op, win, tf._leafwise(Uih, x.reshape(shape)))
-        y = adjoint(op, win, tf._leafwise(W.leaves, y))
+        y = forward(tf._leafwise(Uih, x.reshape(shape)))
+        y = adjoint(tf._leafwise(W.leaves, y))
         return tf._leafwise(Uih, y).reshape(-1)
 
-    return float(np.sqrt(max(0.0, _lanczos_top(gram, win.leafcount * U.n))))
+    return float(np.sqrt(max(0.0, _lanczos_top(gram, shape[0] * shape[1]))))
 
 
 class LanczosError(ValueError):

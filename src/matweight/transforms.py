@@ -218,13 +218,20 @@ def _conjugated_paraproduct(win, A, W, U, p, values):
     return _synthesize_values(win, coefs, _zero_root(values))
 
 
-def _conjugated_paraproduct_adjoint(win, A, W, U, p, values):
+def _conjugated_adjoint_levels(A, W, p):
+    """``_adjoint_levels`` of V_I(W) A_I^eps: the coefficient levels of
+    ``_conjugated_paraproduct_adjoint``."""
+    return _adjoint_levels(
+        [np.einsum("kab,ksbc->ksac", V, c) for V, c in zip(W.reducing_table(p).mats, A.coefs)]
+    )
+
+
+def _conjugated_paraproduct_adjoint(win, VAh, Um, values):
     """U^{-1/p} sum_I chi_I / |I| (V_I(W) A_I^eps)^H g_I^eps: the adjoint of
-    ``_conjugated_paraproduct``, a dual paraproduct between two leafwise
-    factors."""
-    VA = [np.einsum("kab,ksbc->ksac", V, c) for V, c in zip(W.reducing_table(p).mats, A.coefs)]
-    dual = _dual_paraproduct(win, _adjoint_levels(VA), values)
-    return _leafwise(U.power(-1.0 / p).leaves, dual)
+    ``_conjugated_paraproduct``, a dual paraproduct on
+    ``VAh = _conjugated_adjoint_levels(A, W, p)`` followed by the leafwise
+    factor ``Um = U^{-1/p}``."""
+    return _leafwise(Um, _dual_paraproduct(win, VAh, values))
 
 
 def _dual_paraproduct(win, Bc, values):

@@ -8,11 +8,14 @@ columns, with the Haar analysis and synthesis they ran on; and
 level at a time, with one cube and component per step; and
 ``shift_commutator_terms`` as it was before its four hand-built terms
 became whole-level coefficient products, with one Python loop per pair of
-signatures and one scatter per term.  The tests compare the library
+signatures and one scatter per term; and ``weighted_opnorm_p2`` as it was
+before the dense p = 2 norm ran on the library's Lanczos: the conjugated
+matrix, its Gram and a full ``eigvalsh``.  The tests compare the library
 against this code bit for bit (the commutator terms, summed in another
-order, at 1e-12 relative), so the two must never share an operator
-contraction or an L^p mass; only the field classes, window index plumbing
-and reducing tables come from the library.
+order, at 1e-12 relative; the p = 2 norms, found by another method, at
+1e-12 relative), so the two must never share an operator contraction, an
+L^p mass or an eigensolver; only the field classes, window index plumbing,
+reducing tables and the leafwise matrix roots come from the library.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from matweight.dyadic import WindowError, sign_table
-from matweight.fields import MatrixField, VectorField
+from matweight.fields import MatrixField, VectorField, _mat_isqrt, _mat_sqrt, _same_window
 from matweight.transforms import HaarSpectrum, require_headroom
 
 
@@ -449,3 +452,27 @@ def lp_opnorm_estimate(T, W, U, p, budget=60, rng=None):
             f = f + 0.25 * step * grad
         best = max(best, float(max(r1, r2)))
     return best, None
+
+
+# -- the dense p = 2 norm ------------------------------------------------------
+
+
+def weighted_opnorm_p2(T, W, U):
+    """||T||_{L^2(U) -> L^2(W)}: top singular value after weight conjugation.
+
+    A = blockdiag(W^{1/2}) T blockdiag(U^{-1/2}) is formed with two batched
+    matmuls over leaf blocks, and the norm is sqrt(max(0, top eigenvalue of
+    the Gram A^H A)); squaring perturbs sigma_max^2 by about eps sigma_max^2,
+    so the result keeps machine-epsilon relative accuracy.  Real T, W and
+    U keep A, its Gram and the eigensolve in float64.
+    """
+    L, n, N = _same_window(T, W, U).leafcount, T.n, T.size
+    Wh = _mat_sqrt(W.leaves)
+    Uih = _mat_isqrt(U.leaves)
+    # rows: leaf block i of T is scaled by W_i^{1/2}
+    WT = np.matmul(Wh, T.matrix.reshape(L, n, N)).reshape(N, N)
+    # columns, on the transpose: (M D)^T = D^T M^T with D = blockdiag(U^{-1/2})
+    At = np.matmul(np.swapaxes(Uih, 1, 2), WT.T.reshape(L, n, N)).reshape(N, N)
+    # At = A^T, whose Gram conj(A A^H) has the singular values of A squared
+    top = np.linalg.eigvalsh(At.conj().T @ At)[-1]
+    return float(np.sqrt(max(0.0, top)))

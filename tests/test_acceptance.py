@@ -22,6 +22,7 @@ from matweight import opnorm as onorm
 from matweight import stopping as st
 from matweight import transforms as tf
 
+import operator_reference as oref
 import scalar_reference as ref
 from conftest import scalar_field, scalar_vector, random_scalar_weight
 
@@ -208,8 +209,11 @@ def test_criterion_04_p2_operator_norms():
             lhs = onorm.weighted_opnorm_p2(T, W, U)
             rhs = onorm.weighted_opnorm_p2(Tstar, U.inverse(), W.inverse())
             assert abs(lhs - rhs) < 1e-9 * max(1.0, lhs)
-            # the matrix-free norm against the dense one
-            assert abs(onorm.weighted_norm_p2(op, W, U) - lhs) <= 1e-12 * lhs
+            # the matrix-free norm against the dense one and against the
+            # Gram-eigvalsh oracle
+            free = onorm.weighted_norm_p2(op, W, U)
+            for want in (lhs, oref.weighted_opnorm_p2(T, W, U)):
+                assert abs(free - want) <= 1e-12 * want
         rel = onorm.haar_multiplier_norm_relation(A, W, U, 2.0)
         assert rel["exact"]
         if rel["sup_criterion"] > 0:
@@ -219,7 +223,8 @@ def test_criterion_04_p2_operator_norms():
     _report(
         4,
         f"materialization consistency 1e-10, adjoint duality 1e-9, "
-        f"matrix-free norm 1e-12, multiplier criterion band {band:.3g} <= 1e3 over 100 seeds",
+        f"matrix-free norm 1e-12 (dense and eigvalsh oracle), "
+        f"multiplier criterion band {band:.3g} <= 1e3 over 100 seeds",
     )
 
 

@@ -23,9 +23,9 @@ CHANGE_OPS = [2.0, 2.0, 4.0, 5.0, 6.0]  # pair 2 is a tie
 CHANGE_P50 = [9.0, 11.0, 10.0, 8.0, 12.0]  # against a flat parent 10.0
 
 
-def _result(ops_per_s, op_p50_ms, fail_ratio=0.0):
+def _result(ops_per_s, op_p50_ms, fail_ratio=0.0, **others):
     metrics = {"ops_per_s": ops_per_s, "op_p50_ms": op_p50_ms, "op_tail_ms": 20.0,
-               "peak_rss_mb": 100.0, "setup_s": 0.5}
+               "peak_rss_mb": 100.0, "setup_s": 0.5, **others}
     return {
         "env": {"seconds": 30.0, "ops": {"gen": 3, "bmo": 2}},
         "fail_ratio": fail_ratio,
@@ -100,6 +100,31 @@ def test_bench_pairs_layout_and_statistics(bench_pairs, runs, tmp_path):
     traced = doc["traced_window_seed0"]
     assert len(traced) == 2 and all(set(t) == {"parent", "change"} for t in traced)
     assert [t["change"]["ops_per_s"] for t in traced] == [2.0, 3.0]
+
+
+def test_bench_pairs_flags_the_benchmark_bound(bench_pairs, tmp_path):
+    # Each metric carries its bound from BENCHMARK.json, and within_bound is
+    # false once the change's median is worse than the parent's by more than
+    # bound x the parent's median, in the metric's own direction.
+    folder = tmp_path / "runs" / "window_seed0"
+    worse = {"op_tail_ms": 25.2, "peak_rss_mb": 114.0, "setup_s": 0.4}
+    for k in range(2):
+        _write(folder, f"{k + 1:02d}-parent.json", _result(1.0, 10.0), 1000.0 * k)
+        _write(folder, f"{k + 1:02d}-change.json", _result(0.74, 12.4, **worse), 1000.0 * k + 1)
+    out = tmp_path / "out.json"
+    bench_pairs.main([str(tmp_path / "runs"), "--label", "x", "--parent-commit", "c",
+                      "--change", "c", "--out", str(out)])
+    summary = json.loads(out.read_text())["workloads"]["window_seed0"]["summary"]
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert {name: s["bound"] for name, s in summary.items()} == bounds
+    assert {name: s["within_bound"] for name, s in summary.items()} == {
+        "ops_per_s": False,  # 26 % fewer ops against a 25 % bound
+        "op_p50_ms": True,  # 24 % slower
+        "op_tail_ms": False,  # 26 % slower
+        "peak_rss_mb": True,  # 14 % more against a 15 % bound
+        "setup_s": True,  # faster
+    }
 
 
 def test_bench_pairs_refuses_empty_runs(bench_pairs, tmp_path):

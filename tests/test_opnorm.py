@@ -176,8 +176,8 @@ def test_adjoint_kernels(kind):
         for desc in descs:
             if desc["kind"] != kind:
                 continue
-            TX = onorm._KERNELS[kind](desc, win, X)
-            TsY = onorm._ADJOINTS[kind](desc, win, Y)
+            TX = onorm._KERNELS[kind](desc, win)(X)
+            TsY = onorm._ADJOINTS[kind](desc, win)(Y)
             if weights == "real":
                 assert TsY.dtype == np.float64, (d, n)
             lhs = np.einsum("lab,lab->b", TX, np.conj(Y))
@@ -185,7 +185,8 @@ def test_adjoint_kernels(kind):
             scale = np.linalg.norm(TX) * np.linalg.norm(Y) + np.linalg.norm(X) * np.linalg.norm(TsY)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale, (d, n, weights)
             dense = onorm.materialize(desc, win, n).matrix.conj().T
-            Ts = onorm._ADJOINTS[kind](desc, win, np.eye(N).reshape(L, n, N)).reshape(N, N)
+            basis = np.eye(N).reshape(L, n, N)
+            Ts = onorm._ADJOINTS[kind](desc, win)(basis).reshape(N, N)
             assert np.max(np.abs(Ts - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense))), (d, n, weights)
             checked += 1
     assert checked
@@ -193,15 +194,40 @@ def test_adjoint_kernels(kind):
 
 @pytest.mark.parametrize("kind", sorted(onorm._KERNELS))
 def test_weighted_norm_p2_matches_dense(kind):
-    # W != U, and the complex configurations have complex weights
+    # W != U, and the complex configurations have complex weights; the
+    # matrix-free norm against the dense one and against the Gram-eigvalsh
+    # oracle, which shares no eigensolver with either
     for d, n, weights in _CONFIGS:
         win, W, U, descs = _adjoint_setup(d, n, weights)
         for desc in descs:
             if desc["kind"] != kind:
                 continue
-            want = onorm.weighted_opnorm_p2(onorm.materialize(desc, win, n), W, U)
+            T = onorm.materialize(desc, win, n)
             got = onorm.weighted_norm_p2(desc, W, U)
-            assert abs(got - want) <= 1e-12 * want, (d, n, weights, got, want)
+            for want in (onorm.weighted_opnorm_p2(T, W, U), oref.weighted_opnorm_p2(T, W, U)):
+                assert abs(got - want) <= 1e-12 * want, (d, n, weights, got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(onorm._KERNELS))
+def test_weighted_opnorm_p2_matches_eigvalsh_oracle(kind):
+    # The dense norm (Lanczos on matrix-vector products) against the
+    # conjugated matrix's Gram and a full eigvalsh, for T with W != U and
+    # for T^H with the inverse weights swapped, on float64 and complex
+    # operands.
+    checked = 0
+    for d, n, weights in _CONFIGS:
+        win, W, U, descs = _adjoint_setup(d, n, weights)
+        for desc in descs:
+            if desc["kind"] != kind:
+                continue
+            T = onorm.materialize(desc, win, n)
+            Tstar = onorm.OperatorMatrix(T.matrix.conj().T, win, n, "adjoint")
+            for args in ((T, W, U), (Tstar, U.inverse(), W.inverse())):
+                got = onorm.weighted_opnorm_p2(*args)
+                want = oref.weighted_opnorm_p2(*args)
+                assert abs(got - want) <= 1e-12 * want, (d, n, weights, got, want)
+            checked += 1
+    assert checked
 
 
 def test_weighted_norm_p2_past_the_dense_cap():
@@ -240,6 +266,37 @@ def test_weighted_norm_p2_zero_operator_and_open_bracket(rng, monkeypatch):
         onorm.weighted_norm_p2(op, W, U)
 
 
+def test_weighted_norm_p2_prepares_each_descriptor_once(rng, monkeypatch):
+    # The symbol is analysed once for the kernel and once for the adjoint,
+    # not on every Lanczos step, and the conjugated paraproduct's adjoint
+    # levels V_I A_I are formed once.
+    win = Window.unit(1, 5)
+    W, U = bmo.bounded_weight(win, 2, rng), bmo.bounded_weight(win, 2, rng)
+    B = bmo.random_matrix_field(win, 2, rng)
+    A = tf.analyze(B)
+    calls = []
+
+    def spy_on(name):
+        real = getattr(tf, name)
+
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(tf, name, spy)
+
+    spy_on("analyze")
+    spy_on("_conjugated_adjoint_levels")
+    for kind in ("paraproduct", "dual_paraproduct"):
+        calls.clear()
+        assert onorm.weighted_norm_p2({"kind": kind, "B": B}, W, U) > 0
+        assert calls == ["analyze", "analyze"], kind
+    calls.clear()
+    op = {"kind": "conjugated_paraproduct", "A": A, "W": W, "U": U, "p": 2.0}
+    assert onorm.weighted_norm_p2(op, W, U) > 0
+    assert calls == ["_conjugated_adjoint_levels"]
+
+
 def test_weighted_norm_p2_refuses_bad_operands(rng):
     win = Window.unit(1, 3)
     W = bmo.bounded_weight(win, 2, rng)
@@ -248,6 +305,58 @@ def test_weighted_norm_p2_refuses_bad_operands(rng):
         onorm.weighted_norm_p2({"kind": "nope"}, W, W)
     with pytest.raises(NotPositiveDefiniteError):
         onorm.weighted_norm_p2({"kind": "paraproduct", "B": B}, W, B)
+    T = onorm.materialize({"kind": "paraproduct", "B": B}, win, 2)
+    for weights in ((B, W), (W, B)):
+        with pytest.raises(NotPositiveDefiniteError):
+            onorm.weighted_opnorm_p2(T, *weights)
+
+
+def _psd_with_spectrum(rng, vals, complex_=False):
+    """A Hermitian matrix Q diag(vals) Q^H with a random (unitary) Q."""
+    N = len(vals)
+    X = rng.standard_normal((N, N))
+    if complex_:
+        X = X + 1j * rng.standard_normal((N, N))
+    Q = np.linalg.qr(X)[0]
+    G = (Q * np.asarray(vals, dtype=float)) @ Q.conj().T
+    return 0.5 * (G + G.conj().T)
+
+
+@pytest.mark.parametrize(
+    "case", ["growth", "repeated_top", "rank_one", "zero", "one_by_one", "complex"]
+)
+def test_lanczos_top_matches_eigvalsh(case):
+    # _lanczos_top against a full eigvalsh of the same Hermitian PSD matrix;
+    # "growth" has a crowded top of the spectrum, so the Krylov basis
+    # outgrows its first 32 rows and is doubled
+    rng = np.random.default_rng(7)
+    if case == "growth":
+        G = _psd_with_spectrum(rng, np.linspace(0.0, 1.0, 120))
+    elif case == "repeated_top":
+        G = _psd_with_spectrum(rng, np.r_[[4.0] * 3, rng.uniform(0.0, 3.0, 37)])
+    elif case == "rank_one":
+        u = rng.standard_normal(50)
+        G = np.outer(u, u)
+    elif case == "zero":
+        G = np.zeros((20, 20))
+    elif case == "one_by_one":
+        G = np.array([[2.5]])
+    else:
+        G = _psd_with_spectrum(rng, rng.uniform(0.0, 2.0, 40), complex_=True)
+    calls = []
+
+    def gram(x):
+        calls.append(1)
+        return G @ x
+
+    got = onorm._lanczos_top(gram, len(G))
+    want = np.linalg.eigvalsh(G)[-1]
+    if case == "zero":
+        assert got == 0.0
+    else:
+        assert abs(got - want) <= 1e-12 * want, (got, want)
+    if case == "growth":
+        assert len(calls) > 32
 
 
 @pytest.mark.parametrize("kind", ["haar_shift", "commutator"])
@@ -411,18 +520,23 @@ def test_weighted_opnorm_p2_matches_svd(rng, monkeypatch, weights, gram_dtype):
     B = bmo.random_matrix_field(win, 2, rng)
     T = onorm.materialize({"kind": "paraproduct", "B": B}, win, 2)
     want = _svd_oracle(T, W, U)
-    # real weights and symbol give a real conjugated matrix: float64 Gram
+    # real weights and symbol keep the Gram map, and so every Lanczos
+    # vector, in float64; complex weights run it in complex128
     seen = []
-    eigvalsh = np.linalg.eigvalsh
+    lanczos_top = onorm._lanczos_top
 
-    def spy(G):
-        seen.append(G.dtype)
-        return eigvalsh(G)
+    def spy(gram, N):
+        def recorded(x):
+            y = gram(x)
+            seen.append(y.dtype)
+            return y
 
-    monkeypatch.setattr(onorm.np.linalg, "eigvalsh", spy)
+        return lanczos_top(recorded, N)
+
+    monkeypatch.setattr(onorm, "_lanczos_top", spy)
     got = onorm.weighted_opnorm_p2(T, W, U)
     monkeypatch.undo()
-    assert seen == [gram_dtype]
+    assert seen and set(seen) == {np.dtype(gram_dtype)}
     assert np.isclose(got, want, rtol=1e-12)
 
 

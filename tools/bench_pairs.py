@@ -14,10 +14,12 @@ and overwrites it on the next run, so copy each file as soon as its run ends
 Every untraced set needs at least two complete pairs.  It becomes
 ``workloads[<set>]`` with the runs of each pair and, per end-to-end metric of
 BENCHMARK.json, the median and quartiles of each side, the change's wins (ties
-count for neither side), the difference of the medians and the parent's
-interquartile range.  Every traced set becomes a top-level
-``traced_<set>`` list of per-layer metrics, one entry per pair.  Standard
-library only.
+count for neither side), the difference of the medians, the parent's
+interquartile range, the metric's ``bound`` and ``within_bound``: false when
+the change's median is worse than the parent's by more than ``bound`` times
+the parent's median (null for a metric without a bound).  Every traced set
+becomes a top-level ``traced_<set>`` list of per-layer metrics, one entry
+per pair.  Standard library only.
 """
 
 from __future__ import annotations
@@ -57,14 +59,17 @@ def _stats(values):
 
 def summarize(runs, metrics):
     """Per metric: each side's median and quartiles, the change's wins, the
-    median difference (change - parent) and the parent's IQR."""
+    median difference (change - parent), the parent's IQR, and whether the
+    change's median stays within the metric's bound."""
     out = {}
-    for name, better in metrics.items():
+    for name, metric in metrics.items():
         parent = [r["parent"][name] for r in runs]
         change = [r["change"][name] for r in runs]
-        sign = 1.0 if better == "higher" else -1.0
+        sign = 1.0 if metric["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         ps, cs = _stats(parent), _stats(change)
+        bound = metric.get("bound")
+        worse_by = sign * (ps["median"] - cs["median"])
         out[name] = {
             "parent": ps,
             "change": cs,
@@ -72,6 +77,8 @@ def summarize(runs, metrics):
             "median_diff": cs["median"] - ps["median"],
             "parent_iqr": ps["q3"] - ps["q1"],
             "change_vs_parent": cs["median"] / ps["median"] if ps["median"] else None,
+            "bound": bound,
+            "within_bound": None if bound is None else worse_by <= bound * abs(ps["median"]),
         }
     return out
 
@@ -107,7 +114,7 @@ def main(argv=None):
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     with open(ROOT / "BENCHMARK.json") as fh:
-        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     env, workloads, traced = build(args.runs, metrics)
     if not workloads:
         raise SystemExit(f"error: no complete parent/change pairs under {args.runs}")
