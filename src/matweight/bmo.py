@@ -36,6 +36,7 @@ from .fields import (
     generate_weight,
     _OwnGrid,
     _ShiftedGrid,
+    _as_herm,
     _check_p,
     _haar_coefs,
     _is_p2,
@@ -632,19 +633,13 @@ def matrix_weight_theorem_pipeline(Lam, U, p, eps=1.0):
     win = _same_window(Lam, U)
     Uh = np.conj(np.swapaxes(U.leaves, 1, 2))
     core = np.einsum("lab,lbc,lcd->lad", Uh, Lam.power(2.0 / p).leaves, U.leaves)
-    asym = np.max(np.abs(core - np.conj(np.swapaxes(core, 1, 2))))
-    scale = max(1.0, float(np.max(np.abs(core))))
-    if asym > 1e-10 * scale:
-        raise FieldError(
-            f"constructed field not Hermitian within 1e-10 (asymmetry {asym:.3e})"
-        )
-    core = 0.5 * (core + np.conj(np.swapaxes(core, 1, 2)))
-    mineig = float(np.min(np.linalg.eigvalsh(core)))
-    if mineig <= 0:
+    core = _as_herm(core, 1e-10, "constructed field")
+    vals = np.linalg.eigvalsh(core)
+    if np.min(vals) <= 0:
         raise NotPositiveDefiniteError(
             "U^* Lam^{2/p} U is singular on a leaf; U must be invertible"
         )
-    Wf = MatrixField(win, core, weight=True).power(p / 2.0)
+    Wf = MatrixField(win, core, weight=True, _eigvals=vals).power(p / 2.0)
 
     # pointwise identity on basis vectors and a random probe
     LU = np.einsum("lab,lbc->lac", Lam.power(1.0 / p).leaves, U.leaves)

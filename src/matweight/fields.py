@@ -1,10 +1,12 @@
 """Matrix weights and step fields on a dyadic window.
 
-A MatrixField holds one n x n matrix per leaf cell.  Weight fields are
-Hermitian with positive definite leaves (enforced); symbol fields and
-operator outputs may be arbitrary.  All averages, powers and
-characteristics are exact finite sums over leaves, so scalar identities
-hold to rounding error.
+A MatrixField holds one n x n matrix per leaf cell, a VectorField one
+vector; both keep their window, leaves and cached level averages in one
+private base, ``_LeafField``.  A matrix field's leaves are read-only, a
+vector field's writable.  Weight fields are Hermitian with positive
+definite leaves (enforced); symbol fields and operator outputs may be
+arbitrary.  All averages, powers and characteristics are exact finite sums
+over leaves, so scalar identities hold to rounding error.
 
 Norm conventions.  The A_p characteristic integrand uses the normalized
 Frobenius norm ||.||_F / sqrt(n): the identity weight scores exactly 1,
@@ -115,7 +117,27 @@ def _as_herm(mats, tol, what="matrix"):
     return 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
 
 
-class MatrixField:
+class _LeafField:
+    """Leaf data (leafcount, n, ...) on a window, with cached level averages."""
+
+    def __init__(self, window, leaves):
+        self.window = window
+        self.n = leaves.shape[1]
+        self.leaves = leaves
+        self._avg_cache = None
+
+    def level_averages(self):
+        if self._avg_cache is None:
+            self._avg_cache = self.window.level_averages(self.leaves)
+        return self._avg_cache
+
+    def average(self, cube):
+        """Arithmetic mean of the leaf values over a cube of this window."""
+        j, idx = _rel(self.window, cube)
+        return self.level_averages()[j][idx]
+
+
+class MatrixField(_LeafField):
     """Piecewise-constant n x n matrix field on a window.
 
     Weight fields are Hermitian with positive definite leaves (checked);
@@ -136,9 +158,7 @@ class MatrixField:
             leaves = _as_herm(leaves, HERMITIAN_TOL, "weight leaf")
         else:
             leaves = leaves.copy()
-        self.window = window
-        self.n = leaves.shape[1]
-        self.leaves = leaves
+        super().__init__(window, leaves)
         self.leaves.setflags(write=False)
         self.is_weight = bool(weight)
         if weight:
@@ -147,7 +167,6 @@ class MatrixField:
                 raise NotPositiveDefiniteError(
                     f"weight field has non-positive leaf (min eig {mineig:.3e})"
                 )
-        self._avg_cache = None
         self._power_cache = {}
         self._reducing_cache = {}
 
@@ -164,16 +183,6 @@ class MatrixField:
         return cls.constant(window, np.eye(n), weight=True)
 
     # -- basic layers ------------------------------------------------------
-
-    def level_averages(self):
-        if self._avg_cache is None:
-            self._avg_cache = self.window.level_averages(self.leaves)
-        return self._avg_cache
-
-    def average(self, cube):
-        """Arithmetic mean of leaf matrices over a cube of this window."""
-        j, idx = _rel(self.window, cube)
-        return self.level_averages()[j][idx]
 
     def power(self, s):
         """Pointwise spectral power W^s as a new field (cached)."""
@@ -200,11 +209,11 @@ class MatrixField:
         return self.power(-1.0)
 
     def conj_transpose(self):
-        """Pointwise Hermitian adjoint (trivial for Hermitian fields)."""
-        return MatrixField(
-            self.window, np.conj(np.swapaxes(self.leaves, 1, 2)),
-            weight=self.is_weight,
-        )
+        """Pointwise Hermitian adjoint; a weight is its own, as the
+        constructor made its leaves exactly Hermitian."""
+        if self.is_weight:
+            return self
+        return MatrixField(self.window, np.conj(np.swapaxes(self.leaves, 1, 2)))
 
     def apply(self, vec_field):
         """Pointwise matrix-vector product, leaf by leaf."""
@@ -222,7 +231,7 @@ class MatrixField:
         return f"MatrixField(n={self.n}, {tag}, {self.window!r})"
 
 
-class VectorField:
+class VectorField(_LeafField):
     """Piecewise-constant C^n-valued function on a window (float64 leaves
     for real data)."""
 
@@ -232,24 +241,12 @@ class VectorField:
             raise FieldError("leaves must have shape (leafcount, n)")
         if not np.all(np.isfinite(leaves)):
             raise FieldError("vector field has non-finite entries")
-        self.window = window
-        self.n = leaves.shape[1]
-        self.leaves = leaves
-        self._avg_cache = None
+        super().__init__(window, leaves)
 
     @classmethod
     def constant(cls, window, vec):
         vec = _real_or_complex(vec)
         return cls(window, np.broadcast_to(vec, (window.leafcount, vec.shape[0])).copy())
-
-    def level_averages(self):
-        if self._avg_cache is None:
-            self._avg_cache = self.window.level_averages(self.leaves)
-        return self._avg_cache
-
-    def average(self, cube):
-        j, idx = _rel(self.window, cube)
-        return self.level_averages()[j][idx]
 
     def lp_norm(self, p, weight=None):
         """||f||_{L^p(W)} with exact leaf quadrature (weight optional)."""
@@ -690,7 +687,8 @@ def _opnorms(stack):
 
     The norm is the square root of the top eigenvalue of the Gram M^H M,
     which keeps machine-epsilon relative accuracy (see
-    ``weighted_opnorm_p2``); a float64 stack runs in float64 throughout.
+    ``tests/operator_reference.weighted_opnorm_p2``); a float64 stack runs
+    in float64 throughout.
     A 2 x 2 stack takes the eigenvalue in closed form from the Gram entries
     a = |m00|^2 + |m10|^2, c = |m01|^2 + |m11|^2 and
     b = conj(m00) m01 + conj(m10) m11:

@@ -2,14 +2,14 @@
 
 Every operator here acts on leaf-resolved vector fields, i.e. on C^{n * 2^{dL}}.
 An operator is a descriptor (a dict with a ``kind``); ``_KERNELS[kind]``
-and ``_ADJOINTS[kind]`` prepare its ``transforms`` kernel and adjoint
-kernel once per operator.
+prepares its ``transforms`` kernel and adjoint kernel as one pair (T, T^H)
+once per operator, and ``_dense_pair`` is the same pair for a dense matrix.
 Both p = 2 norms L^2(U) -> L^2(W) run one Lanczos (``_lanczos_top``, full
 reorthogonalization from a fixed start) on the Gram map
 U^{-1/2} T^H W T U^{-1/2}, applied as T and T^H between leafwise factors,
 with one stopping rule: the residual bracket closes to 1e-10 of the top
 Ritz value, or LanczosError.  ``weighted_norm_p2`` applies T and T^H
-through the two kernels, without any matrix, so its cost is some ten to
+through the kernel pair, without any matrix, so its cost is some ten to
 twenty kernel pairs and windows past ``DENSE_CAP`` are in reach;
 ``weighted_opnorm_p2`` applies them as dense matrix-vector products of an
 ``OperatorMatrix``, and never forms the conjugated matrix, its Gram or a
@@ -73,54 +73,65 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
     def apply_field(self, f):
-        vec = self.matrix @ f.leaves.reshape(-1)
-        return VectorField(self.window, vec.reshape(-1, self.n))
+        forward, _ = _dense_pair(self.matrix)
+        return VectorField(self.window, forward(f.leaves))
 
 
-# descriptor kind -> prepare(op, win): the operator's transforms kernel on
-# leaf arrays (leaves, n, ...), with the work that depends only on the
-# operator (the Haar analysis of a symbol, adjoint coefficient levels) done
-# once, so a norm that applies it many times pays for it once
+def _levels_pair(kernel, adjoint, win, levels):
+    """(``kernel`` on coefficient levels, ``adjoint`` on their ``_adjoint_levels``)."""
+    return partial(kernel, win, levels), partial(adjoint, win, tf._adjoint_levels(levels))
+
+
+def _conjugated_pair(op, win):
+    """The conjugated paraproduct and its adjoint: U^{-1/p} after the dual
+    paraproduct on ``_conjugated_adjoint_levels``."""
+    A, W, U, p = op["A"], op["W"], op["U"], op["p"]
+    VAh, Um = tf._conjugated_adjoint_levels(A, W, p), U.power(-1.0 / p).leaves
+    return (partial(tf._conjugated_paraproduct, win, A, W, U, p),
+            lambda v: tf._leafwise(Um, tf._dual_paraproduct(win, VAh, v)))
+
+
+def _flagged_pair(kernel):
+    """prepare(op, win) of a kernel(op, win, values, adjoint)."""
+    return lambda op, win: tuple(partial(kernel, op, win, adjoint=a) for a in (False, True))
+
+
+# descriptor kind -> prepare(op, win): the operator's transforms kernel and its
+# adjoint (T, T^H) on leaf arrays (leaves, n, ...), with the work that depends
+# only on the operator (the Haar analysis of a symbol, adjoint coefficient
+# levels) done once for both, so a norm that applies them many times pays once
 _KERNELS = {
-    "paraproduct": lambda op, win: partial(tf._paraproduct, win, tf.analyze(op["B"]).coefs),
-    "conjugated_paraproduct": lambda op, win: partial(
-        tf._conjugated_paraproduct, win, op["A"], op["W"], op["U"], op["p"]
+    "paraproduct": lambda op, win: _levels_pair(
+        tf._paraproduct, tf._dual_paraproduct, win, tf.analyze(op["B"]).coefs
     ),
-    "dual_paraproduct": lambda op, win: partial(
-        tf._dual_paraproduct, win, tf.analyze(op["B"]).coefs
+    "conjugated_paraproduct": _conjugated_pair,
+    "dual_paraproduct": lambda op, win: _levels_pair(
+        tf._dual_paraproduct, tf._paraproduct, win, tf.analyze(op["B"]).coefs
     ),
-    "haar_multiplier": lambda op, win: partial(tf._haar_multiplier, win, op["A"].coefs),
-    "haar_shift": lambda op, win: lambda v: tf._haar_shift(
-        win, op["sigma"], tf._analyze_values(win, v)[0]
+    "haar_multiplier": lambda op, win: _levels_pair(
+        tf._haar_multiplier, tf._haar_multiplier, win, op["A"].coefs
     ),
-    "commutator": lambda op, win: lambda v: tf._shift_commutator(
-        win, op["B"], op["sigma"], v, tf._analyze_values(win, v)[0]
-    ),
+    "haar_shift": _flagged_pair(lambda op, win, v, adjoint: tf._haar_shift(
+        win, op["sigma"], tf._analyze_values(win, v)[0], adjoint
+    )),
+    "commutator": _flagged_pair(lambda op, win, v, adjoint: tf._shift_commutator(
+        win, op["B"], op["sigma"], v, tf._analyze_values(win, v)[0], adjoint
+    )),
 }
 
-# descriptor kind -> prepare(op, win) for the adjoint operator, same convention
-_ADJOINTS = {
-    "paraproduct": lambda op, win: partial(
-        tf._dual_paraproduct, win, tf._adjoint_levels(tf.analyze(op["B"]).coefs)
-    ),
-    "conjugated_paraproduct": lambda op, win: partial(
-        tf._conjugated_paraproduct_adjoint, win,
-        tf._conjugated_adjoint_levels(op["A"], op["W"], op["p"]),
-        op["U"].power(-1.0 / op["p"]).leaves,
-    ),
-    "dual_paraproduct": lambda op, win: partial(
-        tf._paraproduct, win, tf._adjoint_levels(tf.analyze(op["B"]).coefs)
-    ),
-    "haar_multiplier": lambda op, win: partial(
-        tf._haar_multiplier, win, tf._adjoint_levels(op["A"].coefs)
-    ),
-    "haar_shift": lambda op, win: lambda v: tf._haar_shift(
-        win, op["sigma"], tf._analyze_values(win, v)[0], adjoint=True
-    ),
-    "commutator": lambda op, win: lambda v: tf._shift_commutator(
-        win, op["B"], op["sigma"], v, tf._analyze_values(win, v)[0], adjoint=True
-    ),
-}
+
+def _dense_pair(M):
+    """(T, T^H) of a dense N x N matrix ``M`` on leaf arrays (leaves, n, ...)
+    whose trailing axes are batch axes; T^H v is (v^H M)^H, so no conjugate
+    copy of M is formed."""
+
+    def forward(v):
+        return (M @ v.reshape((len(M),) + v.shape[2:])).reshape(v.shape)
+
+    def adjoint(v):
+        return np.conj(np.conj(v.reshape((len(M),) + v.shape[2:])).T @ M).T.reshape(v.shape)
+
+    return forward, adjoint
 
 
 def _descriptor_window(op, *operands):
@@ -155,7 +166,8 @@ def materialize(op, window, n):
     if kind in ("haar_shift", "commutator"):
         provenance = kind + "*headroom_projection"
     basis = np.eye(N).reshape(window.leafcount, n, N)
-    cols = _KERNELS[kind](op, window)(basis).reshape(N, N)
+    forward, _ = _KERNELS[kind](op, window)
+    cols = forward(basis).reshape(N, N)
     return OperatorMatrix(matrix=cols, window=window, n=n, provenance=provenance)
 
 
@@ -172,16 +184,7 @@ def weighted_opnorm_p2(T, W, U):
     _same_window(T, W, U)
     _need_weight(W, "the weighted norm")
     _need_weight(U, "the weighted norm")
-    M = T.matrix
-
-    def forward(v):
-        return (M @ v.reshape(-1)).reshape(v.shape)
-
-    def adjoint(v):
-        # T^H v as (v^H T)^H: no conjugate copy of T
-        return np.conj(np.conj(v.reshape(-1)) @ M).reshape(v.shape)
-
-    return _gram_norm(forward, adjoint, W, U)
+    return _gram_norm(*_dense_pair(T.matrix), W, U)
 
 
 def weighted_norm_p2(op, W, U):
@@ -196,8 +199,7 @@ def weighted_norm_p2(op, W, U):
     win = _descriptor_window(op, W, U)
     _need_weight(W, "the weighted norm")
     _need_weight(U, "the weighted norm")
-    kind = op["kind"]
-    return _gram_norm(_KERNELS[kind](op, win), _ADJOINTS[kind](op, win), W, U)
+    return _gram_norm(*_KERNELS[op["kind"]](op, win), W, U)
 
 
 def _gram_norm(forward, adjoint, W, U):
@@ -265,21 +267,21 @@ def lp_opnorm_estimate(T, W, U, p, budget=60):
     window cube J and component i, one level at a time until a level has more
     than 6000 columns; the best is refined by gradient ascent on
     log ||T f||_{L^p(W)} - log ||f||_{L^p(U)}.  Every L^p mass is
-    ``fields._weighted_lp_mass``.  No finite certified upper bound exists
-    for p != 2, so none is reported.
+    ``fields._weighted_lp_mass``.  The second slot is None because no
+    upper bound is computed yet for p != 2.
     """
-    win, n, Tm = _same_window(T, W, U), T.n, T.matrix
+    win, n = _same_window(T, W, U), T.n
     _check_p(p)
+    forward, adjoint = _dense_pair(T.matrix)
     WP = W.power(1.0 / p).leaves
     UP = U.power(1.0 / p).leaves
     UM = U.power(-1.0 / p).leaves
 
     def masses(F):
-        """L^p(W) mass of T F and L^p(U) mass of F, F of shape (N, ...)."""
-        shape = (win.leafcount, n) + F.shape[1:]
+        """L^p(W) mass of T F and L^p(U) mass of F, F a leaf array (leaves, n, ...)."""
         return (
-            _weighted_lp_mass(WP, (Tm @ F).reshape(shape), p, win.leaf_volume),
-            _weighted_lp_mass(UP, F.reshape(shape), p, win.leaf_volume),
+            _weighted_lp_mass(WP, forward(F), p, win.leaf_volume),
+            _weighted_lp_mass(UP, F, p, win.leaf_volume),
         )
 
     def ratios(F):
@@ -296,13 +298,13 @@ def lp_opnorm_estimate(T, W, U, p, budget=60):
         chi[win.block_leaf_index(j), np.arange(K)[:, None]] = 1.0
         # (leaves, n, cube, i, variant): columns in (cube, i, variant) order
         cols = chi[:, None, :, None, None] * table[:, :, None]
-        blocks.append(cols.reshape(T.size, -1))
+        blocks.append(cols.reshape(win.leafcount, n, -1))
         if K * n * 3 > 6000:
             break
-    F = np.concatenate(blocks, axis=1)
+    F = np.concatenate(blocks, axis=-1)
     r = ratios(F)
     best = float(np.max(r))
-    f = F[:, int(np.argmax(r))]
+    f = F[..., int(np.argmax(r))]
 
     f = f + 1e-3 * np.random.default_rng(7).standard_normal(f.shape)
     for _ in range(budget):
@@ -313,13 +315,12 @@ def lp_opnorm_estimate(T, W, U, p, budget=60):
         # singularity at vanishing pointwise mass
         wn = (np.maximum(nw, 1e-150) ** (p - 2.0))[:, None]
         wu = (np.maximum(nu, 1e-150) ** (p - 2.0))[:, None]
-        gn = np.einsum("lba,lb->la", np.conj(WP), wn * gw).reshape(-1)
-        gn = np.conj(np.conj(gn) @ Tm)  # T^H gn without forming T^H
-        gd = np.einsum("lba,lb->la", np.conj(UP), wu * gu).reshape(-1)
+        gn = adjoint(np.einsum("lba,lb->la", np.conj(WP), wn * gw))
+        gd = np.einsum("lba,lb->la", np.conj(UP), wu * gu)
         grad = gn / num - gd / den
         step = 0.25 * np.linalg.norm(f) / max(np.linalg.norm(grad), 1e-30)
         f2 = f + step * grad
-        r2 = ratios(f2[:, None])[0]
+        r2 = ratios(f2[..., None])[0]
         r1 = (num / den) ** (1.0 / p)
         f = f2 if r2 > r1 else f + 0.25 * step * grad
         best = max(best, float(max(r1, r2)))

@@ -31,11 +31,12 @@ haar_multiplier, haar_shift and shift_commutator is written once, as a
 private kernel on leaf arrays with trailing batch axes; the public function
 checks its operands and applies the kernel to one field, and
 ``opnorm.materialize`` applies the same kernel to the standard basis.
-Each adjoint is written once too, for ``opnorm.weighted_norm_p2``: the
-multiplier and the two paraproducts on ``_adjoint_levels`` of their
-coefficients, ``_conjugated_paraproduct_adjoint``, and the shift and the
-commutator with ``adjoint=True``, whose relocation is ``_unshift_coefs``,
-the transpose of ``_shift_coefs``.
+Each adjoint is a kernel of this module too, paired with its operator in
+``opnorm._KERNELS``: the multiplier and the two paraproducts on
+``_adjoint_levels`` of their coefficients, the conjugated paraproduct as
+U^{-1/p} after the dual paraproduct on ``_conjugated_adjoint_levels``, and
+the shift and the commutator with ``adjoint=True``, whose relocation is
+``_unshift_coefs``, the transpose of ``_shift_coefs``.
 """
 
 from __future__ import annotations
@@ -219,19 +220,11 @@ def _conjugated_paraproduct(win, A, W, U, p, values):
 
 
 def _conjugated_adjoint_levels(A, W, p):
-    """``_adjoint_levels`` of V_I(W) A_I^eps: the coefficient levels of
-    ``_conjugated_paraproduct_adjoint``."""
+    """``_adjoint_levels`` of V_I(W) A_I^eps: U^{-1/p} after the dual
+    paraproduct on these levels is the adjoint of ``_conjugated_paraproduct``."""
     return _adjoint_levels(
         [np.einsum("kab,ksbc->ksac", V, c) for V, c in zip(W.reducing_table(p).mats, A.coefs)]
     )
-
-
-def _conjugated_paraproduct_adjoint(win, VAh, Um, values):
-    """U^{-1/p} sum_I chi_I / |I| (V_I(W) A_I^eps)^H g_I^eps: the adjoint of
-    ``_conjugated_paraproduct``, a dual paraproduct on
-    ``VAh = _conjugated_adjoint_levels(A, W, p)`` followed by the leafwise
-    factor ``Um = U^{-1/p}``."""
-    return _leafwise(Um, _dual_paraproduct(win, VAh, values))
 
 
 def _dual_paraproduct(win, Bc, values):

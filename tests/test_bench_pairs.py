@@ -127,6 +127,35 @@ def test_bench_pairs_flags_the_benchmark_bound(bench_pairs, tmp_path):
     }
 
 
+def test_bench_pairs_flags_unresolved_spread(bench_pairs, tmp_path):
+    # resolved is false once the parent's IQR exceeds bound x its median,
+    # unless every change run beats every parent run.
+    folder = tmp_path / "runs" / "window_seed0"
+    parent_setup = [0.24, 0.39, 0.25, 0.38, 0.33]  # IQR 0.14 > 0.25 x 0.33
+    change_setup = [0.20, 0.21, 0.22, 0.23, 0.20]  # all faster: resolved anyway
+    parent_tail = [19.0, 20.0, 21.0, 20.5, 19.5]  # IQR 1.0 < 0.25 x 20.0
+    parent_ops = [6.0, 10.0, 7.0, 11.0, 8.0]  # IQR 3.0 > 0.25 x 8.0
+    change_ops = [9.0, 8.0, 10.0, 7.0, 12.0]  # one change run loses to a parent run
+    for k in range(5):
+        _write(folder, f"{k + 1:02d}-parent.json",
+               _result(parent_ops[k], 10.0, setup_s=parent_setup[k], op_tail_ms=parent_tail[k]),
+               1000.0 * k)
+        _write(folder, f"{k + 1:02d}-change.json",
+               _result(change_ops[k], 10.0, setup_s=change_setup[k]), 1000.0 * k + 1)
+    out = tmp_path / "out.json"
+    bench_pairs.main([str(tmp_path / "runs"), "--label", "x", "--parent-commit", "c",
+                      "--change", "c", "--out", str(out)])
+    summary = json.loads(out.read_text())["workloads"]["window_seed0"]["summary"]
+    assert {name: s["resolved"] for name, s in summary.items()} == {
+        "ops_per_s": False,  # wide parent spread and overlapping runs
+        "op_p50_ms": True,  # a flat parent
+        "op_tail_ms": True,  # a narrow parent
+        "peak_rss_mb": True,
+        "setup_s": True,  # wide parent spread, but every change run is faster
+    }
+    assert summary["setup_s"]["parent_iqr"] > 0.25 * summary["setup_s"]["parent"]["median"]
+
+
 def test_bench_pairs_refuses_empty_runs(bench_pairs, tmp_path):
     (tmp_path / "runs" / "window_seed0").mkdir(parents=True)
     with pytest.raises(SystemExit, match="no complete parent/change pairs"):

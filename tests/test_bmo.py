@@ -368,6 +368,27 @@ def test_pipeline_special_case_reports_summation(rng):
     assert out["bmo"].supremum < np.inf
 
 
+def test_pipeline_eigensolves_the_constructed_field_once(rng, monkeypatch):
+    # The pipeline checks U^* Lam^{2/p} U for positivity and hands the
+    # eigenvalues to the weight it builds, so no leaves are solved twice.
+    win = Window.unit(1, 4)
+    Lam, U = bmo.bounded_weight(win, 2, rng), bmo.bounded_weight(win, 2, rng)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        solved.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for p in (2.0, 3.0):
+        solved.clear()
+        assert bmo.matrix_weight_theorem_pipeline(Lam, U, p)["identity_ok"]
+        assert solved
+        for i, a in enumerate(solved):
+            assert not any(b.shape == a.shape and np.array_equal(a, b) for b in solved[:i]), p
+
+
 def test_pipeline_rejects_singular_u(rng):
     from matweight.fields import NotPositiveDefiniteError
 

@@ -80,6 +80,34 @@ def test_power_roundtrip(rng):
     assert np.max(np.abs(back.leaves - W.leaves)) < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_conj_transpose_of_a_weight_needs_no_eigensolve(rng, monkeypatch, kind):
+    # The constructor makes a weight's leaves exactly Hermitian, so the
+    # weight is its own pointwise adjoint and is not checked again.
+    win = Window.unit(1, 3)
+    leaves = np.array([rand_spd(rng, 3) for _ in range(win.leafcount)])
+    if kind == "complex":
+        Q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        leaves = Q.conj().T @ leaves @ Q
+    W = MatrixField(win, leaves, weight=True)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    Wt = W.conj_transpose()
+    assert calls == []
+    assert Wt.is_weight
+    assert np.array_equal(Wt.leaves, np.conj(np.swapaxes(W.leaves, 1, 2)))
+    B = MatrixField(win, rng.standard_normal((win.leafcount, 3, 3)))
+    Bt = B.conj_transpose()
+    assert not Bt.is_weight
+    assert np.array_equal(Bt.leaves, np.swapaxes(B.leaves, 1, 2))
+
+
 def test_power_rejects_singular():
     win = Window.unit(1, 1)
     leaves = np.zeros((2, 2, 2))

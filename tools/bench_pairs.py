@@ -17,7 +17,10 @@ BENCHMARK.json, the median and quartiles of each side, the change's wins (ties
 count for neither side), the difference of the medians, the parent's
 interquartile range, the metric's ``bound`` and ``within_bound``: false when
 the change's median is worse than the parent's by more than ``bound`` times
-the parent's median (null for a metric without a bound).  Every traced set
+the parent's median, and ``resolved``: false when the parent's interquartile
+range exceeds ``bound`` times its median, so the runs spread too widely to
+tell a change of that size, unless every change run beats every parent run
+(both null for a metric without a bound).  Every traced set
 becomes a top-level ``traced_<set>`` list of per-layer metrics, one entry
 per pair.  Standard library only.
 """
@@ -59,8 +62,9 @@ def _stats(values):
 
 def summarize(runs, metrics):
     """Per metric: each side's median and quartiles, the change's wins, the
-    median difference (change - parent), the parent's IQR, and whether the
-    change's median stays within the metric's bound."""
+    median difference (change - parent), the parent's IQR, whether the
+    change's median stays within the metric's bound, and whether the
+    parent's spread resolves a change of that bound."""
     out = {}
     for name, metric in metrics.items():
         parent = [r["parent"][name] for r in runs]
@@ -70,15 +74,18 @@ def summarize(runs, metrics):
         ps, cs = _stats(parent), _stats(change)
         bound = metric.get("bound")
         worse_by = sign * (ps["median"] - cs["median"])
+        iqr = ps["q3"] - ps["q1"]
+        beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
         out[name] = {
             "parent": ps,
             "change": cs,
             "change_wins": f"{wins}/{len(runs)}",
             "median_diff": cs["median"] - ps["median"],
-            "parent_iqr": ps["q3"] - ps["q1"],
+            "parent_iqr": iqr,
             "change_vs_parent": cs["median"] / ps["median"] if ps["median"] else None,
             "bound": bound,
             "within_bound": None if bound is None else worse_by <= bound * abs(ps["median"]),
+            "resolved": None if bound is None else iqr <= bound * abs(ps["median"]) or beats_all,
         }
     return out
 
