@@ -703,20 +703,11 @@ def equivalence_experiment(spec):
             for name, rep in reports.items():
                 q[name] = rep.supremum
                 q[name + "_witness"] = rep.witness
-            T = onorm.materialize(
-                {"kind": "conjugated_paraproduct", "A": A, "W": W, "U": U, "p": p},
-                win,
-                n,
-            )
+            op = {"kind": "conjugated_paraproduct", "A": A, "W": W, "U": U, "p": p}
+            T = onorm.materialize(op, win, n)
             one = MatrixField.identity(win, n)
-            if _is_p2(p):
-                nv = onorm.weighted_opnorm_p2(T, one, one)
-                q["pi_opnorm_sq"] = nv**2
-                q["pi_opnorm_exact"] = True
-            else:
-                lo, _ = onorm.lp_opnorm_estimate(T, one, one, p, budget=25)
-                q["pi_opnorm_sq"] = lo**2
-                q["pi_opnorm_exact"] = False
+            nv, exact = onorm._operator_norm(T, one, one, p, budget=25)
+            q["pi_opnorm_sq"], q["pi_opnorm_exact"] = nv**2, exact
             rows.append(
                 {
                     "seed": seed,

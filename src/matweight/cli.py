@@ -105,9 +105,25 @@ def _write_report(args, rows, payload):
         _emit(args.gnuplot, _GNUPLOT_TEMPLATE.format(csv=args.out))
 
 
+def _read_object(path):
+    """The JSON object in the file at ``path``."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: holds a JSON {type(doc).__name__}, not an object")
+    return doc
+
+
+def _load_matrix(path, window=None):
+    """The matrix field dumped at ``path``; a vector field dump is refused."""
+    field = fmod.load_field(path, window=window)
+    if not isinstance(field, fmod.MatrixField):
+        raise fmod.FieldError(f"{path}: holds a vector field, expected kind 'matrix'")
+    return field
+
+
 def _load_manifest(args):
-    with open(default_manifest_path() if args.manifest is None else args.manifest) as fh:
-        manifest = json.load(fh)
+    manifest = _read_object(default_manifest_path() if args.manifest is None else args.manifest)
     if args.depth is not None:
         manifest["depth"] = args.depth
     if args.seeds:
@@ -123,9 +139,7 @@ def default_manifest_path():
 
 
 def cmd_gen(args):
-    with open(args.spec) as fh:
-        spec = json.load(fh)
-    field = fmod.generate_weight(spec)
+    field = fmod.generate_weight(_read_object(args.spec))
     char = fmod.ap_characteristic(field, args.p)  # rejects a bad p before the dump
     fmod.dump_field(field, args.out)
     print(f"wrote {args.out}  (n={field.n}, d={field.window.d}, "
@@ -136,7 +150,7 @@ def cmd_gen(args):
 def cmd_ap(args):
     if not 1.0 < args.p:
         raise ValueError("p must exceed 1")
-    W = fmod.load_field(args.weight)
+    W = _load_matrix(args.weight)
     grids = None
     if args.grids:
         if args.grids == "all":
@@ -165,9 +179,9 @@ _BMO_WHICH = (
 
 
 def cmd_bmo(args):
-    W = fmod.load_field(args.w)
-    U = fmod.load_field(args.u, window=W.window) if args.u else W
-    B = fmod.load_field(args.b, window=W.window)
+    W = _load_matrix(args.w)
+    U = _load_matrix(args.u, window=W.window) if args.u else W
+    B = _load_matrix(args.b, window=W.window)
     p, eps = args.p, args.epsilon
     hard_ok = True
     reports = []
@@ -313,8 +327,8 @@ def cmd_duality(args):
 
 
 def cmd_stopping(args):
-    W = fmod.load_field(args.w)
-    U = fmod.load_field(args.u, window=W.window) if args.u else W
+    W = _load_matrix(args.w)
+    U = _load_matrix(args.u, window=W.window) if args.u else W
     if args.lam == "auto":
         lam = stop_mod.default_lambda(W, U, args.p)
     else:
@@ -347,8 +361,8 @@ def cmd_jn(args):
 
 
 def cmd_thm12(args):
-    Lam = fmod.load_field(args.lam_field)
-    U = fmod.load_field(args.u, window=Lam.window)
+    Lam = _load_matrix(args.lam_field)
+    U = _load_matrix(args.u, window=Lam.window)
     out = bmo_mod.matrix_weight_theorem_pipeline(Lam, U, args.p, args.epsilon)
     print(f"identity error: {out['identity_error']:.3e} "
           f"({'pass' if out['identity_ok'] else 'FAIL'})")

@@ -1006,14 +1006,28 @@ def dump_field(field, path):
         fh.write(payload.astype("<c16").tobytes())
 
 
+# header key -> test of its value: a bool is not a count, and a window of
+# more than 2^64 leaves cannot be on disk, so d and depth stop at 64 before
+# the window's per-level tables are built
+_HEADER = dict.fromkeys(("n", "shift", "root_level"), lambda v: type(v) is int)
+_HEADER.update(dict.fromkeys(("d", "depth"), lambda v: type(v) is int and 0 < v <= 64))
+_HEADER.update(kind=lambda v: v in ("matrix", "vector"), weight=lambda v: type(v) is bool,
+               root_position=lambda v: type(v) is list and all(type(x) is int for x in v))
+
+
 def load_field(path, window=None):
     """Read a ``dump_field`` file; leaves are float64 when no imaginary entry
-    of the payload is nonzero, complex128 otherwise."""
+    of the payload is nonzero, complex128 otherwise.  FieldError, naming the
+    file, for a header that is not a field dump's JSON object, or that has a
+    key missing or of the wrong type."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
-        if header.get("magic") != _MAGIC:
-            raise FieldError("not a matweight field dump")
+        if not isinstance(header, dict) or header.get("magic") != _MAGIC:
+            raise FieldError(f"{path}: not a matweight field dump")
         raw = fh.read()
+    for key, ok in _HEADER.items():
+        if not ok(header.get(key)):
+            raise FieldError(f"{path}: header key {key!r} is missing or bad: {header.get(key)!r}")
     grid = DyadicGrid(header["d"], header["shift"])
     root = DyadicCube(grid, header["root_level"], tuple(header["root_position"]))
     if window is None:
@@ -1024,9 +1038,9 @@ def load_field(path, window=None):
             f"root {root.address} does not match the window's "
             f"d={window.d}, depth={window.depth}, root {window.root.address}"
         )
-    n = header["n"]
-    width = n * n if header["kind"] == "matrix" else n
-    need = 16 * 2 ** (header["d"] * header["depth"]) * width
+    n, matrix = header["n"], header["kind"] == "matrix"
+    shape = (n, n) if matrix else (n,)
+    need = 16 * 2 ** (header["d"] * header["depth"]) * int(np.prod(shape))
     if len(raw) != need:
         raise FieldError(
             f"{path}: payload has {len(raw)} bytes, the header needs {need}"
@@ -1034,8 +1048,5 @@ def load_field(path, window=None):
     data = np.frombuffer(raw, dtype="<c16")
     if not np.any(data.imag):
         data = data.real
-    if header["kind"] == "matrix":
-        leaves = data.reshape(window.leafcount, n, n).copy()
-        return MatrixField(window, leaves, weight=header["weight"])
-    leaves = data.reshape(window.leafcount, n).copy()
-    return VectorField(window, leaves)
+    leaves = data.reshape(window.leafcount, *shape).copy()
+    return MatrixField(window, leaves, header["weight"]) if matrix else VectorField(window, leaves)

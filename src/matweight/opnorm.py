@@ -1,19 +1,16 @@
 """Weighted operator norms of dyadic operators, matrix-free and dense.
 
 Every operator here acts on leaf-resolved vector fields, i.e. on C^{n * 2^{dL}}.
-An operator is a descriptor (a dict with a ``kind``); ``_KERNELS[kind]``
-prepares its ``transforms`` kernel and adjoint kernel as one pair (T, T^H)
-once per operator, and ``_dense_pair`` is the same pair for a dense matrix.
-Both p = 2 norms L^2(U) -> L^2(W) run one Lanczos (``_lanczos_top``, full
-reorthogonalization from a fixed start) on the Gram map
-U^{-1/2} T^H W T U^{-1/2}, applied as T and T^H between leafwise factors,
-with one stopping rule: the residual bracket closes to 1e-10 of the top
-Ritz value, or LanczosError.  ``weighted_norm_p2`` applies T and T^H
-through the kernel pair, without any matrix, so its cost is some ten to
-twenty kernel pairs and windows past ``DENSE_CAP`` are in reach;
-``weighted_opnorm_p2`` applies them as dense matrix-vector products of an
-``OperatorMatrix``, and never forms the conjugated matrix, its Gram or a
-full eigensolve.
+An operator is a descriptor (a dict with a ``kind``) or a dense
+``OperatorMatrix``, and ``_operator_form`` is the one place that tells them
+apart: it checks the window and the kind, then prepares the pair (T, T^H)
+once per operator, ``_KERNELS[kind]`` for a descriptor and ``_dense_pair``
+for a matrix.  ``weighted_norm_p2`` (also named ``weighted_opnorm_p2``) is
+the p = 2 norm L^2(U) -> L^2(W) of either form: one Lanczos
+(``_lanczos_top``) on the Gram map U^{-1/2} T^H W T U^{-1/2}, applied as T
+and T^H between leafwise factors, closing its residual bracket to 1e-10
+of the top Ritz value or raising LanczosError.  A descriptor needs no
+matrix, so its norm reaches windows past ``DENSE_CAP``.
 A dense matrix is the operator's ``transforms`` kernel applied to the whole
 standard basis at once, so it matches the field-level operator bit for bit.
 The basis is the real identity, so the matrix is float64 unless an operand
@@ -26,6 +23,7 @@ is built one level at a time, as the level's (leaves, cubes) indicator
 times a per-leaf table of e_i, U^{-1/p} e_i and U^{1/p} e_i, and every
 weighted L^p mass of the sweep and the ascent is
 ``fields._weighted_lp_mass``, the helper behind ``VectorField.lp_norm``.
+``_operator_norm`` chooses between the exact p = 2 norm and this bound.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ DENSE_CAP = 4096
 
 
 class CapError(ValueError):
-    pass
+    """A dense matrix larger than ``DENSE_CAP`` was asked for."""
 
 
 @dataclass
@@ -134,13 +132,28 @@ def _dense_pair(M):
     return forward, adjoint
 
 
-def _descriptor_window(op, *operands):
-    """The one window of a descriptor's operands and ``operands``; also
-    refuses an unknown kind."""
+def _operator_form(op, *operands):
+    """(window, prepare) of an operator: a descriptor or an ``OperatorMatrix``.
+
+    The operator and ``operands`` must share one window, and a descriptor's
+    kind must be known.  Nothing is prepared here, so each caller's own
+    checks still run before any work.  ``prepare()`` is the pair (T, T^H) on
+    leaf arrays: the descriptor's ``_KERNELS`` entry or the matrix's
+    ``_dense_pair``; ``prepare(n)`` is a dense pair of either, a descriptor
+    materialized at n components first.
+    """
+    if isinstance(op, OperatorMatrix):
+        return _same_window(op, *operands), lambda n=None: _dense_pair(op.matrix)
     win = _same_window(*operands, *(v for v in op.values() if hasattr(v, "window")))
     if op["kind"] not in _KERNELS:
         raise ValueError(f"unknown operator descriptor kind {op['kind']!r}")
-    return win
+
+    def prepare(n=None):
+        if n is None:
+            return _KERNELS[op["kind"]](op, win)
+        return _dense_pair(materialize(op, win, n).matrix)
+
+    return win, prepare
 
 
 def materialize(op, window, n):
@@ -157,7 +170,7 @@ def materialize(op, window, n):
     that composition in the provenance tag.  On headroom inputs this is the
     operator itself.
     """
-    _descriptor_window(op, window)
+    _, prepare = _operator_form(op, window)
     kind = op["kind"]
     N = n * window.leafcount
     if N > DENSE_CAP:
@@ -166,40 +179,29 @@ def materialize(op, window, n):
     if kind in ("haar_shift", "commutator"):
         provenance = kind + "*headroom_projection"
     basis = np.eye(N).reshape(window.leafcount, n, N)
-    forward, _ = _KERNELS[kind](op, window)
+    forward, _ = prepare()
     cols = forward(basis).reshape(N, N)
     return OperatorMatrix(matrix=cols, window=window, n=n, provenance=provenance)
 
 
-def weighted_opnorm_p2(T, W, U):
-    """||T||_{L^2(U) -> L^2(W)} of a dense ``OperatorMatrix``.
-
-    The same Lanczos as ``weighted_norm_p2``, on the Gram map
-    U^{-1/2} T^H W T U^{-1/2} applied as two dense matrix-vector products
-    (T and T^H) between leafwise factors: no conjugated matrix, no
-    N x N Gram and no full eigensolve is formed.  Real T, W and U keep
-    every Lanczos vector in float64.  LanczosError if the residual bracket
-    has not closed after n * leafcount steps.
-    """
-    _same_window(T, W, U)
-    _need_weight(W, "the weighted norm")
-    _need_weight(U, "the weighted norm")
-    return _gram_norm(*_dense_pair(T.matrix), W, U)
-
-
 def weighted_norm_p2(op, W, U):
-    """||T||_{L^2(U) -> L^2(W)} of an operator descriptor, without its matrix.
+    """||T||_{L^2(U) -> L^2(W)} of an operator descriptor or ``OperatorMatrix``.
 
-    Lanczos on U^{-1/2} T^H W T U^{-1/2} through the descriptor's kernel and
-    adjoint kernel, each prepared once: no dense matrix and no W^{1/2} is
-    formed, so windows past ``DENSE_CAP`` are in reach.  Real operands keep
-    every vector in float64.  LanczosError if the residual bracket has not
-    closed after n * leafcount steps.
+    Lanczos on U^{-1/2} T^H W T U^{-1/2} through the operator's pair
+    (T, T^H), prepared once: a descriptor's kernel and adjoint kernel, so no
+    matrix is formed and windows past ``DENSE_CAP`` are in reach, or a
+    matrix's dense products.  No W^{1/2}, conjugated matrix, Gram or full
+    eigensolve is formed, and real operands keep every vector in float64.
+    LanczosError if the residual bracket has not closed after
+    n * leafcount steps.
     """
-    win = _descriptor_window(op, W, U)
+    _, prepare = _operator_form(op, W, U)
     _need_weight(W, "the weighted norm")
     _need_weight(U, "the weighted norm")
-    return _gram_norm(*_KERNELS[op["kind"]](op, win), W, U)
+    return _gram_norm(*prepare(), W, U)
+
+
+weighted_opnorm_p2 = weighted_norm_p2
 
 
 def _gram_norm(forward, adjoint, W, U):
@@ -263,16 +265,18 @@ def _lanczos_top(gram, N):
 def lp_opnorm_estimate(T, W, U, p, budget=60):
     """(lower bound, None) for ||T||_{L^p(U) -> L^p(W)}, 1 < p < inf.
 
-    Test columns chi_J e_i, chi_J U^{-1/p} e_i and chi_J U^{1/p} e_i for every
-    window cube J and component i, one level at a time until a level has more
-    than 6000 columns; the best is refined by gradient ascent on
-    log ||T f||_{L^p(W)} - log ||f||_{L^p(U)}.  Every L^p mass is
-    ``fields._weighted_lp_mass``.  The second slot is None because no
-    upper bound is computed yet for p != 2.
+    T is an ``OperatorMatrix`` or a descriptor, which is materialized first
+    (so within ``DENSE_CAP``).  Test columns chi_J e_i, chi_J U^{-1/p} e_i
+    and chi_J U^{1/p} e_i for every window cube J and component i, one
+    level at a time until a level has more than 6000 columns; the best is
+    refined by gradient ascent on log ||T f||_{L^p(W)} - log ||f||_{L^p(U)}.
+    Every L^p mass is ``fields._weighted_lp_mass``.  The second slot is None
+    because no upper bound is computed yet for p != 2.
     """
-    win, n = _same_window(T, W, U), T.n
+    win, prepare = _operator_form(T, W, U)
     _check_p(p)
-    forward, adjoint = _dense_pair(T.matrix)
+    n = U.n
+    forward, adjoint = prepare(n)
     WP = W.power(1.0 / p).leaves
     UP = U.power(1.0 / p).leaves
     UM = U.power(-1.0 / p).leaves
@@ -327,12 +331,21 @@ def lp_opnorm_estimate(T, W, U, p, budget=60):
     return best, None
 
 
+def _operator_norm(op, W, U, p, budget=60):
+    """(value, exact) for ||T||_{L^p(U) -> L^p(W)} of an operator in either
+    form: the exact ``weighted_norm_p2`` at p = 2, else the lower bound of
+    ``lp_opnorm_estimate`` with ``budget`` ascent steps."""
+    if _is_p2(p):
+        return weighted_norm_p2(op, W, U), True
+    return lp_opnorm_estimate(op, W, U, p, budget)[0], False
+
+
 def haar_multiplier_norm_relation(A, W, U, p):
     """Compare sup_I ||V_I(W) A_I^eps V_I(U)^{-1}|| with the T_A operator norm.
 
-    At p = 2 the operator norm is exact (``weighted_norm_p2``, matrix-free);
-    otherwise only the lower bound of the dense ``lp_opnorm_estimate`` is
-    reported and ``exact`` is False.
+    The operator norm is ``_operator_norm`` of the T_A descriptor: exact at
+    p = 2 (``weighted_norm_p2``, matrix-free); otherwise only the lower bound
+    of ``lp_opnorm_estimate`` is reported and ``exact`` is False.
     """
     from .bmo import _coef_norms  # bmo imports this module
 
@@ -341,20 +354,9 @@ def haar_multiplier_norm_relation(A, W, U, p):
     inv = [tu.inv(j) for j in range(win.depth)]
     norms = _coef_norms(A.coefs, W.reducing_table(p).mats, inv)
     sup = max((float(np.max(v)) for v in norms if v.size), default=0.0)
-    op = {"kind": "haar_multiplier", "A": A}
-    if _is_p2(p):
-        norm = weighted_norm_p2(op, W, U)
-        exact = True
-    else:
-        norm, _ = lp_opnorm_estimate(materialize(op, win, U.n), W, U, p)
-        exact = False
+    norm, exact = _operator_norm({"kind": "haar_multiplier", "A": A}, W, U, p)
     ratio = norm / sup if sup > 0 else (0.0 if norm == 0 else np.inf)
-    return {
-        "sup_criterion": sup,
-        "operator_norm": norm,
-        "exact": exact,
-        "ratio": ratio,
-    }
+    return {"sup_criterion": sup, "operator_norm": norm, "exact": exact, "ratio": ratio}
 
 
 def dump_operator(T, path):

@@ -93,6 +93,66 @@ def test_truncated_dump_rejected(tmp_path, weight_file, capsys, cut):
     assert "payload has" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda h: {"magic": h["magic"]}, "'n' is missing"),
+    (lambda h: [1, 2], "not a matweight field dump"),
+    (lambda h: {**h, "kind": "tensor"}, "'kind' is missing or bad: 'tensor'"),
+    (lambda h: {**h, "d": "1"}, "'d' is missing or bad: '1'"),
+    (lambda h: {**h, "depth": 5.0}, "'depth' is missing or bad: 5.0"),
+    (lambda h: {**h, "depth": 10**9}, "'depth' is missing or bad: 1000000000"),
+    (lambda h: {**h, "root_position": ["a"]}, "'root_position' is missing or bad"),
+    (lambda h: {**h, "weight": "yes"}, "'weight' is missing or bad: 'yes'"),
+], ids=["missing_key", "not_an_object", "unknown_kind", "text_count", "float_count",
+        "huge_depth", "text_position", "text_flag"])
+def test_malformed_dump_header_rejected(tmp_path, weight_file, capsys, edit, key):
+    head, payload = weight_file.read_bytes().split(b"\n", 1)
+    bad = tmp_path / "bad.mwf"
+    bad.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + payload)
+    with pytest.raises(fields.FieldError, match=re.escape(key)) as info:
+        fields.load_field(bad)
+    assert str(bad) in str(info.value)
+    capsys.readouterr()
+    assert main(["ap", "--weight", str(bad), "--p", "2"]) == 2
+    assert f"error: {bad}: " in capsys.readouterr().err
+
+
+# each matrix role of a command, given the vector dump V, the weight dump W elsewhere
+_MATRIX_ROLES = {
+    "ap --weight": "ap --weight V --p 2",
+    "bmo --w": "bmo --which condition_b --b W --w V",
+    "bmo --u": "bmo --which condition_b --b W --w W --u V",
+    "bmo --b": "bmo --which condition_b --b V --w W",
+    "stopping --w": "stopping --w V",
+    "stopping --u": "stopping --w W --u V",
+    "thm12 --lam-field": "thm12 --lam-field V --u W",
+    "thm12 --u": "thm12 --lam-field W --u V",
+}
+
+
+@pytest.mark.parametrize("role", sorted(_MATRIX_ROLES))
+def test_vector_dump_in_a_matrix_role_rejected(tmp_path, weight_file, capsys, role):
+    vec = tmp_path / "f.mwf"
+    win = fields.load_field(weight_file).window
+    fields.dump_field(bmo.random_vector_field(win, 2, np.random.default_rng(4)), vec)
+    paths = {"V": str(vec), "W": str(weight_file)}
+    capsys.readouterr()
+    assert main([paths.get(a, a) for a in _MATRIX_ROLES[role].split()]) == 2
+    assert f"error: {vec}: holds a vector field, expected kind 'matrix'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "verify", "duality", "jn"])
+def test_spec_and_manifest_must_be_json_objects(tmp_path, capsys, command):
+    doc = tmp_path / "doc.json"
+    doc.write_text("[1]")
+    if command == "gen":
+        argv = ["--spec", str(doc), "--out", str(tmp_path / "x.mwf")]
+    else:
+        argv = ["--manifest", str(doc)]
+    capsys.readouterr()
+    assert main([command, *argv]) == 2
+    assert f"error: {doc}: holds a JSON list, not an object" in capsys.readouterr().err
+
+
 def test_bmo_command(tmp_path, weight_file, capsys):
     # symbol: reuse the weight as a Hermitian symbol
     out = tmp_path / "r.csv"

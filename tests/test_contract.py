@@ -47,7 +47,6 @@ CONTRACT = [
     tf.weighted_square_function,
     tf.triebel_lizorkin_functional,
     opnorm.materialize,
-    opnorm.weighted_opnorm_p2,
     opnorm.weighted_norm_p2,
     opnorm.lp_opnorm_estimate,
     opnorm.haar_multiplier_norm_relation,
@@ -56,6 +55,12 @@ CONTRACT = [
     MatrixField.apply,
     VectorField.lp_norm,
 ]
+
+# Entry points that take an operator in either form, a descriptor ("op") or
+# an operator matrix ("T"), and the parameter that takes it; each form is a
+# case of its own.
+EITHER_FORM = {opnorm.weighted_norm_p2: "op", opnorm.lp_opnorm_estimate: "T"}
+FORM_NAMES = {"op": "descriptor", "T": "matrix"}
 
 # Parameters that are not operands; every other parameter is one.
 NOT_OPERANDS = {
@@ -94,9 +99,10 @@ def _operands(win):
     return ops
 
 
-def _arguments(fn, ops):
+def _arguments(fn, ops, form=None):
     """Keyword arguments for ``fn``: operands from ``ops``, SCALARS for the
-    rest of the parameters that have no default."""
+    rest of the parameters that have no default; ``form`` is the operand
+    key of an ``EITHER_FORM`` operator."""
     out = {}
     for name, par in inspect.signature(fn).parameters.items():
         if name not in NOT_OPERANDS:
@@ -104,6 +110,8 @@ def _arguments(fn, ops):
             out[name] = ops[ALIASES.get(key, key)]
         elif par.default is inspect.Parameter.empty:
             out[name] = SCALARS[name]
+    if form is not None:
+        out[EITHER_FORM[fn]] = ops[form]
     return out
 
 
@@ -115,17 +123,25 @@ def _untouched(ops):
     )
 
 
-CASES = [(fn, name) for fn in CONTRACT for name in _operand_params(fn)]
+CASES = [
+    (fn, name, form)
+    for fn in CONTRACT
+    for name in _operand_params(fn)
+    for form in (FORM_NAMES if fn in EITHER_FORM else (None,))
+]
+
+
+def _case_id(fn, name, form):
+    form = f"({FORM_NAMES[form]})" if form else ""
+    return f"{fn.__module__.split('.')[-1]}.{fn.__qualname__}{form}:{name}"
 
 
 @pytest.mark.parametrize("depth", [5, 4], ids=["same_shape", "other_depth"])
-@pytest.mark.parametrize(
-    "fn, name", CASES, ids=[f"{fn.__module__.split('.')[-1]}.{fn.__qualname__}:{name}" for fn, name in CASES]
-)
-def test_operand_on_another_window_is_refused_first(fn, name, depth):
+@pytest.mark.parametrize("fn, name, form", CASES, ids=[_case_id(*case) for case in CASES])
+def test_operand_on_another_window_is_refused_first(fn, name, form, depth):
     ops, foreign = _operands(Window.unit(1, 5)), _operands(Window.unit(1, depth))
-    kwargs = _arguments(fn, ops)
-    kwargs[name] = _arguments(fn, foreign)[name]
+    kwargs = _arguments(fn, ops, form)
+    kwargs[name] = _arguments(fn, foreign, form)[name]
     with pytest.raises(WindowError):
         fn(**kwargs)
     assert _untouched(ops) and _untouched(foreign)

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from matweight.dyadic import Window
+from matweight.dyadic import Window, WindowError
 from matweight.fields import FieldError, MatrixField, NotPositiveDefiniteError, VectorField
 from matweight import bmo
 from matweight import opnorm as onorm
@@ -310,6 +310,65 @@ def test_weighted_norm_p2_refuses_bad_operands(rng):
     for weights in ((B, W), (W, B)):
         with pytest.raises(NotPositiveDefiniteError):
             onorm.weighted_opnorm_p2(T, *weights)
+
+
+@pytest.mark.parametrize("kind", sorted(onorm._KERNELS))
+def test_operator_norm_is_the_direct_call(kind):
+    # The exact-or-lower-bound choice returns the very bits of the call it
+    # chooses, for a descriptor and for its dense matrix: at p != 2 a
+    # descriptor is materialized first, as a direct caller would.
+    checked = 0
+    for d, n, weights in ((1, 2, "real"), (2, 2, "complex")):
+        win, W, U, descs = _adjoint_setup(d, n, weights)
+        for desc in descs:
+            if desc["kind"] != kind:
+                continue
+            T = onorm.materialize(desc, win, n)
+            assert onorm._operator_norm(desc, W, U, 2.0) == (onorm.weighted_norm_p2(desc, W, U), True)
+            assert onorm._operator_norm(T, W, U, 2.0) == (onorm.weighted_opnorm_p2(T, W, U), True)
+            lower, _ = onorm.lp_opnorm_estimate(T, W, U, 3.0, budget=5)
+            for op in (desc, T):
+                assert onorm._operator_norm(op, W, U, 3.0, budget=5) == (lower, False)
+            checked += 1
+    assert checked
+
+
+def test_foreign_operator_matrix_is_refused_before_its_pair(rng, monkeypatch):
+    win, other = Window.unit(1, 3), Window.unit(1, 3)
+    W = bmo.bounded_weight(win, 2, rng)
+    op = {"kind": "paraproduct", "B": bmo.random_matrix_field(other, 2, rng)}
+    T = onorm.materialize(op, other, 2)
+    calls = []
+    real = onorm._dense_pair
+    monkeypatch.setattr(onorm, "_dense_pair", lambda M: calls.append(M) or real(M))
+    for p in (2.0, 3.0):
+        with pytest.raises(WindowError):
+            onorm._operator_norm(T, W, W, p)
+    assert calls == []
+    V = bmo.bounded_weight(other, 2, rng)
+    onorm._operator_norm(T, V, V, 2.0)
+    assert len(calls) == 1  # the spy sees the pair of a matrix on its own window
+
+
+def test_norm_choice_runs_once_per_seed_and_p(rng, monkeypatch):
+    calls = []
+    real = onorm._operator_norm
+
+    def spy(op, W, U, p, budget=60):
+        calls.append((p, budget))
+        return real(op, W, U, p, budget)
+
+    monkeypatch.setattr(onorm, "_operator_norm", spy)
+    spec = {"n": 2, "d": 1, "depth": 3, "seeds": [0, 1], "p_values": [2.0, 3.0]}
+    rows = bmo.equivalence_experiment(spec)["rows"]
+    assert calls == [(2.0, 25), (3.0, 25)] * 2
+    assert [row["pi_opnorm_exact"] for row in rows] == [True, False] * 2
+    calls.clear()
+    win = Window.unit(1, 3)
+    W, U = bmo.bounded_weight(win, 2, rng), bmo.bounded_weight(win, 2, rng)
+    A = tf.analyze(bmo.random_matrix_field(win, 2, rng))
+    exact = [onorm.haar_multiplier_norm_relation(A, W, U, p)["exact"] for p in (2.0, 3.0)]
+    assert calls == [(2.0, 60), (3.0, 60)] and exact == [True, False]
 
 
 def _psd_with_spectrum(rng, vals, complex_=False):

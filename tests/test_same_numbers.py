@@ -1,0 +1,53 @@
+"""tools/same_numbers.py on a tiny configuration."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SPEC = {"kind": "log_spd", "n": 2, "d": 1, "depth": 3, "amplitude": 0.5}
+TINY = {
+    "manifests": {
+        "tiny": {"n": 2, "d": 1, "depth": 3, "seeds": [0], "p_values": [2.0, 3.0],
+                 "eps": 1.0, "amplitude": 0.5, "char_cap": 10.0},
+    },
+    "specs": {
+        "W": {**SPEC, "seed": 1},
+        "U": {**SPEC, "seed": 2},
+        "B": {**SPEC, "seed": 3},
+        "W2": {**SPEC, "d": 2, "depth": 2, "seed": 4},
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def same_numbers():
+    spec = importlib.util.spec_from_file_location("same_numbers", ROOT / "tools" / "same_numbers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_captures_agree_and_one_byte_is_caught(tmp_path, same_numbers, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for folder in (a, b):
+        codes = same_numbers.capture(folder, TINY)
+        assert codes and not any(codes.values()), codes
+    names = {p.name for p in a.iterdir()}
+    assert {"verify_tiny.csv", "duality_tiny.json", "jn_tiny.csv", "W.mwf",
+            "stopping_p3.json", "bmo_grids.json", "ap_p2.stdout"} <= names
+    assert not (a / "verify_tiny.csv").read_text().startswith("# generated:")
+    assert same_numbers.compare(a, b) == []
+    assert same_numbers.main(["compare", str(a), str(b)]) == 0
+
+    target = b / "verify_tiny.csv"
+    data = bytearray(target.read_bytes())
+    data[len(data) // 2] ^= 1
+    target.write_bytes(bytes(data))
+    (a / "only_here.json").write_text("{}")
+    assert same_numbers.compare(a, b) == ["only_here.json", "verify_tiny.csv"]
+    capsys.readouterr()
+    assert same_numbers.main(["compare", str(a), str(b)]) == 1
+    assert "differs: verify_tiny.csv" in capsys.readouterr().out
