@@ -22,6 +22,8 @@ down the tree and sandwiched by Y_J.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
@@ -533,19 +535,55 @@ def duality_experiment(spec):
     return {"rows": rows, "upper_ratio_ceiling": ceiling}
 
 
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _seed_list(v):
+    """The seeds of a non-string sequence of nonnegative integers as a list;
+    None for anything else."""
+    if isinstance(v, (str, bytes)):
+        return None
+    try:
+        seeds = list(v)
+    except TypeError:
+        return None
+    return seeds if all(_is_int(s) and s >= 0 for s in seeds) else None
+
+
+# manifest key -> (its value as used, or None when the value is refused;
+# what the key asks for)
+_MANIFEST = {
+    **dict.fromkeys(("n", "d", "depth"), (
+        lambda v: int(v) if _is_int(v) and v > 0 else None, "a positive integer")),
+    **dict.fromkeys(("amplitude", "char_cap"), (
+        lambda v: float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool)
+        and math.isfinite(v) else None,
+        "a finite number")),
+    "seeds": (_seed_list, "a sequence of nonnegative integers"),
+}
+
+
 def _ensemble(spec, default_seeds):
     """Read the manifest keys n, d, depth, seeds, amplitude, char_cap and
     weight_kind once; yield (seed, rng, unit window, n, draw) per seed, where
-    draw() is ``bounded_weight`` on them under the manifest's parameters."""
-    n = int(spec.get("n", 2))
-    d = int(spec.get("d", 1))
-    depth = int(spec.get("depth", 6))
+    draw() is ``bounded_weight`` on them under the manifest's parameters.
+    ValueError, naming the key, for a given value of the wrong type or range."""
+    given = {}
+    for key, (read, what) in _MANIFEST.items():
+        if key in spec:
+            given[key] = read(spec[key])
+            if given[key] is None:
+                raise ValueError(f"manifest key {key!r} must be {what}, got {spec[key]!r}")
+    spec = {"n": 2, "d": 1, "depth": 6, "amplitude": 0.5, "char_cap": 10.0,
+            "seeds": default_seeds, **spec, **given}
+    n, d, depth = spec["n"], spec["d"], spec["depth"]
     params = {
-        "amplitude": float(spec.get("amplitude", 0.5)),
-        "char_cap": float(spec.get("char_cap", 10.0)),
+        "amplitude": spec["amplitude"],
+        "char_cap": spec["char_cap"],
         "kind": spec.get("weight_kind", "log_spd"),
     }
-    for seed in spec.get("seeds", default_seeds):
+    for seed in spec["seeds"]:
         rng = np.random.default_rng(seed)
         win = Window.unit(d, depth)
         yield seed, rng, win, n, partial(bounded_weight, win, n, rng, **params)

@@ -19,6 +19,12 @@ Reducing operators: at p = 2 the exact averages (m_I W)^{1/2} and
 direction net approximates the L^p average norm; the realized two-sided
 ratio kappa is verified on an offset net and recorded, never assumed.
 
+Working memory.  The two O(N^2) or O(N * net) kernels at p != 2, the A_p
+Gram and the net products |P e| of the reducing fit and its kappa check,
+run in real arithmetic over blocks of at most ``_ROW_BUDGET`` entries
+(2 MB of float64); complex leaves enter through their real embedding, so
+no complex (leaves, n, dirs) temporary is formed.
+
 Dtypes.  A field is float64 when the data it is built from are real and
 complex128 otherwise (``np.result_type(data, float64)``), and everything
 derived from it (powers, averages, reducing operators) keeps that type;
@@ -39,6 +45,8 @@ has one evaluation path.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -110,11 +118,33 @@ def _need_weight(F, what):
 
 
 def _as_herm(mats, tol, what="matrix"):
-    err = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))))
+    # M^H is a view for a real stack, so the check and the mean cost one
+    # or two stacks of working memory beyond the result
+    adj = np.swapaxes(mats, -1, -2)
+    if np.iscomplexobj(adj):
+        adj = np.conj(adj)
+    err = np.max(np.abs(mats - adj))
     scale = max(1.0, float(np.max(np.abs(mats))))
     if err > tol * scale:
         raise FieldError(f"{what} not Hermitian: asymmetry {err:.3e}")
-    return 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
+    out = mats + adj
+    out *= 0.5
+    return out
+
+
+def _spectral_power(herm, s):
+    """(H^s, the eigenvalues^s) of a stack of Hermitian matrices; the
+    eigenvectors are gone when it returns."""
+    vals, vecs = np.linalg.eigh(herm)
+    if np.min(vals) < EIG_FLOOR and not s.is_integer():
+        raise NotPositiveDefiniteError(
+            f"eigenvalue below floor {EIG_FLOOR:g} in pointwise power"
+        )
+    if np.min(vals) <= 0 and s < 0:
+        raise NotPositiveDefiniteError("negative power of singular leaf")
+    pw_vals = np.power(vals, s)
+    right = np.conj(vecs) if np.iscomplexobj(vecs) else vecs
+    return np.einsum("lab,lb,lcb->lac", vecs, pw_vals, right), pw_vals
 
 
 class _LeafField:
@@ -191,15 +221,7 @@ class MatrixField(_LeafField):
             # the constructor made a weight's leaves exactly Hermitian
             herm = self.leaves if self.is_weight else _as_herm(
                 self.leaves, HERMITIAN_TOL, "power input")
-            vals, vecs = np.linalg.eigh(herm)
-            if np.min(vals) < EIG_FLOOR and not float(s).is_integer():
-                raise NotPositiveDefiniteError(
-                    f"eigenvalue below floor {EIG_FLOOR:g} in pointwise power"
-                )
-            if np.min(vals) <= 0 and float(s) < 0:
-                raise NotPositiveDefiniteError("negative power of singular leaf")
-            pw_vals = np.power(vals, key)
-            pw = np.einsum("lab,lb,lcb->lac", vecs, pw_vals, np.conj(vecs))
+            pw, pw_vals = _spectral_power(herm, key)
             self._power_cache[key] = MatrixField(
                 self.window, pw, weight=self.is_weight, _eigvals=pw_vals
             )
@@ -340,43 +362,73 @@ class _OwnGrid:
         return [table.inv(j) for j in range(self.top)]
 
     def gram_levels(self, W, p):
-        # Under the tree order a block of `rows` leaves is one level-j0 cube.
-        # For j <= j0 its rows lie in one level-j cube, whose columns are one
-        # contiguous range; for j > j0 the level-j cubes lie inside the block,
-        # so their columns are in the block's diagonal rows x rows sub-block.
-        win = self.window
-        pp = p / (p - 1.0)
-        d, L, total, top = win.d, win.depth, win.leafcount, self.top
-        order = win.tree_order()
-        P = W.power(2.0 / p).leaves[order]
-        N = W.power(-2.0 / p).leaves[order]
-        j0 = next(
-            (j for j in range(L + 1) if 2 ** (d * (L - j)) * total <= _ROW_BUDGET), L
-        )
-        rows = 2 ** (d * (L - j0))
-        cells = [2 ** (d * (L - j)) for j in range(top + 1)]
-        sums = [np.zeros(win.cubes_at(j)) for j in range(top + 1)]
-        for lo in range(0, total, rows):
-            H = _gram_power(P[lo : lo + rows], N, pp / 2.0)
-            seg = H.reshape(rows, total // rows, rows).sum(axis=2)
-            diag = np.ascontiguousarray(H[:, lo : lo + rows])
-            for j in range(top + 1):
-                c = cells[j]
-                if j <= j0:
-                    k = lo // c
-                    per = c // rows
-                    means = seg[:, k * per : (k + 1) * per].sum(axis=1) / c
-                    sums[j][k] += np.sum(means ** (p / pp))
-                else:
-                    m = rows // c
-                    means = np.einsum("iaib->ia", diag.reshape(m, c, m, c)) / c
-                    sums[j][lo // c : lo // c + m] += (means ** (p / pp)).sum(axis=1)
+        win, order = self.window, self.window.tree_order()
+        sums = self._tree_sums(W.power(2.0 / p).leaves, W.power(-2.0 / p).leaves, p)
         per_level = []
-        for j in range(top + 1):
-            vals = np.empty(win.cubes_at(j))
-            vals[win.ancestor_index(L, j)[order[:: cells[j]]]] = sums[j] / cells[j]
+        for j, run in enumerate(sums):
+            cells = win.leafcount // len(run)
+            vals = np.empty(len(run))
+            vals[win.ancestor_index(win.depth, j)[order[::cells]]] = run / cells
             per_level.append(vals)
         return per_level
+
+    def _tree_sums(self, P, N, p):
+        # Per level j <= top, per level-j cube I in tree order: the sum over
+        # the rows x of I of (mean over the columns t of I of H[x, t])^{p/p'},
+        # H = max(Gram, 0)^{p'/2} of rows P against columns N.
+        #
+        # Under the tree order every cube is a run of leaves.  A strip is one
+        # level-j0 cube of `rows` leaves: the coarsest of at most
+        # max(_ROW_BUDGET / N, 16) rows whose diagonal block is at most an
+        # eighth of _ROW_BUDGET.  Its Gram comes in tiles of whole blocks of
+        # `rows` columns: all columns at once up to N = _ROW_BUDGET / 16;
+        # beyond that, column tiles, so that each pass over the columns still
+        # serves 16 rows (a single row per pass rereads all N columns per
+        # leaf, which costs more than the extra tiles).  The tiles are summed
+        # into blocks of `rows` columns as they come, and the strip's
+        # diagonal block is kept.  Taken in the order b ^ (lo / rows), the
+        # blocks put the strip's level-j cube first for every j <= j0; inside
+        # the strip's own diagonal block each row i takes the columns in the
+        # order i ^ u, which puts its level-j cube first for j > j0.  So all
+        # of a row's cube sums are the running sums of one reduceat over the
+        # level boundaries: sums of nonnegative terms, in which nothing
+        # cancels, in a fixed number of numpy calls per strip.  The working
+        # arrays are local, so they are gone before the caller maps the sums
+        # to cube order.
+        win, top = self.window, self.top
+        pp = p / (p - 1.0)
+        total, order = win.leafcount, win.tree_order()
+        B = _real_rows(N if win.d == 1 else N[order])  # d = 1: order is the identity
+        cells = 2 ** (win.d * (win.depth - np.arange(win.depth + 1)))
+        limit = min(max(_ROW_BUDGET // total, 16), math.isqrt(_ROW_BUDGET // 8))
+        j0 = int(np.argmax(cells <= max(1, limit)))
+        rows, jo = int(cells[j0]), min(j0, top)
+        cols = min(total, _ROW_BUDGET // rows // rows * rows)
+        # ring boundaries: the strip's cubes below j0 in its diagonal block,
+        # then its cubes from level jo up to the root in blocks
+        inner = np.concatenate([[0], cells[top:jo:-1]])
+        outer = np.concatenate([[0], cells[jo:0:-1] // rows])
+        swap = np.arange(rows)[:, None] ^ np.arange(rows)
+        blocks, ones = np.arange(total // rows), np.ones(rows)
+        start = np.concatenate([[0], np.cumsum(win.cubes_at(np.arange(top + 1)))])
+        slot = start[:-1] + np.arange(rows)[:, None] // cells[: top + 1]
+        acc = np.zeros(start[-1])
+        tile, seg = np.empty((rows, cols)), np.empty((rows, len(blocks)))
+        for lo in range(0, total, rows):
+            A = _real_rows(P[order[lo : lo + rows]]) / P.shape[-1]
+            for c in range(0, total, cols):
+                H = _gram_power(A, B[c : c + cols], pp / 2.0, tile[:, : total - c])
+                seg[:, c // rows : (c + cols) // rows] = (
+                    H.reshape(-1, rows) @ ones).reshape(rows, -1)
+                if top > jo and c <= lo < c + cols:
+                    diag = np.take_along_axis(H[:, lo - c : lo - c + rows], swap, axis=1)
+            rings = np.add.reduceat(seg[:, blocks ^ (lo // rows)], outer, axis=1)
+            if top > jo:
+                rings = np.concatenate(
+                    [np.add.reduceat(diag, inner, axis=1), rings[:, 1:]], axis=1)
+            means = np.cumsum(rings, axis=1)[:, ::-1] / cells[: top + 1]
+            np.add.at(acc, slot + lo // cells[: top + 1], means ** (p / pp))
+        return np.split(acc, start[1:-1])
 
     def cube(self, i, k):
         return self.window.cube(i, k)
@@ -425,7 +477,8 @@ class _ShiftedGrid:
         # blocks of at most _ROW_BUDGET entries: whole cubes when one fits,
         # row blocks of a single cube otherwise.
         pp = p / (p - 1.0)
-        P, N = W.power(2.0 / p).leaves, W.power(-2.0 / p).leaves
+        A = _real_rows(W.power(2.0 / p).leaves) / W.n
+        B = _real_rows(W.power(-2.0 / p).leaves)
         per_level = []
         for idx, vols in self.pieces:
             pieces = idx.shape[1]
@@ -434,9 +487,9 @@ class _ShiftedGrid:
             step = max(1, _ROW_BUDGET // (rows * pieces))
             vals = np.zeros(len(idx))
             for c in range(0, len(idx), step):
-                cols = N[idx[c : c + step]]
+                cols = B[idx[c : c + step]]
                 for lo in range(0, pieces, rows):
-                    H = _gram_power(P[idx[c : c + step, lo : lo + rows]], cols, pp / 2.0)
+                    H = _gram_power(A[idx[c : c + step, lo : lo + rows]], cols, pp / 2.0)
                     vals[c : c + step] += ((H @ w) ** (p / pp)) @ w[lo : lo + rows]
             per_level.append(vals)
         return per_level
@@ -477,27 +530,31 @@ def _haar_coefs(fam, means):
 
 # -- A_p characteristic ---------------------------------------------------
 
-# Entries of one Gram block (32 MB of float64).
-_ROW_BUDGET = 2**22
+# Entries of one Gram tile or net-product block (2 MB of float64).
+_ROW_BUDGET = 2**18
 
 
-def _pair_gram(P, N):
-    # G[..., x, t] = tr(P_x N_t) / n: the squared *normalized* Frobenius
-    # norm of P_x^{1/2} N_t^{1/2}, so that the identity weight scores 1.
-    # For Hermitian N_t the trace is the real part of <P_x, N_t>_F, one
-    # real product over the stacked real and imaginary entries; leading
-    # axes of P and N are batch axes.
-    n = P.shape[-1]
-    VP = P.reshape(P.shape[:-2] + (n * n,))
-    VN = N.reshape(N.shape[:-2] + (n * n,))
-    A = np.concatenate([VP.real, VP.imag], axis=-1) / n
-    B = np.concatenate([VN.real, VN.imag], axis=-1)
-    return A @ np.swapaxes(B, -1, -2)
+def _real_rows(M):
+    """Matrices (..., n, n) as real rows of their entries: (..., n^2) for a
+    real stack, (..., 2 n^2), real parts then imaginary, for a complex one."""
+    V = M.reshape(M.shape[:-2] + (-1,))
+    return np.concatenate([V.real, V.imag], axis=-1) if np.iscomplexobj(V) else V
 
 
-def _gram_power(P, N, expo):
-    """max(Gram, 0)^expo of rows P against columns N, in place."""
-    H = _pair_gram(P, N)
+def _pair_gram(A, B, out=None):
+    # G[..., x, t] = tr(P_x N_t) / n for rows A = _real_rows(P) / n and
+    # B = _real_rows(N) of one dtype kind: the squared *normalized*
+    # Frobenius norm of P_x^{1/2} N_t^{1/2}, so that the identity weight
+    # scores 1.  For Hermitian N_t the trace is the real part of
+    # <P_x, N_t>_F, one real product of the rows; leading axes are batch
+    # axes.  ``out``, when given, receives the block.
+    return np.matmul(A, np.swapaxes(B, -1, -2), out=out)
+
+
+def _gram_power(A, B, expo, out=None):
+    """max(Gram, 0)^expo of rows A against columns B, in place (in ``out``
+    when given)."""
+    H = _pair_gram(A, B, out)
     np.maximum(H, 0.0, out=H)
     return np.power(H, expo, out=H)
 
@@ -530,11 +587,14 @@ def ap_characteristic_report(W, p, grids=None, max_level=None):
     tr(m_I W m_I W^{-1}) / n, read off the family's means (on a shifted
     grid, means weighted by the exact piece volumes), so no Gram is formed.
     At p != 2 the leaf Gram tr(W_x^{2/p} W_t^{-2/p}) / n is formed in
-    blocks of at most 2^22 entries: O(N^2) time in about 32 MB of working
-    memory beyond the O(N n^2) power leaves.  On the own grid the rows are
-    taken in tree order, so each block is one cube and every cube's columns
-    are one contiguous range; a shifted grid forms the Gram of each cube's
-    own pieces, a level's cubes batched together.
+    tiles of at most ``_ROW_BUDGET`` = 2^18 entries: O(N^2) time in about
+    2 MB of working memory beyond O(N n^2) for the power leaves and their
+    real rows.  On the own grid the rows are taken in tree order, so a
+    strip of rows is one cube and every cube's columns are one contiguous
+    range; each strip's sums over all levels come from a fixed number of
+    numpy calls.  Beyond N = 2^14 a strip keeps 16 rows and takes the
+    columns in tiles.  A shifted grid forms the Gram of each cube's own
+    pieces, a level's cubes batched together.
     """
     _check_p(p)
     _need_weight(W, "the A_p characteristic")
@@ -591,57 +651,104 @@ def direction_net(n, offset=False):
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
+class _Net:
+    """A direction net ``dirs`` (dirs, n), real or complex, with the real
+    tables of its kernels:
+
+    - ``rows`` multiplies real leaf rows (leaves * n, n): E = dirs^T for a
+      real net, [Re E | Im E] for a complex one;
+    - ``embed`` multiplies the interleaved real view (leaves * n, 2n) of
+      complex leaf rows, [Re p_a0, Im p_a0, Re p_a1, ...]: its rows 2b and
+      2b + 1 are [Re E_b | Im E_b] and [-Im E_b | Re E_b], so the product
+      is [Re(P e) | Im(P e)], the embedding [[Re P, -Im P], [Im P, Re P]]
+      applied to (Re e, Im e);
+    - ``fit`` holds the outer products f f^H of f = M0^{-1/2} e, where
+      M0 = sum_e e e^H, as real rows (dirs, n^2), or (dirs, 2 n^2) with
+      real and imaginary parts interleaved for a complex net.
+    """
+
+    def __init__(self, dirs):
+        self.dirs = dirs
+        E = dirs.T
+        self.rows = np.hstack([E.real, E.imag]) if np.iscomplexobj(E) else E.copy()
+        self.embed = np.stack(
+            [np.hstack([E.real, E.imag]), np.hstack([-E.imag, E.real])], axis=1
+        ).reshape(2 * len(E), -1)
+        F = np.ascontiguousarray((_mat_isqrt((E @ np.conj(E.T))[None])[0] @ E).T)
+        self.fit = (F[:, :, None] * np.conj(F)[:, None, :]).reshape(len(F), -1).view(np.float64)
+
+
+@lru_cache(maxsize=None)
+def _net(n, offset, phased):
+    base = direction_net(n, offset)
+    if not phased:
+        return _Net(base)
+    turned = base.astype(complex)
+    turned[:, 1:] *= 1j
+    return _Net(np.concatenate([base, turned], axis=0))
+
+
 def _reducing_net(P, offset=False):
-    """Direction net for the p != 2 reducing operators of power leaves P.
+    """Direction net (a ``_Net``, built once) for the p != 2 reducing
+    operators of power leaves P.
 
     Leaves with no nonzero imaginary entry use the real net; complex leaves
     add a copy with the trailing coordinates rotated by i.
     """
-    base = direction_net(P.shape[1], offset)
-    if P.shape[1] == 1 or not np.any(P.imag):
-        return base
-    phased = base.astype(complex)
-    phased[:, 1:] *= 1j
-    return np.concatenate([base, phased], axis=0)
+    n = P.shape[1]
+    return _net(n, bool(offset), n > 1 and bool(np.any(P.imag)))
 
 
 def _net_powers(P, net, expo):
-    """|P(x) e|^expo per leaf and net direction: (leaves, dirs).
+    """|P(x) e|^expo per leaf and direction e of the net: (leaves, dirs).
 
-    All the products P(x) e are one matmul of the stacked leaf rows
-    (leaves * n, n) against the net, in float64 when both are real; the
-    squared moduli are summed over the n rows of each product.
+    Real arithmetic throughout, over blocks of leaves whose products hold
+    at most _ROW_BUDGET entries: a real stack multiplies its leaf rows
+    (leaves * n, n) by ``net.rows``, a complex one the interleaved real view
+    of its rows by ``net.embed``.  Each product holds Re(P e), and Im(P e)
+    when either side is complex, per leaf row; a leaf's squares, summed
+    over its rows, are |P e|^2.  Each |P e| is formed from its own product,
+    so it keeps its accuracy on near-singular leaves.
     """
+    P = np.ascontiguousarray(P)
     L, n = P.shape[:2]
-    Pe = (P.reshape(L * n, n) @ net.T).reshape(L, n, len(net))
-    sq = np.einsum("laj,laj->lj", Pe.real, Pe.real)
-    if np.iscomplexobj(Pe):
-        sq += np.einsum("laj,laj->lj", Pe.imag, Pe.imag)
-    return sq ** (expo / 2.0)
+    if np.iscomplexobj(P):
+        rows, table = P.view(np.float64).reshape(L * n, 2 * n), net.embed
+    else:
+        rows, table = P.reshape(L * n, n), net.rows
+    dirs = len(net.dirs)
+    out = np.empty((L, dirs))
+    step = max(1, _ROW_BUDGET // (n * table.shape[1]))
+    for lo in range(0, L, step):
+        block = out[lo : lo + step]
+        Pe = (rows[lo * n : (lo + step) * n] @ table).reshape(len(block), -1, dirs)
+        np.einsum("lkj,lkj->lj", Pe, Pe, out=block)
+        if expo != 2.0:
+            np.power(block, expo / 2.0, out=block)
+    return out
 
 
 def _ellipsoid_fit(rho_pow, vr_pow, net, vnet, expo):
     """Second-moment ellipsoids V for stacks of cubes, and their kappa.
 
     ``rho_pow`` and ``vr_pow`` list, per stack, the per-cube means of
-    |P e|^expo over the directions of ``net`` and of the offset net
-    ``vnet``, shape (cubes, dirs).  V is fitted so that |V e| matches the
-    L^expo average norm (mean |P e|^expo)^{1/expo} on the net; kappa is the
-    largest two-sided ratio between the two on the offset net, found as the
-    square root of the largest two-sided ratio of their squares.
+    |P e|^expo over the directions of the ``_Net`` ``net`` and of the
+    offset net ``vnet``, shape (cubes, dirs).  V is fitted so that |V e|
+    matches the L^expo average norm (mean |P e|^expo)^{1/expo} on the net;
+    kappa is the largest two-sided ratio between the two on the offset net,
+    found as the square root of the largest two-sided ratio of their
+    squares.
 
-    The moment S = sum_e rho(e)^{2/expo} e e^H of every cube of a stack is
-    one matmul against the (dirs, n^2) table of outer products, taken over
-    its real view when the net is complex.
+    V = (M0^{-1/2} S M0^{-1/2})^{1/2} for the moment
+    S = sum_e rho(e)^{2/expo} e e^H and M0 = sum_e e e^H; with M0^{-1/2}
+    folded into ``net.fit``, the whole sandwich of every cube of a stack is
+    one real matmul.
     """
-    n = net.shape[1]
-    outer = (net[:, :, None] * np.conj(net)[:, None, :]).reshape(len(net), n * n)
-    table = outer.view(np.float64)  # a complex entry becomes two real columns
-    M0_isqrt = _mat_isqrt(outer.sum(axis=0).reshape(1, n, n))
+    n = net.dirs.shape[1]
     mats, kappa2 = [], 1.0
     for rho, vr in zip(rho_pow, vr_pow, strict=True):
-        S = (rho ** (2.0 / expo) @ table).view(outer.dtype).reshape(-1, n, n)
-        V = _mat_sqrt(M0_isqrt @ S @ M0_isqrt)
+        S = (rho ** (2.0 / expo) @ net.fit).view(net.dirs.dtype).reshape(-1, n, n)
+        V = _mat_sqrt(S)
         mats.append(V)
         ratio2 = vr ** (2.0 / expo) / np.maximum(_net_powers(V, vnet, 2.0), 1e-300)
         kappa2 = max(kappa2, float(np.max(ratio2)), float(1.0 / np.min(ratio2)))
@@ -981,6 +1088,7 @@ def generate_weight(spec, window=None):
 # -- serialization ----------------------------------------------------------
 
 _MAGIC = "matweight-field"
+_HEADER_BYTES = 2**16  # a longer first line is no field dump's header
 
 
 def dump_field(field, path):
@@ -1018,16 +1126,24 @@ _HEADER.update(kind=lambda v: v in ("matrix", "vector"), weight=lambda v: type(v
 def load_field(path, window=None):
     """Read a ``dump_field`` file; leaves are float64 when no imaginary entry
     of the payload is nonzero, complex128 otherwise.  FieldError, naming the
-    file, for a header that is not a field dump's JSON object, or that has a
-    key missing or of the wrong type."""
+    file, for a header that is not a field dump's JSON object, that has a
+    key missing or of the wrong type, or whose payload size differs from
+    the file's; the size is checked before any of the payload is read."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
+        header = json.loads(fh.readline(_HEADER_BYTES).decode())
         if not isinstance(header, dict) or header.get("magic") != _MAGIC:
             raise FieldError(f"{path}: not a matweight field dump")
-        raw = fh.read()
-    for key, ok in _HEADER.items():
-        if not ok(header.get(key)):
-            raise FieldError(f"{path}: header key {key!r} is missing or bad: {header.get(key)!r}")
+        for key, ok in _HEADER.items():
+            if not ok(header.get(key)):
+                raise FieldError(
+                    f"{path}: header key {key!r} is missing or bad: {header.get(key)!r}")
+        n, matrix = header["n"], header["kind"] == "matrix"
+        shape = (n, n) if matrix else (n,)
+        need = 16 * 2 ** (header["d"] * header["depth"]) * int(np.prod(shape))
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if have != need:
+            raise FieldError(f"{path}: payload has {have} bytes, the header needs {need}")
+        raw = fh.read(need)
     grid = DyadicGrid(header["d"], header["shift"])
     root = DyadicCube(grid, header["root_level"], tuple(header["root_position"]))
     if window is None:
@@ -1037,13 +1153,6 @@ def load_field(path, window=None):
             f"{path}: dump geometry d={grid.dimension}, depth={header['depth']}, "
             f"root {root.address} does not match the window's "
             f"d={window.d}, depth={window.depth}, root {window.root.address}"
-        )
-    n, matrix = header["n"], header["kind"] == "matrix"
-    shape = (n, n) if matrix else (n,)
-    need = 16 * 2 ** (header["d"] * header["depth"]) * int(np.prod(shape))
-    if len(raw) != need:
-        raise FieldError(
-            f"{path}: payload has {len(raw)} bytes, the header needs {need}"
         )
     data = np.frombuffer(raw, dtype="<c16")
     if not np.any(data.imag):

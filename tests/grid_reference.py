@@ -20,6 +20,7 @@ from matweight.fields import (
     _mat_isqrt,
     _mat_sqrt,
     _opnorms,
+    _real_rows,
     _reducing_net,
     _trace_form,
 )
@@ -30,9 +31,10 @@ def _weighted_cube_ap(P, N, w, p):
     Gram of the pieces streamed in row blocks."""
     pp = p / (p - 1.0)
     step = max(1, _ROW_BUDGET // len(N))
+    A, B = _real_rows(P) / P.shape[-1], _real_rows(N)
     val = 0.0
     for lo in range(0, len(P), step):
-        H = _gram_power(P[lo : lo + step], N, pp / 2.0)
+        H = _gram_power(A[lo : lo + step], B, pp / 2.0)
         val += float(((H @ w) ** (p / pp)) @ w[lo : lo + step])
     return val
 
@@ -189,7 +191,7 @@ class GridEvaluator:
 
 
 def foreign_grid_reducing(ev, Ppow, p, expo, ci):
-    net = _reducing_net(Ppow)
+    net = _reducing_net(Ppow).dirs
     idx, vols = ev.pieces[ci]
     Y = np.einsum("lab,jb->lja", Ppow[idx], net)
     rho_p = np.tensordot(vols, np.linalg.norm(Y, axis=2) ** expo, axes=(0, 0))

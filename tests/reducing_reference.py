@@ -69,7 +69,7 @@ def build(W, p, dual=False):
         return [_mat_sqrt(a) for a in src.level_averages()], 1.0
     expo = p / (p - 1.0) if dual else p
     P = W.power(-1.0 / p if dual else 1.0 / p).leaves
-    net, vnet = _reducing_net(P), _reducing_net(P, offset=True)
+    net, vnet = _reducing_net(P).dirs, _reducing_net(P, offset=True).dirs
     return _ellipsoid_fit(
         win.level_averages(_net_powers(P, net, expo)),
         win.level_averages(_net_powers(P, vnet, expo)),
@@ -83,7 +83,7 @@ def piece_reducing(W, p, pieces):
     if _is_p2(p):
         return [_mat_sqrt(_cube_means(W.leaves, *pc)) for pc in pieces]
     P = W.power(1.0 / p).leaves
-    net, vnet = _reducing_net(P), _reducing_net(P, offset=True)
+    net, vnet = _reducing_net(P).dirs, _reducing_net(P, offset=True).dirs
     rho, vr = _net_powers(P, net, p), _net_powers(P, vnet, p)
     return _ellipsoid_fit(
         [_cube_means(rho, *pc) for pc in pieces],

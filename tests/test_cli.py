@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +95,22 @@ def test_truncated_dump_rejected(tmp_path, weight_file, capsys, cut):
     assert "payload has" in capsys.readouterr().err
 
 
+def test_sparse_overlong_dump_refused_unread(weight_file):
+    # a valid header before 1 GiB of holes: the size is compared before any
+    # of the payload is read, so the refusal allocates next to nothing
+    head = weight_file.read_bytes().split(b"\n", 1)[0]
+    os.truncate(weight_file, 2**30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(fields.FieldError) as info:
+            fields.load_field(weight_file)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"payload has {2**30 - len(head) - 1} bytes" in str(info.value)
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("edit, key", [
     (lambda h: {"magic": h["magic"]}, "'n' is missing"),
     (lambda h: [1, 2], "not a matweight field dump"),
@@ -138,6 +156,33 @@ def test_vector_dump_in_a_matrix_role_rejected(tmp_path, weight_file, capsys, ro
     capsys.readouterr()
     assert main([paths.get(a, a) for a in _MATRIX_ROLES[role].split()]) == 2
     assert f"error: {vec}: holds a vector field, expected kind 'matrix'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seeds", "abc"), ("seeds", 3), ("seeds", [0, True]), ("seeds", [0, 1.5]), ("seeds", [-1]),
+    ("n", 2.5), ("n", 0), ("n", True), ("d", "1"), ("d", -1), ("depth", 4.0),
+    ("amplitude", "0.5"), ("amplitude", float("nan")), ("amplitude", False),
+    ("char_cap", float("inf")), ("char_cap", None),
+], ids=lambda v: repr(v))
+@pytest.mark.parametrize("command", ["verify", "duality", "jn"])
+def test_manifest_value_types_checked(tmp_path, capsys, command, key, value):
+    manifest = tmp_path / "m.json"
+    good = {"n": 2, "d": 1, "depth": 3, "seeds": [0], "p_values": [2.0]}
+    manifest.write_text(json.dumps({**good, key: value}))
+    capsys.readouterr()
+    assert main([command, "--manifest", str(manifest), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: manifest key {key!r} must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seeds", [(0, 1), np.array([0, 1]), range(2)], ids=repr)
+def test_library_seeds_take_any_integer_sequence(seeds):
+    # the type check refuses bad JSON, not the sequences a Python caller passes
+    spec = {"n": 2, "d": 1, "depth": 3, "p": 3.0}
+    want = bmo.jn_experiment({**spec, "seeds": [0, 1]})
+    got = bmo.jn_experiment({**spec, "seeds": seeds})
+    assert [r["seed"] for r in got["rows"]] == [0, 1]
+    assert [r["a2W"] for r in got["rows"]] == [r["a2W"] for r in want["rows"]]
 
 
 @pytest.mark.parametrize("command", ["gen", "verify", "duality", "jn"])

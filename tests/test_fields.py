@@ -310,13 +310,19 @@ def _ap_weight(kind, d, depth, rng):
     )
 
 
-@pytest.mark.parametrize("budget", [2**22, 2**10, 2**6])
+@pytest.mark.parametrize("budget", [2**22, 2**12, 2**10, 2**7, 2**6, 2**4, 24])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("d, depth", [(1, 6), (2, 3), (3, 2)])
 def test_ap_matches_dense_gram_oracle(monkeypatch, rng, d, depth, p, kind, budget):
-    # at N = 64 leaves, budget 2^10 streams blocks of 8 or 16 rows and
-    # budget 2^6 single rows, on the own grid and on foreign cubes
+    # at N = 64 leaves the own grid takes one strip of all rows at 2^22;
+    # strips of 16 or 8 rows at 2^12 and of 8 or 4 rows at 2^10, each with
+    # several cubes below it, against all columns; strips of 4 rows (d <= 2)
+    # against 2 column tiles at 2^7 and of 2 rows (d = 1) at 2^6, the
+    # diagonal block in either tile; single rows against all columns at
+    # 2^6 (d >= 2) and 2^7 (d = 3), against 4 column tiles at 2^4, and
+    # against uneven tiles of 24, 24 and 16 at 24.  Foreign cubes stream
+    # (cubes, rows, pieces) blocks.
     monkeypatch.setattr(fields, "_ROW_BUDGET", budget)
     W = _ap_weight(kind, d, depth, rng)
     win = W.window
@@ -324,6 +330,11 @@ def test_ap_matches_dense_gram_oracle(monkeypatch, rng, d, depth, p, kind, budge
     best, cube = fields._level_argmax(levels)
     want_best, want_cube, want_levels = _dense_own_grid_ap(W, p, depth)
     for got, want in zip(levels, want_levels, strict=True):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    # cut above the leaves, so strips may be finer than the finest level
+    half = depth // 2
+    cut = fields._ap_levels(fields._OwnGrid(win, win.root.level + half), W, p)
+    for got, want in zip(cut, want_levels[: half + 1], strict=True):
         np.testing.assert_allclose(got, want, rtol=1e-12)
     assert np.isclose(best, want_best, rtol=1e-12) and cube == want_cube
     if p == 2.0:
@@ -380,9 +391,9 @@ def _spy_pair_gram(monkeypatch):
     calls = []
     real = fields._pair_gram
 
-    def spy(P, N):
-        out = real(P, N)
-        calls.append((P.copy(), out.shape))
+    def spy(A, B, out=None):
+        out = real(A, B, out)
+        calls.append((A.copy(), out.shape))
         return out
 
     monkeypatch.setattr(fields, "_pair_gram", spy)
@@ -398,16 +409,23 @@ def test_ap_p2_forms_no_gram(monkeypatch, rng):
     assert calls == []
 
 
-def test_ap_streamed_gram_blocks_bounded_and_cover_rows(monkeypatch, rng):
+@pytest.mark.parametrize("budget", [None, 2**14])
+def test_ap_streamed_gram_blocks_bounded_and_cover_rows(monkeypatch, rng, budget):
+    # N = 4096: strips of 64 rows against all columns at the default
+    # budget; at 2^14 < 16 N, strips of 16 rows against 4 column tiles
+    if budget is not None:
+        monkeypatch.setattr(fields, "_ROW_BUDGET", budget)
     win = Window.unit(1, 12)
     W = generate_weight({"kind": "log_spd", "n": 2, "seed": 7}, win)
     calls = _spy_pair_gram(monkeypatch)
     ap_characteristic(W, 3.0)
     N = win.leafcount
-    assert calls and all(rows * cols <= 2**22 for _, (rows, cols) in calls)
-    assert all(cols == N for _, (rows, cols) in calls)
-    # the row blocks hold every leaf's power exactly once
-    seen = np.concatenate([P for P, _ in calls]).reshape(-1, W.n * W.n)
+    assert calls and all(rows * cols <= fields._ROW_BUDGET for _, (rows, cols) in calls)
+    want_shape = (64, N) if budget is None else (16, N // 4)
+    assert all(shape == want_shape for _, shape in calls)
+    # the row strips hold every leaf's power exactly once, as real rows / n
+    tiles = N // want_shape[1]
+    seen = W.n * np.concatenate([A for A, _ in calls[::tiles]])
     want = W.power(2.0 / 3.0).leaves.reshape(N, W.n * W.n)
 
     def rows(a):
@@ -426,7 +444,7 @@ def test_ap_shifted_grid_gram_blocks_bounded(monkeypatch, d, depth):
     calls = _spy_pair_gram(monkeypatch)
     ap_characteristic(W, 3.0, grids=list(range(1, 2**d + 1)))
     shapes = [shape for _, shape in calls]
-    assert all(np.prod(shape) <= 2**22 for shape in shapes)
+    assert all(np.prod(shape) <= fields._ROW_BUDGET for shape in shapes)
     own = [s for s in shapes if len(s) == 2]
     shifted = [s for s in shapes if len(s) == 3]
     assert own and shifted and len(own) + len(shifted) == len(shapes)
@@ -560,14 +578,42 @@ def _assert_stacks_close(got, want, rtol):
         assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
 
 
+def _near_singular(window, n, kind, cond, rng):
+    """Leaves Q diag(lam) Q^H with eigenvalues from s down to s / cond (s a
+    random leaf scale, Q a random unitary or orthogonal); for n = 1 complex
+    scalars spread over the same range."""
+    count = window.leafcount
+    if n == 1:
+        return MatrixField(window, np.logspace(0, -np.log10(cond), count)[
+            rng.permutation(count)].astype(complex).reshape(count, 1, 1), weight=True)
+    Z = rng.standard_normal((count, n, n))
+    if kind == "complex":
+        Z = Z + 1j * rng.standard_normal((count, n, n))
+    Q = np.linalg.qr(Z)[0]
+    lam = np.logspace(0, -np.log10(cond), n) * rng.uniform(0.5, 2.0, (count, 1))
+    return MatrixField(window, np.einsum("lab,lb,lcb->lac", Q, lam, np.conj(Q)), weight=True)
+
+
+_REDUCING_CASES = [
+    pytest.param(n, kind, None, id=f"{n}-{kind}")
+    for n in (1, 2, 3, 4) for kind in ("real", "complex")
+] + [
+    pytest.param(n, kind, cond, id=f"{n}-{kind}-cond{cond:.0e}")
+    for n, kind in ((1, "complex"), (2, "real"), (2, "complex"), (3, "real"), (3, "complex"))
+    for cond in (1e6, 1e12)
+]
+
+
 @pytest.mark.parametrize("dual", [False, True])
 @pytest.mark.parametrize("p", [1.5, 3.0])
-@pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_reducing_table_matches_einsum_oracle(rng, n, kind, p, dual):
-    # n = 4 takes the random-net branch of direction_net
+@pytest.mark.parametrize("n, kind, cond", _REDUCING_CASES)
+def test_reducing_table_matches_einsum_oracle(rng, n, kind, cond, p, dual):
+    # n = 4 takes the random-net branch of direction_net; cond sets near-
+    # singular leaves of that condition number
     win = Window.unit(1, 5)
-    if kind == "complex":
+    if cond is not None:
+        W = _near_singular(win, n, kind, cond, rng)
+    elif kind == "complex":
         W = _complex_log_spd(win, n, rng)
     else:
         W = generate_weight(
