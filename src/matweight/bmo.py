@@ -539,49 +539,68 @@ def _is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _seed_list(v):
-    """The seeds of a non-string sequence of nonnegative integers as a list;
-    None for anything else."""
-    if isinstance(v, (str, bytes)):
-        return None
-    try:
-        seeds = list(v)
-    except TypeError:
-        return None
-    return seeds if all(_is_int(s) and s >= 0 for s in seeds) else None
+def _finite(v):
+    """``v`` as a float when it is a finite real number (not a bool); None
+    for anything else."""
+    ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    return float(v) if ok else None
 
+
+def _sequence(ok):
+    """Reader of a non-string sequence whose items all pass ``ok``: the
+    items as a list, or None for anything else."""
+    def read(v):
+        if isinstance(v, (str, bytes)):
+            return None
+        try:
+            items = list(v)
+        except TypeError:
+            return None
+        return items if all(ok(x) for x in items) else None
+    return read
+
+
+# the weight kinds ``bounded_weight`` draws from a seed and an amplitude alone
+_DRAWN_KINDS = ("identity", "log_spd", "rotation", "scalar_power")
 
 # manifest key -> (its value as used, or None when the value is refused;
 # what the key asks for)
 _MANIFEST = {
     **dict.fromkeys(("n", "d", "depth"), (
         lambda v: int(v) if _is_int(v) and v > 0 else None, "a positive integer")),
-    **dict.fromkeys(("amplitude", "char_cap"), (
-        lambda v: float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool)
-        and math.isfinite(v) else None,
-        "a finite number")),
-    "seeds": (_seed_list, "a sequence of nonnegative integers"),
+    **dict.fromkeys(("amplitude", "char_cap", "p", "eps"), (_finite, "a finite number")),
+    "seeds": (_sequence(lambda s: _is_int(s) and s >= 0), "a sequence of nonnegative integers"),
+    "p_values": (_sequence(lambda p: _finite(p) is not None), "a sequence of finite numbers"),
+    "weight_kind": (lambda v: v if isinstance(v, str) and v in _DRAWN_KINDS else None,
+                    "one of " + ", ".join(map(repr, _DRAWN_KINDS))),
 }
 
 
-def _ensemble(spec, default_seeds):
-    """Read the manifest keys n, d, depth, seeds, amplitude, char_cap and
-    weight_kind once; yield (seed, rng, unit window, n, draw) per seed, where
-    draw() is ``bounded_weight`` on them under the manifest's parameters.
-    ValueError, naming the key, for a given value of the wrong type or range."""
+def _manifest(spec, **defaults):
+    """The manifest ``spec`` over ``defaults``, each key of ``_MANIFEST`` that
+    it gives read through its check.  ValueError, naming the key, for a
+    given value of the wrong type or range."""
     given = {}
     for key, (read, what) in _MANIFEST.items():
         if key in spec:
             given[key] = read(spec[key])
             if given[key] is None:
                 raise ValueError(f"manifest key {key!r} must be {what}, got {spec[key]!r}")
-    spec = {"n": 2, "d": 1, "depth": 6, "amplitude": 0.5, "char_cap": 10.0,
-            "seeds": default_seeds, **spec, **given}
+    return {**defaults, **spec, **given}
+
+
+def _ensemble(spec, default_seeds):
+    """Read the manifest keys n, d, depth, seeds, amplitude, char_cap and
+    weight_kind once (``_manifest``); yield (seed, rng, unit window, n, draw)
+    per seed, where draw() is ``bounded_weight`` on them under the
+    manifest's parameters."""
+    spec = _manifest(spec, n=2, d=1, depth=6, amplitude=0.5, char_cap=10.0,
+                     weight_kind="log_spd", seeds=default_seeds)
     n, d, depth = spec["n"], spec["d"], spec["depth"]
     params = {
         "amplitude": spec["amplitude"],
         "char_cap": spec["char_cap"],
-        "kind": spec.get("weight_kind", "log_spd"),
+        "kind": spec["weight_kind"],
     }
     for seed in spec["seeds"]:
         rng = np.random.default_rng(seed)
@@ -717,8 +736,8 @@ def equivalence_experiment(spec):
     bands of homogeneity-aligned values (every quantity normalized to
     quadratic degree in the symbol).
     """
-    p_values = spec.get("p_values", [2.0, 3.0, 1.5])
-    eps = float(spec.get("eps", 1.0))
+    spec = _manifest(spec, p_values=[2.0, 3.0, 1.5], eps=1.0)
+    p_values, eps = spec["p_values"], spec["eps"]
     rows = []
     for seed, rng, win, n, draw in _ensemble(spec, range(20)):
         W, U = draw(), draw()
@@ -764,8 +783,8 @@ def jn_experiment(spec):
     spec: the keys of ``_ensemble`` (seeds default to 0..9) plus p and eps.
     zero_ok checks that the pair of a constant symbol is exactly 0.
     """
-    p = float(spec.get("p", 2.0))
-    eps = float(spec.get("eps", 1.0))
+    spec = _manifest(spec, p=2.0, eps=1.0)
+    p, eps = spec["p"], spec["eps"]
     rows = []
     for seed, rng, win, n, draw in _ensemble(spec, range(10)):
         W = draw()

@@ -23,7 +23,11 @@ Working memory.  The two O(N^2) or O(N * net) kernels at p != 2, the A_p
 Gram and the net products |P e| of the reducing fit and its kappa check,
 run in real arithmetic over blocks of at most ``_ROW_BUDGET`` entries
 (2 MB of float64); complex leaves enter through their real embedding, so
-no complex (leaves, n, dirs) temporary is formed.
+no complex (leaves, n, dirs) temporary is formed.  The own grid's reducing
+fit takes the window in tree-order blocks of at most
+``_ROW_BUDGET`` / (8 dirs) leaves and fits each block's cubes in one call,
+so it holds O(block + N / block * dirs) beyond the O(N n^2) table; a
+shifted grid still holds the net powers of every leaf, O(N * dirs).
 
 Dtypes.  A field is float64 when the data it is built from are real and
 complex128 otherwise (``np.result_type(data, float64)``), and everything
@@ -340,6 +344,7 @@ class _OwnGrid:
         if max_level is not None:
             self.top = min(self.top, max_level - window.root.level)
         self.volumes = window.volumes[: self.top + 1]
+        self.counts = [window.cubes_at(j) for j in range(self.top + 1)]
         self.children = [window.children_index(j) for j in range(self.top)]
 
     def leaf_index(self, i):
@@ -351,9 +356,6 @@ class _OwnGrid:
     def mean(self, F, i):
         return F.level_averages()[i]
 
-    def level_means(self, values, stop):
-        return self.window.level_averages(values)[:stop]
-
     def reducing(self, F, p):
         return F.reducing_table(p).mats[: self.top]
 
@@ -361,14 +363,48 @@ class _OwnGrid:
         table = F.reducing_table(p)
         return [table.inv(j) for j in range(self.top)]
 
+    def net_means(self, P, nets, expo, stop):
+        # The window in blocks of `cells` leaves, each one level-jb cube (a
+        # run of the tree order), `cells` the largest that keeps
+        # cells * dirs * 8 <= _ROW_BUDGET, so that a block's stacks and the
+        # |V e| products of its fit stay near _ROW_BUDGET entries: per
+        # block, the net powers of its leaves and their means over each of
+        # its cubes, one stack of levels jb..stop-1; then the blocks' own
+        # means, kept as they come, give levels 0..jb-1 in one last stack.
+        # The stacks are reused buffers, each valid until the next is asked
+        # for.
+        win, k = self.window, self.window.nchild
+        order, ranks = win.tree_order(), _tree_ranks(win)
+        dirs = max(len(net.dirs) for net in nets)
+        most = max(1, _ROW_BUDGET // (8 * dirs)).bit_length() - 1  # log2 of the most cells
+        jb = win.depth - min(win.depth, most // win.d)
+        blocks = win.cubes_at(jb)
+        cells = win.leafcount // blocks
+        # flat destinations of the cubes, level-major, in tree order
+        dest = [o + r for o, r in zip(np.cumsum([0] + self.counts[: stop - 1]), ranks[:stop])]
+        coarse = np.concatenate([np.empty(0, dtype=int)] + dest[:jb])
+        inner = np.hstack([np.empty((blocks, 0), dtype=int)] + [
+            d.reshape(blocks, -1) for d in dest[jb:]])
+        del ranks, dest
+        stacks = [np.empty(((k * cells - 1) // (k - 1), len(net.dirs))) for net in nets]
+        roots = [np.empty(((k * blocks - 1) // (k - 1), len(net.dirs))) for net in nets]
+        for b in range(blocks):
+            Pb = P[order[b * cells : (b + 1) * cells]]
+            for net, stack, root in zip(nets, stacks, roots):
+                _net_powers(Pb, net, expo, out=stack[-cells:])
+                root[b - blocks] = _tree_means(stack, k)[0]
+            if inner.shape[1]:
+                yield (inner[b], *(stack[: inner.shape[1]] for stack in stacks))
+        if len(coarse):
+            yield (coarse, *(_tree_means(root, k)[: len(coarse)] for root in roots))
+
     def gram_levels(self, W, p):
-        win, order = self.window, self.window.tree_order()
+        win, ranks = self.window, _tree_ranks(self.window)
         sums = self._tree_sums(W.power(2.0 / p).leaves, W.power(-2.0 / p).leaves, p)
         per_level = []
         for j, run in enumerate(sums):
-            cells = win.leafcount // len(run)
             vals = np.empty(len(run))
-            vals[win.ancestor_index(win.depth, j)[order[::cells]]] = run / cells
+            vals[ranks[j]] = run / (win.leafcount // len(run))
             per_level.append(vals)
         return per_level
 
@@ -449,6 +485,7 @@ class _ShiftedGrid:
         self.pieces = [cube_pieces(window, t, k) for k, _ in self.levels]
         self.top = len(self.levels) - 1
         self.volumes = [float(self.grid.cube(k, pos[0]).volume) for k, pos in self.levels]
+        self.counts = [len(pos) for _, pos in self.levels]
         self.children = [
             grid_children_index(self.grid, k, pos, below)
             for (k, pos), (_, below) in zip(self.levels, self.levels[1:])
@@ -463,14 +500,20 @@ class _ShiftedGrid:
     def mean(self, F, i):
         return _cube_means(F.leaves, *self.pieces[i])
 
-    def level_means(self, values, stop):
-        return [_cube_means(values, *pc) for pc in self.pieces[:stop]]
-
     def reducing(self, F, p):
         return _fit_reducing(self, F, p, stop=self.top)[0]
 
     def reducing_inv(self, F, p):
         return [np.linalg.inv(V) for V in self.reducing(F, p)]
+
+    def net_means(self, P, nets, expo, stop):
+        # one stack per level, from the net powers of every leaf: the leaf
+        # pieces of a shifted cube are no run of any leaf order
+        leaf = [_net_powers(P, net, expo) for net in nets]
+        lo = 0
+        for pc in self.pieces[:stop]:
+            yield (slice(lo, lo + len(pc[0])), *(_cube_means(v, *pc) for v in leaf))
+            lo += len(pc[0])
 
     def gram_levels(self, W, p):
         # Per level, the Gram of every cube's pieces as (cubes, rows, pieces)
@@ -497,6 +540,30 @@ class _ShiftedGrid:
     def cube(self, i, c):
         k, pos = self.levels[i]
         return self.grid.cube(k, pos[c])
+
+
+def _tree_ranks(win):
+    """Per level j, the index of the level-j cube at each tree-order rank
+    (the leaf level's is ``win.tree_order()``)."""
+    ranks = [np.zeros(1, dtype=int)]
+    for j in range(win.depth):
+        ranks.append(win.children_index(j)[ranks[-1]].reshape(-1))
+    return ranks
+
+
+def _tree_means(stack, k):
+    """Fill in a stack (1 + k + ... + k^m, ...) whose last k^m rows hold the
+    leaf data of one cube in tree order: above them, coarsest first, the
+    means over the cube's runs of k^m, ..., k^2, k leaves, each level the
+    pairwise child means of the next, as ``Window.level_averages`` forms
+    them.  Returns the stack."""
+    hi, size = len(stack), (len(stack) * (k - 1) + 1) // k
+    while size > 1:
+        lo, size = hi - size, size // k
+        np.mean(stack[lo:hi].reshape((size, k) + stack.shape[1:]), axis=1,
+                out=stack[lo - size : lo])
+        hi = lo
+    return stack
 
 
 def _cube_means(values, idx, vols):
@@ -699,8 +766,9 @@ def _reducing_net(P, offset=False):
     return _net(n, bool(offset), n > 1 and bool(np.any(P.imag)))
 
 
-def _net_powers(P, net, expo):
-    """|P(x) e|^expo per leaf and direction e of the net: (leaves, dirs).
+def _net_powers(P, net, expo, out=None):
+    """|P(x) e|^expo per leaf and direction e of the net: (leaves, dirs), in
+    ``out`` when given.
 
     Real arithmetic throughout, over blocks of leaves whose products hold
     at most _ROW_BUDGET entries: a real stack multiplies its leaf rows
@@ -717,7 +785,7 @@ def _net_powers(P, net, expo):
     else:
         rows, table = P.reshape(L * n, n), net.rows
     dirs = len(net.dirs)
-    out = np.empty((L, dirs))
+    out = np.empty((L, dirs)) if out is None else out
     step = max(1, _ROW_BUDGET // (n * table.shape[1]))
     for lo in range(0, L, step):
         block = out[lo : lo + step]
@@ -728,31 +796,27 @@ def _net_powers(P, net, expo):
     return out
 
 
-def _ellipsoid_fit(rho_pow, vr_pow, net, vnet, expo):
-    """Second-moment ellipsoids V for stacks of cubes, and their kappa.
+def _ellipsoid_fit(rho, vr, net, vnet, expo):
+    """Second-moment ellipsoids V for a stack of cubes, and their kappa.
 
-    ``rho_pow`` and ``vr_pow`` list, per stack, the per-cube means of
-    |P e|^expo over the directions of the ``_Net`` ``net`` and of the
-    offset net ``vnet``, shape (cubes, dirs).  V is fitted so that |V e|
-    matches the L^expo average norm (mean |P e|^expo)^{1/expo} on the net;
-    kappa is the largest two-sided ratio between the two on the offset net,
-    found as the square root of the largest two-sided ratio of their
-    squares.
+    ``rho`` and ``vr`` are the per-cube means of |P e|^expo over the
+    directions of the ``_Net`` ``net`` and of the offset net ``vnet``,
+    shape (cubes, dirs).  V is fitted so that |V e| matches the L^expo
+    average norm (mean |P e|^expo)^{1/expo} on the net; kappa is the largest
+    two-sided ratio between the two on the offset net, found as the square
+    root of the largest two-sided ratio of their squares.
 
     V = (M0^{-1/2} S M0^{-1/2})^{1/2} for the moment
     S = sum_e rho(e)^{2/expo} e e^H and M0 = sum_e e e^H; with M0^{-1/2}
-    folded into ``net.fit``, the whole sandwich of every cube of a stack is
-    one real matmul.
+    folded into ``net.fit``, the whole sandwich of every cube of the stack
+    is one real matmul.
     """
     n = net.dirs.shape[1]
-    mats, kappa2 = [], 1.0
-    for rho, vr in zip(rho_pow, vr_pow, strict=True):
-        S = (rho ** (2.0 / expo) @ net.fit).view(net.dirs.dtype).reshape(-1, n, n)
-        V = _mat_sqrt(S)
-        mats.append(V)
-        ratio2 = vr ** (2.0 / expo) / np.maximum(_net_powers(V, vnet, 2.0), 1e-300)
-        kappa2 = max(kappa2, float(np.max(ratio2)), float(1.0 / np.min(ratio2)))
-    return mats, float(np.sqrt(kappa2))
+    S = (rho ** (2.0 / expo) @ net.fit).view(net.dirs.dtype).reshape(-1, n, n)
+    V = _mat_sqrt(S)
+    ratio2 = vr ** (2.0 / expo)
+    ratio2 /= np.maximum(_net_powers(V, vnet, 2.0), 1e-300)
+    return V, float(np.sqrt(max(1.0, float(np.max(ratio2)), float(1.0 / np.min(ratio2)))))
 
 
 @dataclass
@@ -833,8 +897,11 @@ def _fit_reducing(fam, W, p, dual=False, stop=None):
     cubes at levels 0..stop-1 (default: all), and their kappa.
 
     At p = 2 they are the exact average square roots (kappa 1); otherwise
-    the second-moment ellipsoids of W^{+-1/p} fitted to the family's level
-    means of |W^{+-1/p} e|^expo over the direction net.
+    the second-moment ellipsoids of W^{+-1/p} fitted to the means of
+    |W^{+-1/p} e|^expo over the direction net, one ``_ellipsoid_fit`` per
+    stack of cubes that ``fam.net_means`` gives (the own grid's tree-order
+    blocks, or a shifted grid's levels), each scattered into the level
+    tables, which are views of one array in level-major cube order.
     """
     stop = fam.top + 1 if stop is None else stop
     if _is_p2(p):
@@ -843,11 +910,14 @@ def _fit_reducing(fam, W, p, dual=False, stop=None):
     expo = p / (p - 1.0) if dual else p
     P = W.power(-1.0 / p if dual else 1.0 / p).leaves
     net, vnet = _reducing_net(P), _reducing_net(P, offset=True)
-    return _ellipsoid_fit(
-        fam.level_means(_net_powers(P, net, expo), stop),
-        fam.level_means(_net_powers(P, vnet, expo), stop),
-        net, vnet, expo,
-    )
+    sizes = fam.counts[:stop]
+    flat = np.empty((sum(sizes), W.n, W.n), net.dirs.dtype)
+    kappa = 1.0
+    for dest, rho, vr in fam.net_means(P, (net, vnet), expo, stop):
+        flat[dest], k = _ellipsoid_fit(rho, vr, net, vnet, expo)
+        kappa = max(kappa, k)
+    ends = np.cumsum(sizes)
+    return [flat[e - c : e] for c, e in zip(sizes, ends)], kappa
 
 
 def _mat_sqrt(stack):

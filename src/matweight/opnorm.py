@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 DENSE_CAP = 4096
+# bytes the p != 2 lower-bound sweep of ``lp_opnorm_estimate`` may take
+_SWEEP_BUDGET = 2**31
 
 
 class CapError(ValueError):
@@ -270,12 +272,25 @@ def lp_opnorm_estimate(T, W, U, p, budget=60):
     and chi_J U^{1/p} e_i for every window cube J and component i, one
     level at a time until a level has more than 6000 columns; the best is
     refined by gradient ascent on log ||T f||_{L^p(W)} - log ||f||_{L^p(U)}.
-    Every L^p mass is ``fields._weighted_lp_mass``.  The second slot is None
-    because no upper bound is computed yet for p != 2.
+    Every L^p mass is ``fields._weighted_lp_mass``; the sweep takes the
+    L^p(U) masses of its columns from per-leaf masses summed over each cube.
+    The sweep holds about five arrays of its test columns at once, each
+    entry counted at 16 bytes; CapError, before any work, when that exceeds
+    ``_SWEEP_BUDGET`` (2 GiB).  The second slot is None because no upper
+    bound is computed yet for p != 2.
     """
     win, prepare = _operator_form(T, W, U)
     _check_p(p)
     n = U.n
+    levels = 1 + next((j for j in range(win.depth) if win.cubes_at(j) * n * 3 > 6000), win.depth)
+    columns = 3 * n * sum(win.cubes_at(j) for j in range(levels))
+    # the sweep holds about five arrays of its test columns at once
+    need = 5 * 16 * n * win.leafcount * columns
+    if need > _SWEEP_BUDGET:
+        raise CapError(
+            f"the p != 2 lower-bound sweep needs about {need / 2**30:.1f} GiB for "
+            f"{columns} test columns of {n * win.leafcount} entries, over its "
+            f"{_SWEEP_BUDGET / 2**30:g} GiB budget")
     forward, adjoint = prepare(n)
     WP = W.power(1.0 / p).leaves
     UP = U.power(1.0 / p).leaves
@@ -288,25 +303,28 @@ def lp_opnorm_estimate(T, W, U, p, budget=60):
             _weighted_lp_mass(UP, F, p, win.leaf_volume),
         )
 
-    def ratios(F):
-        (_, _, num), (_, _, den) = masses(F)
+    def ratio(num, den):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(den > 0, (num / den) ** (1.0 / p), 0.0)
 
-    # per-leaf test vectors, (leaves, n, i, variant): e_i, U^{-1/p} e_i, U^{1/p} e_i
+    # per-leaf test vectors, (leaves, n, i, variant): e_i, U^{-1/p} e_i, U^{1/p} e_i,
+    # and their L^p(U) masses per leaf, (leaves, i * variant)
     table = np.stack([np.broadcast_to(np.eye(n), UM.shape), UM, UP], axis=-1)
-    blocks = []
-    for j in range(win.depth + 1):
+    leaf_mass = _weighted_lp_mass(UP, table, p, 1.0)[1].reshape(win.leafcount, -1) ** p
+    blocks, dens = [], []
+    for j in range(levels):
         K = win.cubes_at(j)
         chi = np.zeros((win.leafcount, K))
         chi[win.block_leaf_index(j), np.arange(K)[:, None]] = 1.0
         # (leaves, n, cube, i, variant): columns in (cube, i, variant) order
         cols = chi[:, None, :, None, None] * table[:, :, None]
         blocks.append(cols.reshape(win.leafcount, n, -1))
-        if K * n * 3 > 6000:
-            break
+        # a column's mass sums its cube's leaves in leaf order, as the sum
+        # over all leaves of the column does
+        dens.append(win.leaf_volume * leaf_mass[win.block_leaf_index(j)].sum(axis=1).reshape(-1))
     F = np.concatenate(blocks, axis=-1)
-    r = ratios(F)
+    del blocks
+    r = ratio(_weighted_lp_mass(WP, forward(F), p, win.leaf_volume)[2], np.concatenate(dens))
     best = float(np.max(r))
     f = F[..., int(np.argmax(r))]
 
@@ -324,7 +342,8 @@ def lp_opnorm_estimate(T, W, U, p, budget=60):
         grad = gn / num - gd / den
         step = 0.25 * np.linalg.norm(f) / max(np.linalg.norm(grad), 1e-30)
         f2 = f + step * grad
-        r2 = ratios(f2[..., None])[0]
+        (_, _, num2), (_, _, den2) = masses(f2[..., None])
+        r2 = ratio(num2, den2)[0]
         r1 = (num / den) ** (1.0 / p)
         f = f2 if r2 > r1 else f + 0.25 * step * grad
         best = max(best, float(max(r1, r2)))

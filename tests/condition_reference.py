@@ -46,11 +46,10 @@ def _piece_reducing(W, p, pieces):
     P = W.power(1.0 / p).leaves
     net, vnet = _reducing_net(P), _reducing_net(P, offset=True)
     rho, vr = _net_powers(P, net, p), _net_powers(P, vnet, p)
-    return _ellipsoid_fit(
-        [_cube_means(rho, *pc) for pc in pieces],
-        [_cube_means(vr, *pc) for pc in pieces],
-        net, vnet, p,
-    )[0]
+    return [
+        _ellipsoid_fit(_cube_means(rho, *pc), _cube_means(vr, *pc), net, vnet, p)[0]
+        for pc in pieces
+    ]
 
 
 @dataclass

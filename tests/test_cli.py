@@ -9,6 +9,7 @@ import pytest
 
 from matweight.cli import CSV_COLUMNS, _fmt, main, default_manifest_path
 from matweight import bmo, fields
+from matweight import opnorm as onorm
 from matweight.dyadic import Window
 from matweight import stopping as stop_mod
 
@@ -163,6 +164,9 @@ def test_vector_dump_in_a_matrix_role_rejected(tmp_path, weight_file, capsys, ro
     ("n", 2.5), ("n", 0), ("n", True), ("d", "1"), ("d", -1), ("depth", 4.0),
     ("amplitude", "0.5"), ("amplitude", float("nan")), ("amplitude", False),
     ("char_cap", float("inf")), ("char_cap", None),
+    ("p_values", 3), ("p_values", ["x"]), ("p_values", "23"), ("p_values", [2.0, None]),
+    ("p", "x"), ("p", [3.0]), ("eps", "x"), ("eps", True),
+    ("weight_kind", 3), ("weight_kind", "leaves"),
 ], ids=lambda v: repr(v))
 @pytest.mark.parametrize("command", ["verify", "duality", "jn"])
 def test_manifest_value_types_checked(tmp_path, capsys, command, key, value):
@@ -173,6 +177,17 @@ def test_manifest_value_types_checked(tmp_path, capsys, command, key, value):
     assert main([command, "--manifest", str(manifest), "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert f"error: manifest key {key!r} must be" in err and "Traceback" not in err
+
+
+def test_verify_refuses_an_lp_sweep_over_budget(tmp_path, capsys, monkeypatch):
+    # the p != 2 lower-bound sweep's size guard is bad input: exit 2
+    monkeypatch.setattr(onorm, "_SWEEP_BUDGET", 1)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"n": 2, "d": 1, "depth": 3, "seeds": [0], "p_values": [3.0]}))
+    capsys.readouterr()
+    assert main(["verify", "--manifest", str(manifest), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "error: the p != 2 lower-bound sweep needs" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("seeds", [(0, 1), np.array([0, 1]), range(2)], ids=repr)
@@ -485,14 +500,21 @@ def test_thm12_rejects_bad_epsilon(tmp_path, weight_file, capsys, eps):
     assert "eps must" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf", 0.0, -1.0])
-def test_jn_rejects_bad_epsilon(tmp_path, capsys, eps):
-    # with eps = nan the degenerate-zero hard check used to pass vacuously
+@pytest.mark.parametrize("eps, message", [
+    ("nan", "manifest key 'eps' must be a finite number"),
+    ("inf", "manifest key 'eps' must be a finite number"),
+    (0.0, "eps must be finite and positive"),
+    (-1.0, "eps must be finite and positive"),
+], ids=["nan", "inf", "0.0", "-1.0"])
+def test_jn_rejects_bad_epsilon(tmp_path, capsys, eps, message):
+    # with eps = nan the degenerate-zero hard check used to pass vacuously;
+    # a JSON string is refused by the manifest's type check, a number out of
+    # range by the condition family
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"n": 2, "d": 1, "depth": 4, "seeds": [0], "eps": eps}))
     rc = main(["jn", "--manifest", str(manifest), "--out", str(tmp_path / "jn.csv")])
     assert rc == 2
-    assert "eps must" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 _OPTIONS = {

@@ -642,6 +642,81 @@ def test_piece_reducing_matches_einsum_oracle(rng, kind, p):
         _assert_stacks_close(got, red_ref.piece_reducing(W, p, pieces), 1e-12)
 
 
+def _streamed_weight(win, n, kind, rng):
+    if kind == "near-singular":
+        return _near_singular(win, n, "complex", 1e12, rng)
+    if kind == "complex":
+        return _complex_log_spd(win, n, rng)
+    return generate_weight(
+        {"kind": "log_spd", "n": n, "amplitude": 0.5, "seed": int(rng.integers(2**31))}, win)
+
+
+@pytest.mark.parametrize("cells", [1, 8])
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("kind", ["real", "complex", "near-singular"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d, depth", [(1, 6), (2, 3), (3, 2)])
+def test_streamed_reducing_fit_matches_einsum_oracle(
+        monkeypatch, rng, d, depth, n, kind, p, dual, cells):
+    # 64 leaves in blocks of at most `cells` (1 or 8 at d = 1 and 3, 1 or 4
+    # at d = 2): 8 to 64 blocks, each fitted in one call, then one call for
+    # the levels above the blocks.  At d >= 2 the tree order is not the
+    # C order, so every block scatters into scattered cube indices.
+    win = Window.unit(d, depth)
+    W = _streamed_weight(win, n, kind, rng)
+    dirs = len(fields._reducing_net(W.power(1.0 / p).leaves).dirs)
+    monkeypatch.setattr(fields, "_ROW_BUDGET", 8 * dirs * cells)
+    calls = []
+    fit = fields._ellipsoid_fit
+    monkeypatch.setattr(fields, "_ellipsoid_fit", lambda rho, *a: calls.append(len(rho)) or fit(rho, *a))
+    table = fields.ReducingTable.build(W, p, dual=dual)
+    mats, kappa = red_ref.build(W, p, dual=dual)
+    _assert_stacks_close(table.mats, mats, 1e-12)
+    assert abs(table.kappa - kappa) <= 1e-12 * kappa
+    per_block = 1  # the largest cube of at most `cells` leaves
+    while per_block * 2**d <= cells:
+        per_block *= 2**d
+    blocks = win.leafcount // per_block
+    assert len(calls) == blocks + 1 and blocks >= 8
+    assert sum(calls) == sum(win.cubes_at(j) for j in range(depth + 1))
+    for stop in (1, depth):  # levels above the blocks only, or cut inside them
+        got, _ = fields._fit_reducing(fields._OwnGrid(win), W, p, dual=dual, stop=stop)
+        _assert_stacks_close(got, mats[:stop], 1e-12)
+    if not dual:
+        for t in range(1, 2**d):
+            fam = fields._ShiftedGrid(win, t)
+            got, _ = fields._fit_reducing(fam, W, p)
+            _assert_stacks_close(got, red_ref.piece_reducing(W, p, fam.pieces), 1e-12)
+
+
+def test_streamed_reducing_table_memory_and_calls(monkeypatch):
+    # N = 4096, complex n = 2 (128 directions): 16 blocks of 256 leaves and
+    # one call for levels 0-3; the whole build, the power included, stays
+    # under 8 MB (the whole-window fit took 30.8 MB)
+    import tracemalloc
+
+    win = Window.unit(1, 12)
+    Q = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
+    Wr = generate_weight({"kind": "log_spd", "n": 2, "amplitude": 0.5, "seed": 5}, win)
+    W = MatrixField(win, Q @ Wr.leaves @ Q.conj().T, weight=True)
+    win.tree_order()  # the window's own cache, not the build's
+    tracemalloc.start()
+    try:
+        table = fields.ReducingTable.build(W, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    calls = []
+    fit = fields._ellipsoid_fit
+    monkeypatch.setattr(fields, "_ellipsoid_fit", lambda rho, *a: calls.append(len(rho)) or fit(rho, *a))
+    again = fields.ReducingTable.build(W, 3.0)
+    assert calls == [511] * 16 + [15]
+    for a, b in zip(again.mats, table.mats, strict=True):
+        assert np.array_equal(a, b)
+
+
 def _svd_top(stack):
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 

@@ -706,6 +706,28 @@ def test_lp_opnorm_estimate_rejects_p_outside_range(p, monkeypatch):
         onorm.lp_opnorm_estimate(T, Iw, Iw, p)
 
 
+def test_lp_sweep_refused_over_its_budget(monkeypatch):
+    # d = 1, depth 4, n = 2: levels 0-4 give 6 * 31 = 186 test columns of
+    # 32 entries, counted as 5 arrays of 16-byte entries.  Over the budget
+    # the estimate is refused before any power, matrix or column is formed.
+    win = Window.unit(1, 4)
+    W = MatrixField.identity(win, 2)
+    B = bmo.random_matrix_field(win, 2, np.random.default_rng(0))
+    desc = {"kind": "haar_multiplier", "A": tf.analyze(B)}
+    need = 5 * 16 * 32 * 186
+    monkeypatch.setattr(onorm, "_SWEEP_BUDGET", need)
+    assert onorm.lp_opnorm_estimate(desc, W, W, 3.0, budget=0)[0] > 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work was done before the sweep was refused")
+
+    monkeypatch.setattr(onorm, "_SWEEP_BUDGET", need - 1)
+    monkeypatch.setattr(MatrixField, "power", forbidden)
+    monkeypatch.setattr(onorm, "materialize", forbidden)
+    with pytest.raises(onorm.CapError, match="186 test columns of 32 entries"):
+        onorm.lp_opnorm_estimate(desc, W, W, 3.0)
+
+
 def test_lp_norm_is_the_weighted_lp_mass(rng):
     # ||f||_{L^p(W)}^p = sum over leaves of |x| |W^{1/p} f|^p
     win = Window.unit(2, 2)

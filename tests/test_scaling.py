@@ -47,3 +47,15 @@ def test_scaling_records_every_layer_and_compares_runs(scaling, tmp_path):
         assert r["seconds"] > 0 and r["peak_mb"] > 0 and math.isfinite(r["leaf_mb"])
     assert len(doc["compare"]) == len(records)
     assert all(c["speedup"] > 0 for c in doc["compare"])
+
+
+
+def test_scaling_table_layers_go_deeper(scaling, tmp_path, monkeypatch):
+    # the layers that build p != 2 tables run past the others' deepest window
+    monkeypatch.setattr(scaling, "DEEPEST", {1: 3, 2: 2})
+    out = tmp_path / "BENCH_scaling.json"
+    assert scaling.main(["--out", str(out)]) == 0
+    records = json.loads(out.read_text())["runs"]["change"]["records"]
+    for layer in scaling.LAYERS:
+        depths = {r["depth"] for r in records if r["layer"] == layer and r["d"] == 1}
+        assert depths == ({3, 4} if layer in scaling.TABLE_LAYERS else {3})

@@ -4,7 +4,7 @@
 
 Runs in process against the ``src/`` of the checkout that holds this file,
 with one BLAS thread (the thread variables are set before numpy loads).
-For every window of ``SIZES`` (d = 1 at depth 8-16, d = 2 at depth 4-7;
+For every window of ``SIZES`` (d = 1 at depth 8-18, d = 2 at depth 4-7;
 n = 2) it draws bounded weights W != U and a symbol B, seeded from the
 window, and times each layer of ``LAYERS`` on fresh copies of its operands,
 so a call pays for the powers and reducing tables it needs, as one CLI
@@ -12,9 +12,11 @@ command does; the copies are made before the clock and the trace start.
 ``seconds`` is the fastest of up to three calls (fewer when they take over
 a second together); ``peak_mb`` is the ``tracemalloc`` peak of one more
 call, and ``leaf_mb`` the size of the leaves of its matrix-field operands
-(each power of a weight has the size of the weight).  The A_p
-characteristic at p != 2, on the own grid and on all grids, is O(N^2) and
-runs up to ``AP_DEPTH[d]`` only.
+(each power of a weight has the size of the weight).  A layer runs up to
+depth ``DEEPEST[d]`` only, except that the A_p characteristic at p != 2,
+on the own grid and on all grids, is O(N^2) and stops at ``AP_DEPTH[d]``,
+and the ``TABLE_LAYERS``, which build p != 2 reducing tables, go on to
+``TABLE_DEPTH[d]``.
 
 The records of this checkout go under ``runs.change``.  ``--against``
 loads the package of a second checkout under another name into the same
@@ -53,8 +55,11 @@ import numpy as np  # noqa: E402
 
 MODULES = ("bmo", "dyadic", "fields", "opnorm", "stopping", "transforms")
 N_COMPONENTS = 2
-SIZES = {1: range(8, 17), 2: range(4, 8)}
+SIZES = {1: range(8, 19), 2: range(4, 8)}
+DEEPEST = {1: 16, 2: 7}
 AP_DEPTH = {1: 15, 2: 7}  # deepest window for the O(N^2) A_p at p != 2
+TABLE_DEPTH = {1: 18, 2: 7}  # deepest window for the layers that build p != 2 tables
+TABLE_LAYERS = ("reducing_p3", "reducing_p3_complex", "condition_b_p3", "carleson_norm_p3")
 REPEATS = 3
 SLOW_CALL_S = 1.0  # calls slower than this together are not repeated
 # a fixed unitary: Q W Q^H is a complex Hermitian weight with W's spectrum
@@ -150,16 +155,24 @@ def _peak(call, names, m, ops):
         tracemalloc.stop()
 
 
+def _deepest(name, d):
+    if name.startswith("ap_p3"):
+        return AP_DEPTH[d]
+    return (TABLE_DEPTH if name in TABLE_LAYERS else DEEPEST)[d]
+
+
 def measure(packages):
     """Per package, one record per layer and window: d, depth, N, seconds,
     peak_mb, leaf_mb."""
     records = [[] for _ in packages]
     for d, depths in SIZES.items():
         for depth in depths:
+            run = [name for name in LAYERS if depth <= _deepest(name, d)]
+            if not run:
+                continue
             sides = [(m, _operands(m, d, depth)) for m in packages]
-            for name, (_, call, names) in LAYERS.items():
-                if name.startswith("ap_p3") and depth > AP_DEPTH[d]:
-                    continue
+            for name in run:
+                _, call, names = LAYERS[name]
                 for k, ((m, ops), secs) in enumerate(zip(sides, _times(call, names, sides))):
                     leaves = [ops[n] for n in names if isinstance(ops[n], m.fields.MatrixField)]
                     records[k].append({
