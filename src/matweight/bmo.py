@@ -33,13 +33,11 @@ from .dyadic import Window
 from .fields import (
     MatrixField,
     FieldError,
-    NotPositiveDefiniteError,
     ap_characteristic,
     generate_weight,
     _OwnGrid,
-    _ShiftedGrid,
-    _as_herm,
     _check_p,
+    _family,
     _haar_coefs,
     _is_p2,
     _level_argmax,
@@ -271,7 +269,7 @@ def _psd_top(fam, acc, Y):
         X = np.einsum("kab,kbc,kcd->kad", y, a, y) / vol
         X = 0.5 * (X + np.conj(np.swapaxes(X, 1, 2)))
         # eigvalsh on purpose: a 2 x 2 closed form moves the rounding-level Buckley slack
-        # (buckley_psd_slack) off its eigvalsh oracle, 9.0e-16 -> 1.4e-15
+        # (min_eig_slack) off its eigvalsh oracle, 9.0e-16 -> 1.4e-15
         out.append(np.maximum(np.linalg.eigvalsh(X)[:, -1], 0.0))
     return out
 
@@ -327,7 +325,10 @@ def buckley_fkp_summation(W):
     Returns (fkp, buckley, isral) reports: the normalized square-sum against
     (m_I W)^{-1/2} sandwiches, the smallest C in
     (1/|J|) sum W_I^eps (m_I W)^{-1} W_I^eps <= C m_J W, and the smallest C
-    in the corresponding inverse-average ordering.
+    in the corresponding inverse-average ordering.  The buckley report's
+    extras carry min_eig_slack, the smallest eigenvalue of
+    C m_J W - (1/|J|) sum W_I^eps (m_I W)^{-1} W_I^eps over J (>= 0 up to
+    rounding).
     """
     fam = _OwnGrid(W.window)
     Ws = tf.analyze(W).coefs
@@ -336,24 +337,16 @@ def buckley_fkp_summation(W):
     fkp = _sup_report("fkp", fam, _coef_sums(fam, Ws, isq, isq), {"p": 2})
     bacc = _psd_sums(fam, Ws, [np.linalg.inv(a) for a in aW])
     buckley = _sup_report("buckley", fam, _psd_top(fam, bacc, isq), {"p": 2})
+    slack = np.inf
+    for a, m, vol in zip(bacc, aW, fam.volumes):
+        R = buckley.supremum * m - a / vol
+        R = 0.5 * (R + np.conj(np.swapaxes(R, 1, 2)))
+        slack = min(slack, float(np.min(np.linalg.eigvalsh(R))))
+    buckley.extras["min_eig_slack"] = slack
     iacc = _psd_sums(fam, [_sandwich(c, (), (a,)) for c, a in zip(Ws, aWi)], aWi)
     isqi = [_mat_isqrt(a) for a in aWi[: fam.top]]
     isral = _sup_report("isral_summation", fam, _psd_top(fam, iacc, isqi), {"p": 2})
     return fkp, buckley, isral
-
-
-def buckley_psd_slack(W, buckley_report):
-    """Smallest eigenvalue slack of C m_J W - (1/|J|) sum W_I (m_I W)^{-1} W_I."""
-    fam = _OwnGrid(W.window)
-    aW = W.level_averages()[: fam.top]
-    acc = _psd_sums(fam, tf.analyze(W).coefs, [np.linalg.inv(a) for a in aW])
-    C = buckley_report.supremum
-    slack = np.inf
-    for a, m, vol in zip(acc, aW, fam.volumes):
-        R = C * m - a / vol
-        R = 0.5 * (R + np.conj(np.swapaxes(R, 1, 2)))
-        slack = min(slack, float(np.min(np.linalg.eigvalsh(R))))
-    return slack
 
 
 # -- H^1, pairing, duality ------------------------------------------------------
@@ -662,8 +655,7 @@ def bmo_over_shifted_grids(B, W, U, p, eps=1.0):
     win = _same_window(B, W, U)
     out = {"per_grid": {}, "p": p, "eps": eps}
     for t in range(1, 2**win.d + 1):
-        fam = _OwnGrid(win) if t == win.grid.shift else _ShiftedGrid(win, t)
-        bo, cb = _grid_pair(fam, B, W, U, p, eps)
+        bo, cb = _grid_pair(_family(win, t), B, W, U, p, eps)
         out["per_grid"][t] = {"bmo_original": bo, "condition_b": cb}
     out["max_bmo_original"] = max(v["bmo_original"] for v in out["per_grid"].values())
     out["max_condition_b"] = max(v["condition_b"] for v in out["per_grid"].values())
@@ -690,13 +682,9 @@ def matrix_weight_theorem_pipeline(Lam, U, p, eps=1.0):
     win = _same_window(Lam, U)
     Uh = np.conj(np.swapaxes(U.leaves, 1, 2))
     core = np.einsum("lab,lbc,lcd->lad", Uh, Lam.power(2.0 / p).leaves, U.leaves)
-    core = _as_herm(core, 1e-10, "constructed field")
-    vals = np.linalg.eigvalsh(core)
-    if np.min(vals) <= 0:
-        raise NotPositiveDefiniteError(
-            "U^* Lam^{2/p} U is singular on a leaf; U must be invertible"
-        )
-    Wf = MatrixField(win, core, weight=True, _eigvals=vals).power(p / 2.0)
+    # the weight constructor symmetrizes the core and refuses a singular
+    # leaf (U not invertible)
+    Wf = MatrixField(win, core, weight=True).power(p / 2.0)
 
     # pointwise identity on basis vectors and a random probe
     LU = np.einsum("lab,lbc->lac", Lam.power(1.0 / p).leaves, U.leaves)

@@ -165,59 +165,43 @@ def cmd_ap(args):
     return 0
 
 
-_BMO_WHICH = (
-    "bmo_original",
-    "carleson",
-    "condition_b",
-    "hlw",
-    "bloom_bprime",
-    "bloom_cprime",
-    "buckley_fkp",
-    "h1",
-    "grids",
-)
+# --which name -> (B, W, U, p, eps) -> its reports.  Each looks its function up
+# on bmo_mod when called, so a wrapper installed there sees the call.
+_BMO = {
+    # the exponent 1+eps is a parameter; reports carry a built-in sweep
+    "bmo_original": lambda B, W, U, p, eps: bmo_mod.bmo_original_sweep(
+        B, W, U, p, sorted({0.1, 0.5, 1.0, eps})),
+    "carleson": lambda B, W, U, p, eps: [bmo_mod.carleson_norm(W, U, tf.analyze(B), p)],
+    "condition_b": lambda B, W, U, p, eps: [bmo_mod.condition_b(W, U, tf.analyze(B), p)],
+    "hlw": lambda B, W, U, p, eps: [bmo_mod.hlw_condition(B, W, U)],
+    "bloom_bprime": lambda B, W, U, p, eps: [bmo_mod.bloom_bprime(B, W, U, p)],
+    "bloom_cprime": lambda B, W, U, p, eps: [bmo_mod.bloom_cprime(B, W, U, p)],
+    "buckley_fkp": lambda B, W, U, p, eps: list(bmo_mod.buckley_fkp_summation(W)),
+    "h1": lambda B, W, U, p, eps: [bmo_mod.BmoReport(
+        "h1_norm", bmo_mod.h1_norm(B, W, U), W.window.cube(0, 0).address, {"p": 2})],
+}
+_BMO_WHICH = (*_BMO, "grids")
+
+
+def _hard_ok(reports):
+    """The hard invariants the reports carry: Carleson's PSD band agreement
+    and the Buckley PSD ordering (slack >= -1e-10)."""
+    return all(
+        r.extras.get("psd_band_ok", True) and r.extras.get("min_eig_slack", 0.0) >= -1e-10
+        for r in reports
+    )
 
 
 def cmd_bmo(args):
     W = _load_matrix(args.w)
     U = _load_matrix(args.u, window=W.window) if args.u else W
     B = _load_matrix(args.b, window=W.window)
-    p, eps = args.p, args.epsilon
-    hard_ok = True
-    reports = []
-    if args.which == "bmo_original":
-        # the exponent 1+eps is a parameter; reports carry a built-in sweep
-        reports.extend(bmo_mod.bmo_original_sweep(B, W, U, p, sorted({0.1, 0.5, 1.0, eps})))
-    elif args.which == "carleson":
-        rep = bmo_mod.carleson_norm(W, U, tf.analyze(B), p)
-        hard_ok = bool(rep.extras.get("psd_band_ok", True))
-        reports.append(rep)
-    elif args.which == "condition_b":
-        reports.append(bmo_mod.condition_b(W, U, tf.analyze(B), p))
-    elif args.which == "hlw":
-        reports.append(bmo_mod.hlw_condition(B, W, U))
-    elif args.which == "bloom_bprime":
-        reports.append(bmo_mod.bloom_bprime(B, W, U, p))
-    elif args.which == "bloom_cprime":
-        reports.append(bmo_mod.bloom_cprime(B, W, U, p))
-    elif args.which == "buckley_fkp":
-        fkp, buck, isr = bmo_mod.buckley_fkp_summation(W)
-        slack = bmo_mod.buckley_psd_slack(W, buck)
-        buck.extras["min_eig_slack"] = slack
-        hard_ok = slack >= -1e-10
-        reports.extend([fkp, buck, isr])
-    elif args.which == "h1":
-        val = bmo_mod.h1_norm(B, W, U)
-        reports.append(
-            bmo_mod.BmoReport(
-                quantity="h1_norm", supremum=val,
-                witness=W.window.cube(0, 0).address, params={"p": 2},
-            )
-        )
-    elif args.which == "grids":
-        sweep = bmo_mod.bmo_over_shifted_grids(B, W, U, p, eps)
+    if args.which == "grids":
+        sweep = bmo_mod.bmo_over_shifted_grids(B, W, U, args.p, args.epsilon)
         _write_json(args.out or "-", sweep)
         return 0
+    reports = _BMO[args.which](B, W, U, args.p, args.epsilon)
+    hard_ok = _hard_ok(reports)
     a2W = fmod.ap_characteristic(W, 2)
     a2U = fmod.ap_characteristic(U, 2)
     rows = [_report_row(r, W.window.grid.shift, a2W, a2U, "") for r in reports]
@@ -267,8 +251,7 @@ def _identity_audits(manifest):
         stop_mod.verify_decay(forest).all_ok and stop_mod._rule_holds(forest, W, U)
     )
 
-    fkp, buck, isr = bmo_mod.buckley_fkp_summation(W)
-    audits["buckley_psd"] = bmo_mod.buckley_psd_slack(W, buck) >= -1e-10
+    audits["buckley_psd"] = _hard_ok(bmo_mod.buckley_fkp_summation(W))
     return audits
 
 

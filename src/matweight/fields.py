@@ -72,8 +72,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "MatrixField",
     "VectorField",
-    "average",
-    "pointwise_power",
     "ap_characteristic",
     "ap_characteristic_report",
     "ReducingTable",
@@ -318,15 +316,6 @@ def _rel(window, cube):
     return window.rel_index(cube)
 
 
-def average(field, cube):
-    """m_I of a matrix or vector field over a window cube."""
-    return field.average(cube)
-
-
-def pointwise_power(field, s):
-    return field.power(s)
-
-
 # -- cube families ------------------------------------------------------------
 
 
@@ -542,6 +531,14 @@ class _ShiftedGrid:
         return self.grid.cube(k, pos[c])
 
 
+def _family(window, t, max_level=None):
+    """The cube family of shifted grid ``t`` on the window: its own grid's
+    family when ``t`` is the window's shift."""
+    if t == window.grid.shift:
+        return _OwnGrid(window, max_level)
+    return _ShiftedGrid(window, t, max_level)
+
+
 def _tree_ranks(win):
     """Per level j, the index of the level-j cube at each tree-order rank
     (the leaf level's is ``win.tree_order()``)."""
@@ -668,9 +665,8 @@ def ap_characteristic_report(W, p, grids=None, max_level=None):
     win = W.window
     if max_level is not None and max_level < win.root.level:
         raise WindowError("max_level above the window root")
-    fams = [_OwnGrid(win, max_level)] + [
-        _ShiftedGrid(win, t, max_level) for t in grids or () if t != win.grid.shift
-    ]
+    own = win.grid.shift
+    fams = [_family(win, t, max_level) for t in [own, *(t for t in grids or () if t != own)]]
     best, witness = 0.0, None
     for fam in fams:
         val, (i, k) = _level_argmax(_ap_levels(fam, W, p))

@@ -288,6 +288,7 @@ def buckley_fkp_summation(W):
         Xi = 0.5 * (Xi + np.conj(np.swapaxes(Xi, 1, 2)))
         isr_per.append((j, np.maximum(np.linalg.eigvalsh(Xi)[:, -1], 0.0)))
     buckley = _sup_report("buckley", win, buck_per, {"p": 2}, keep_levels=True)
+    buckley.extras["min_eig_slack"] = buckley_psd_slack(W, buckley)
     isral = _sup_report("isral_summation", win, isr_per, {"p": 2}, keep_levels=True)
     return fkp, buckley, isral
 

@@ -369,7 +369,8 @@ def test_criterion_08_construction_pipeline():
         assert out["identity_ok"]
         assert np.isfinite(out["buckley"].supremum) and out["buckley"].supremum > 0
         assert np.isfinite(out["fkp"].supremum)
-        assert bmo.buckley_psd_slack(W, out["buckley"]) >= -1e-10
+        assert np.max(np.abs(out["W"].leaves - W.leaves)) < 1e-8
+        assert out["buckley"].extras["min_eig_slack"] >= -1e-10
     _report(
         8,
         "pointwise norm identity to 1e-10 per leaf; Buckley/FKP finite with "

@@ -191,7 +191,7 @@ def test_buckley_psd_slack(rng):
     win = Window.unit(1, 5)
     W = bmo.bounded_weight(win, 2, rng)
     _, buck, _ = bmo.buckley_fkp_summation(W)
-    assert bmo.buckley_psd_slack(W, buck) >= -1e-10
+    assert buck.extras["min_eig_slack"] >= -1e-10
 
 
 def test_h1_single_mode_hand_value():
@@ -369,8 +369,8 @@ def test_pipeline_special_case_reports_summation(rng):
 
 
 def test_pipeline_eigensolves_the_constructed_field_once(rng, monkeypatch):
-    # The pipeline checks U^* Lam^{2/p} U for positivity and hands the
-    # eigenvalues to the weight it builds, so no leaves are solved twice.
+    # U^* Lam^{2/p} U is checked for positivity once, by the constructor of
+    # the weight the pipeline builds, so no leaves are solved twice.
     win = Window.unit(1, 4)
     Lam, U = bmo.bounded_weight(win, 2, rng), bmo.bounded_weight(win, 2, rng)
     solved = []

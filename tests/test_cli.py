@@ -234,6 +234,56 @@ def test_bmo_buckley_exit_contract(tmp_path, weight_file):
     assert rc == 0
 
 
+def _bmo_json(tmp_path, weight_file, which):
+    """(exit code, JSON document) of ``bmo --which which`` on the weight file."""
+    out = tmp_path / f"{which}.json"
+    rc = main(["bmo", "--which", which, "--b", str(weight_file), "--w", str(weight_file),
+               "--format", "json", "--out", str(out)])
+    return rc, json.loads(out.read_text())
+
+
+def test_bmo_fails_on_a_carleson_psd_band_miss(tmp_path, weight_file, monkeypatch):
+    carleson = bmo.carleson_norm
+
+    def missed(*args):
+        rep = carleson(*args)
+        rep.extras["psd_band_ok"] = False
+        return rep
+
+    monkeypatch.setattr(bmo, "carleson_norm", missed)
+    rc, doc = _bmo_json(tmp_path, weight_file, "carleson")
+    assert rc == 1 and doc["hard_ok"] is False
+
+
+def test_bmo_fails_on_a_negative_buckley_slack(tmp_path, weight_file, monkeypatch):
+    summation = bmo.buckley_fkp_summation
+
+    def negative(W):
+        fkp, buck, isr = summation(W)
+        buck.extras["min_eig_slack"] = -1e-9
+        return fkp, buck, isr
+
+    monkeypatch.setattr(bmo, "buckley_fkp_summation", negative)
+    rc, doc = _bmo_json(tmp_path, weight_file, "buckley_fkp")
+    assert rc == 1 and doc["hard_ok"] is False
+    assert doc["reports"][1]["extras"]["min_eig_slack"] == -1e-9
+
+
+def test_bmo_looks_its_function_up_when_called(tmp_path, weight_file, monkeypatch):
+    # a wrapper installed on the module (as a tracer does) must see the call
+    calls = []
+    carleson = bmo.carleson_norm
+
+    def spy(*args):
+        calls.append(args)
+        return carleson(*args)
+
+    monkeypatch.setattr(bmo, "carleson_norm", spy)
+    rc, doc = _bmo_json(tmp_path, weight_file, "carleson")
+    assert rc == 0 and doc["hard_ok"] is True
+    assert len(calls) == 1
+
+
 def test_verify_default_manifest_exists():
     path = default_manifest_path()
     doc = json.loads(open(path).read())

@@ -84,7 +84,6 @@ def test_condition_family_matches_per_quantity_oracle(rng, n, d, p, kind):
             *zip(bmo.jn_p2_pair(B, W, 0.5), cref.jn_p2_pair(B, W, 0.5)),
             (fkp, want[0]), (buckley, want[1]), (isral, want[2]),
         ]
-        _same(bmo.buckley_psd_slack(W, buckley), cref.buckley_psd_slack(W, want[1]))
         _same(bmo.condition_b(W, U, A, 2.0).supremum, cref._avg_condb_value(B, W, U))
     for got, want in pairs:
         _same_report(got, want)

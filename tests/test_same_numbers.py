@@ -37,7 +37,8 @@ def test_two_captures_agree_and_one_byte_is_caught(tmp_path, same_numbers, capsy
         assert codes and not any(codes.values()), codes
     names = {p.name for p in a.iterdir()}
     assert {"verify_tiny.csv", "duality_tiny.json", "jn_tiny.csv", "W.mwf",
-            "stopping_p3.json", "bmo_grids.json", "ap_p2.stdout"} <= names
+            "stopping_p3.json", "bmo_grids.json", "ap_p2.stdout",
+            "thm12_p2.json", "thm12_p2.stdout", "thm12_p3.json", "thm12_p3.stdout"} <= names
     assert not (a / "verify_tiny.csv").read_text().startswith("# generated:")
     assert same_numbers.compare(a, b) == []
     assert same_numbers.main(["compare", str(a), str(b)]) == 0

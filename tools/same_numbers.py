@@ -13,6 +13,7 @@ with DIR as the working directory, so no output names a path.  It writes:
 - the ``gen`` dumps of the weight and symbol specs below;
 - the ``stopping`` forest dumps at p = 2 and p = 3;
 - ``bmo --format json`` for each ``--which``;
+- the ``thm12 --out`` JSON of Lam = W and U at p = 2 and p = 3;
 - the standard output of every command, ``ap`` included.
 
 ``compare`` prints every file that is missing on one side or differs, and
@@ -67,6 +68,8 @@ def _commands(config, bmo_which):
                                  "--out", f"stopping_p{p}.json"]
         yield f"ap_p{p}", ["ap", "--weight", "W.mwf", "--p", p]
         yield f"ap_grids_p{p}", ["ap", "--weight", "W2.mwf", "--p", p, "--grids", "all"]
+        yield f"thm12_p{p}", ["thm12", "--lam-field", "W.mwf", "--u", "U.mwf", "--p", p,
+                              "--out", f"thm12_p{p}.json"]
     for which in bmo_which:
         yield f"bmo_{which}", ["bmo", "--which", which, "--b", "B.mwf", "--w", "W.mwf",
                                "--u", "U.mwf", "--p", "3", "--format", "json",
