@@ -43,6 +43,7 @@ from .fields import (
     _level_argmax,
     _mat_isqrt,
     _opnorms,
+    _rel,
     _same_window,
 )
 from . import transforms as tf
@@ -421,7 +422,8 @@ def a2_spectral(W):
 
 
 def extremal_h1_instance(B, W, U, root=(0, 0)):
-    """The duality proof's extremal matrix field below a cube J.
+    """The duality proof's extremal matrix field below a cube J, ``root``:
+    a window cube or its (level, index).
 
     Builds S_{J,W,U}^* from the optimizing coefficient sequence for the
     pairing against B (unit Frobenius-l2 normalization) and returns
@@ -429,7 +431,7 @@ def extremal_h1_instance(B, W, U, root=(0, 0)):
     h1_bound = a2_spectral(W)^{1/2} |J|^{1/2} is the exact inequality the
     construction satisfies.
     """
-    _same_window(B, W, U)
+    root = _rel(_same_window(B, W, U), root)
     return _extremal_instance(B, W, U, root, a2_spectral(W))
 
 

@@ -318,11 +318,16 @@ class Window:
         ``ancestor_index(depth, j)[tree_order()[k * 2^{d(depth-j)}]]``.
         """
         if self._tree_order is None:
-            order = np.zeros(1, dtype=int)
-            for j in range(self.depth):
-                order = self.children_index(j)[order].reshape(-1)
-            self._tree_order = order
+            self._tree_order = self.tree_ranks()[-1]
         return self._tree_order
+
+    def tree_ranks(self):
+        """Per level j, the index of the level-j cube at each tree-order rank
+        (the leaf level's is ``tree_order()``)."""
+        ranks = [np.zeros(1, dtype=int)]
+        for j in range(self.depth):
+            ranks.append(self.children_index(j)[ranks[-1]].reshape(-1))
+        return ranks
 
     def block_view(self, values, j):
         """Reshape leaf-indexed data to (cubes_j, cells_per_cube, ...)."""

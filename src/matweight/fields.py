@@ -363,7 +363,7 @@ class _OwnGrid:
         # The stacks are reused buffers, each valid until the next is asked
         # for.
         win, k = self.window, self.window.nchild
-        order, ranks = win.tree_order(), _tree_ranks(win)
+        order, ranks = win.tree_order(), win.tree_ranks()
         dirs = max(len(net.dirs) for net in nets)
         most = max(1, _ROW_BUDGET // (8 * dirs)).bit_length() - 1  # log2 of the most cells
         jb = win.depth - min(win.depth, most // win.d)
@@ -388,7 +388,7 @@ class _OwnGrid:
             yield (coarse, *(_tree_means(root, k)[: len(coarse)] for root in roots))
 
     def gram_levels(self, W, p):
-        win, ranks = self.window, _tree_ranks(self.window)
+        win, ranks = self.window, self.window.tree_ranks()
         sums = self._tree_sums(W.power(2.0 / p).leaves, W.power(-2.0 / p).leaves, p)
         per_level = []
         for j, run in enumerate(sums):
@@ -537,15 +537,6 @@ def _family(window, t, max_level=None):
     if t == window.grid.shift:
         return _OwnGrid(window, max_level)
     return _ShiftedGrid(window, t, max_level)
-
-
-def _tree_ranks(win):
-    """Per level j, the index of the level-j cube at each tree-order rank
-    (the leaf level's is ``win.tree_order()``)."""
-    ranks = [np.zeros(1, dtype=int)]
-    for j in range(win.depth):
-        ranks.append(win.children_index(j)[ranks[-1]].reshape(-1))
-    return ranks
 
 
 def _tree_means(stack, k):

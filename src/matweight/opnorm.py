@@ -47,7 +47,6 @@ __all__ = [
     "weighted_norm_p2",
     "lp_opnorm_estimate",
     "haar_multiplier_norm_relation",
-    "dump_operator",
 ]
 
 DENSE_CAP = 4096
@@ -376,20 +375,3 @@ def haar_multiplier_norm_relation(A, W, U, p):
     norm, exact = _operator_norm({"kind": "haar_multiplier", "A": A}, W, U, p)
     ratio = norm / sup if sup > 0 else (0.0 if norm == 0 else np.inf)
     return {"sup_criterion": sup, "operator_norm": norm, "exact": exact, "ratio": ratio}
-
-
-def dump_operator(T, path):
-    """Binary dense dump: one JSON header line + little-endian complex payload."""
-    import json
-
-    header = {
-        "magic": "matweight-operator",
-        "size": T.size,
-        "n": T.n,
-        "provenance": T.provenance,
-        "d": T.window.d,
-        "depth": T.window.depth,
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(np.ascontiguousarray(T.matrix, dtype="<c16").tobytes())

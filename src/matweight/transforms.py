@@ -41,7 +41,6 @@ the shift and the commutator with ``adjoint=True``, whose relocation is
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
 import numpy as np
@@ -70,7 +69,6 @@ __all__ = [
     "weighted_square_function",
     "triebel_lizorkin_functional",
     "require_headroom",
-    "dump_spectrum",
 ]
 
 
@@ -519,36 +517,3 @@ def triebel_lizorkin_functional(W, p, f):
         for V, c, vol in zip(table.mats, analyze(f).coefs, win.volumes)
     ))
     return float(win.leaf_volume * np.sum(g ** (p / 2.0)))
-
-
-def dump_spectrum(spectrum, path):
-    """JSON-lines dump: root line then one line per (cube, signature)."""
-    win = spectrum.window
-    with open(path, "w") as fh:
-        root = np.asarray(spectrum.root)
-        fh.write(
-            json.dumps(
-                {
-                    "root": win.cube(0, 0).address,
-                    "re": np.real(root).tolist(),
-                    "im": np.imag(root).tolist(),
-                }
-            )
-            + "\n"
-        )
-        for j in range(win.depth):
-            addresses = win.addresses(j, np.arange(win.cubes_at(j)))
-            for k, address in enumerate(addresses):
-                for s in range(win.nsig):
-                    c = spectrum.coefs[j][k, s]
-                    fh.write(
-                        json.dumps(
-                            {
-                                "cube": address,
-                                "signature": format(s, f"0{win.d}b"),
-                                "re": np.real(c).tolist(),
-                                "im": np.imag(c).tolist(),
-                            }
-                        )
-                        + "\n"
-                    )

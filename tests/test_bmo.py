@@ -682,3 +682,7 @@ def test_extremal_instance_deeper_cube(rng):
         mask = np.ones(win.leafcount, dtype=bool)
         mask[idx] = False
         assert np.max(np.abs(fld.leaves[mask])) < 1e-13
+        # the same cube given as a window cube is the same instance
+        by_cube = bmo.extremal_h1_instance(B, W, U, root=win.cube(*root))
+        assert np.array_equal(by_cube[0].leaves, fld.leaves)
+        assert by_cube[1:] == (pair, predicted, h1S, bound)

@@ -793,19 +793,6 @@ def test_haar_multiplier_relation_scalar(rng):
     assert np.isclose(rep["sup_criterion"], sup, rtol=1e-9)
 
 
-def test_dump_operator(tmp_path):
-    import json
-
-    win = Window.unit(1, 2)
-    T = onorm.OperatorMatrix(np.eye(4, dtype=complex), win, 1, "identity")
-    onorm.dump_operator(T, tmp_path / "op.bin")
-    raw = (tmp_path / "op.bin").read_bytes()
-    header = json.loads(raw.split(b"\n", 1)[0])
-    assert header["size"] == 4
-    data = np.frombuffer(raw.split(b"\n", 1)[1], dtype="<c16").reshape(4, 4)
-    assert np.array_equal(data, np.eye(4))
-
-
 def test_dual_route_lower_bounds_both_finite(rng):
     # the adjoint route: the dual conjugated operator at p' built from the
     # dual weights and conjugated coefficients is bounded together with the

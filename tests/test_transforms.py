@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matweight.dyadic import DyadicGrid, Window, WindowError, Signature
+from matweight.dyadic import Window, WindowError, Signature
 from matweight.fields import MatrixField, VectorField
 from matweight import bmo
 from matweight import transforms as tf
@@ -471,49 +471,6 @@ def test_triebel_lizorkin(rng):
             scalar_field(win, w, weight=True), p, scalar_vector(win, fv)
         )
         assert np.isclose(got, ref.triebel(fv, w, p, depth), rtol=1e-9)
-
-
-def test_dump_spectrum(tmp_path, rng):
-    import json
-
-    win = Window.unit(1, 2)
-    f = bmo.random_vector_field(win, 1, rng)
-    spec = tf.analyze(f)
-    path = tmp_path / "spec.jsonl"
-    tf.dump_spectrum(spec, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 1 + 3  # root + cubes at levels 0,1
-    row = json.loads(lines[1])
-    assert "cube" in row and "signature" in row
-
-
-def test_dump_spectrum_addresses_on_shifted_grid(tmp_path, rng):
-    # byte-identical to formatting every cube's own address
-    import json
-
-    win = Window(DyadicGrid(2, 1).cube(1, (1, -2)), 3)
-    spec = tf.analyze(bmo.random_vector_field(win, 2, rng))
-    path = tmp_path / "spec.jsonl"
-    tf.dump_spectrum(spec, path)
-    root = spec.root
-    rows = [
-        {"root": win.cube(0, 0).address, "re": root.real.tolist(), "im": root.imag.tolist()}
-    ]
-    for j in range(win.depth):
-        for k in range(win.cubes_at(j)):
-            for s in range(win.nsig):
-                c = spec.coefs[j][k, s]
-                rows.append(
-                    {
-                        "cube": win.cube(j, k).address,
-                        "signature": format(s, "02b"),
-                        "re": c.real.tolist(),
-                        "im": c.imag.tolist(),
-                    }
-                )
-    expect = "".join(json.dumps(r) + "\n" for r in rows)
-    assert path.read_text() == expect
-    assert "-" in rows[1]["cube"]  # negative positions are formatted too
 
 
 def test_haar_multiplier_adjoint_consistency(rng):
