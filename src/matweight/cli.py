@@ -245,7 +245,8 @@ def _identity_audits(manifest):
 
     W = bmo_mod.bounded_weight(win, n, rng)
     U = bmo_mod.bounded_weight(win, n, rng)
-    forest = stop_mod.build(W, U, 2.0)
+    lam = stop_mod.default_lambda(W, U, 2.0)
+    forest = stop_mod.build(W, U, 2.0, lam=lam)
     audits["stopping_decay"] = (
         stop_mod.verify_decay(forest).all_ok and stop_mod._rule_holds(forest, W, U)
     )
@@ -311,12 +312,15 @@ def cmd_duality(args):
 def cmd_stopping(args):
     W = _load_matrix(args.w)
     U = _load_matrix(args.u, window=W.window) if args.u else W
-    lam = None if args.lam == "auto" else float(args.lam)
+    if args.lam == "auto":
+        lam = stop_mod.default_lambda(W, U, args.p)
+    else:
+        lam = float(args.lam)
     forest = stop_mod.build(W, U, args.p, lam=lam)
     report = stop_mod.verify_decay(forest)
     if args.out:
         stop_mod.dump_forest(forest, args.out)
-    print(f"lambda = {forest.lam:g}, generations = {len(forest.generations)}")
+    print(f"lambda = {lam:g}, generations = {len(forest.generations)}")
     for j, (r, b, ok) in enumerate(zip(report.ratios, report.bounds, report.ok)):
         print(
             f"  gen {j + 1}: |union J|/|root| = {float(r):.6g} "

@@ -16,9 +16,8 @@ not stop.  Stopped cubes and blocks are listed in the order of a depth-first
 walk from the root.
 
 The threshold the theory calls "lambda large enough" is found empirically:
-build, given no lambda, doubles lambda until the decay bound verifies on
-the window and returns that verified forest, so the realized value is
-always reported and each lambda's forest is walked once.
+default_lambda doubles lambda until the decay bound verifies on the
+window, and the realized value is always reported.
 """
 
 from __future__ import annotations
@@ -159,25 +158,11 @@ def _forest(W, U, p, root, lam):
     return forest
 
 
-def build(W, U, p, root=None, lam=None):
-    """Stopping forest for the pair (W, U) at threshold ``lam`` below
-    ``root``, a window cube or its (level, index), (0, 0) by default.
-
-    With no ``lam``, the forest of the smallest power of two up to
-    LAMBDA_CAP whose decay bound verifies on the window.
-    """
+def build(W, U, p, root=None, lam=4.0):
+    """Stopping forest for the pair (W, U) below ``root``, a window cube or
+    its (level, index), (0, 0) by default."""
     root = _rel(_same_window(W, U), (0, 0) if root is None else root)
-    if lam is not None:
-        return _forest(W, U, p, root, lam)
-    lam = 2.0
-    while lam <= LAMBDA_CAP:
-        forest = _forest(W, U, p, root, lam)
-        if verify_decay(forest).all_ok:
-            return forest
-        lam *= 2.0
-    raise LambdaSearchError(
-        f"no lambda up to {LAMBDA_CAP:g} verified the decay bound on this window"
-    )
+    return _forest(W, U, p, root, lam)
 
 
 @dataclass
@@ -233,7 +218,16 @@ def _rule_holds(forest, W, U):
 def default_lambda(W, U, p, root=None):
     """Smallest power of two up to LAMBDA_CAP for which the decay bound
     verifies on the window."""
-    return build(W, U, p, root).lam
+    root = _rel(_same_window(W, U), (0, 0) if root is None else root)
+    lam = 2.0
+    while lam <= LAMBDA_CAP:
+        forest = _forest(W, U, p, root, lam)
+        if verify_decay(forest).all_ok:
+            return lam
+        lam *= 2.0
+    raise LambdaSearchError(
+        f"no lambda up to {LAMBDA_CAP:g} verified the decay bound on this window"
+    )
 
 
 def dump_forest(forest, path):

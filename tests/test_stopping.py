@@ -120,18 +120,6 @@ def test_decay_with_default_lambda_random_pairs(rng):
         assert st.verify_decay(forest).all_ok
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_search_returns_the_forest_of_its_lambda(tmp_path, p):
-    # build with no lambda is, dump for dump, the forest at the lambda that
-    # default_lambda reports
-    W, U = _oracle_pair(1, 7, True, seed=2)
-    lam = st.default_lambda(W, U, p)
-    assert lam > 2.0
-    st.dump_forest(st.build(W, U, p), tmp_path / "searched.json")
-    st.dump_forest(st.build(W, U, p, lam=lam), tmp_path / "fixed.json")
-    assert (tmp_path / "searched.json").read_bytes() == (tmp_path / "fixed.json").read_bytes()
-
-
 @pytest.mark.parametrize("root", [(9, 0), (2, 100), (2, -1)])
 def test_root_outside_window_refused(root):
     win = Window.unit(1, 5)
@@ -139,7 +127,6 @@ def test_root_outside_window_refused(root):
     B = MatrixField.constant(win, np.eye(2))
     calls = (
         lambda: st.build(W, W, 2.0, root=root),
-        lambda: st.build(W, W, 2.0, root=root, lam=2.0),
         lambda: st.default_lambda(W, W, 2.0, root=root),
         lambda: bmo.extremal_h1_instance(B, W, W, root=root),
     )

@@ -12,7 +12,7 @@ with DIR as the working directory, so no output names a path.  It writes:
   manifest, a d = 2 depth-3 manifest and an n = 3 depth-4 manifest;
 - the ``gen`` dumps of the weight and symbol specs below;
 - the ``stopping`` forest dumps at p = 2 and p = 3, with the searched
-  lambda and with lambda = 1.5;
+  lambda and with lambda = 8;
 - ``bmo --format json`` for each ``--which``;
 - the ``thm12 --out`` JSON of Lam = W and U at p = 2 and p = 3;
 - the standard output of every command, ``ap`` included.
@@ -67,8 +67,8 @@ def _commands(config, bmo_which):
     for p in ("2", "3"):
         yield f"stopping_p{p}", ["stopping", "--w", "W.mwf", "--u", "U.mwf", "--p", p,
                                  "--out", f"stopping_p{p}.json"]
-        yield f"stopping_lam1.5_p{p}", ["stopping", "--w", "W.mwf", "--u", "U.mwf", "--p", p,
-                                        "--lam", "1.5", "--out", f"stopping_lam1.5_p{p}.json"]
+        yield f"stopping_lam8_p{p}", ["stopping", "--w", "W.mwf", "--u", "U.mwf", "--p", p,
+                                      "--lam", "8", "--out", f"stopping_lam8_p{p}.json"]
         yield f"ap_p{p}", ["ap", "--weight", "W.mwf", "--p", p]
         yield f"ap_grids_p{p}", ["ap", "--weight", "W2.mwf", "--p", p, "--grids", "all"]
         yield f"thm12_p{p}", ["thm12", "--lam-field", "W.mwf", "--u", "U.mwf", "--p", p,

@@ -121,8 +121,8 @@ LAYERS = {
     "carleson_norm_p3": ("bmo.carleson_norm(W, U, A, 3), A = analyze(B)",
                          lambda m, A, W, U: m.bmo.carleson_norm(W, U, A, 3.0),
                          ("A", "W", "U")),
-    "stopping_build_p2": ("stopping.build(W, U, 2) at lambda = 4",
-                          lambda m, W, U: m.stopping.build(W, U, 2.0, lam=4.0), ("W", "U")),
+    "stopping_build_p2": ("stopping.build(W, U, 2) at the default threshold",
+                          lambda m, W, U: m.stopping.build(W, U, 2.0), ("W", "U")),
     "weighted_norm_p2": (
         "opnorm.weighted_norm_p2 of the Haar multiplier A = analyze(B), L^2(U) -> L^2(W)",
         lambda m, A, W, U: m.opnorm.weighted_norm_p2({"kind": "haar_multiplier", "A": A}, W, U),
