@@ -101,7 +101,7 @@ def _accumulate_down(fam, vals):
     """acc[i][k] = sum of vals over all descendants of cube (i,k), incl itself."""
     acc = list(vals)
     for i in range(len(vals) - 2, -1, -1):
-        acc[i] = vals[i] + acc[i + 1][fam.children[i]].sum(axis=1)
+        acc[i] = vals[i] + fam.kids(acc[i + 1], i).sum(axis=1)
     return acc
 
 
@@ -135,9 +135,10 @@ def _oscillations(fam, p, epsilons, terms):
     ||L (X(x) - m_J X) R||^q, one list of levels per (term, q) in order.
 
     The sandwich and its norms are formed once per term and level, however
-    many exponents the term has.  ``factors(i, idx)`` gives the left and
-    right factor tuples of level i, per cube or gathered per piece at the
-    leaf indices ``idx``; it is called only after the exponents are checked:
+    many exponents the term has.  ``factors(i, blocks)`` gives the left and
+    right factor tuples of level i, per cube or per piece, where
+    ``blocks(values)`` is ``fam.leaf_blocks(values, i)`` of a leaf array;
+    it is called only after the exponents are checked:
     p in (1, inf) and every eps of ``epsilons`` (the quantities that have
     one) finite and positive.  Vector fields take the Euclidean norm.
     """
@@ -149,8 +150,8 @@ def _oscillations(fam, p, epsilons, terms):
     for X, qs, factors in terms:
         vals = [[] for _ in qs]
         for i in range(fam.top):
-            idx = fam.leaf_index(i)
-            M = _sandwich(X.leaves[idx] - fam.mean(X, i)[:, None], *factors(i, idx))
+            blocks = partial(fam.leaf_blocks, i=i)
+            M = _sandwich(blocks(X.leaves) - fam.mean(X, i)[:, None], *factors(i, blocks))
             norms = _opnorms(M) if M.ndim == 4 else np.linalg.norm(M, axis=2)
             for v, q in zip(vals, qs):
                 v.append(fam.piece_mean(i, norms**q))
@@ -172,7 +173,7 @@ def bmo_original_sweep(B, W, U, p, epsilons):
 
 
 def _bmo_original(fam, B, W, U, p, epsilons):
-    def factors(i, idx):
+    def factors(i, blocks):
         Up = fam.mean(U.power(1.0 / p), i)
         return (fam.mean(W.power(1.0 / p), i),), (np.linalg.inv(Up),)
 
@@ -186,7 +187,7 @@ def bloom_bprime(B, W, U, p):
     """sup_J (1/|J|) int_J ||W^{1/p}(x) (B - m_J B) V_J(U)^{-1}||^p."""
     fam = _OwnGrid(_same_window(B, W, U))
     tu, Wp = U.reducing_table(p), W.power(1.0 / p).leaves  # the table checks p
-    (vals,) = _oscillations(fam, p, (), [(B, (p,), lambda i, idx: ((Wp[idx],), (tu.inv(i),)))])
+    (vals,) = _oscillations(fam, p, (), [(B, (p,), lambda i, blocks: ((blocks(Wp),), (tu.inv(i),)))])
     return _sup_report("bloom_bprime", fam, vals, {"p": p})
 
 
@@ -194,7 +195,7 @@ def bloom_cprime(B, W, U, p):
     """sup_J (1/|J|) int_J ||U^{-1/p}(x) (B^* - m_J B^*) V_J'(W)^{-1}||^{p'}."""
     fam = _OwnGrid(_same_window(B, W, U))
     twd, Um = W.reducing_table(p, dual=True), U.power(-1.0 / p).leaves  # the table checks p
-    terms = [(B.conj_transpose(), (p / (p - 1.0),), lambda i, idx: ((Um[idx],), (twd.inv(i),)))]
+    terms = [(B.conj_transpose(), (p / (p - 1.0),), lambda i, blocks: ((blocks(Um),), (twd.inv(i),)))]
     (vals,) = _oscillations(fam, p, (), terms)
     return _sup_report("bloom_cprime", fam, vals, {"p": p})
 
@@ -206,8 +207,8 @@ def jn_p2_pair(B, W, eps=1.0):
     isq = [_mat_isqrt(fam.mean(W, i)) for i in range(fam.top)]
     Wm = W.power(-0.5).leaves
     left, right = _oscillations(fam, 2.0, (eps,), [
-        (B, (1.0 + eps,), lambda i, idx: ((isq[i],), (isq[i],))),
-        (B.conj_transpose(), (2.0,), lambda i, idx: ((Wm[idx],), (isq[i],))),
+        (B, (1.0 + eps,), lambda i, blocks: ((isq[i],), (isq[i],))),
+        (B.conj_transpose(), (2.0,), lambda i, blocks: ((blocks(Wm),), (isq[i],))),
     ])
     jn_left = _sup_report("jn_left", fam, left, {"p": 2, "eps": eps})
     return jn_left, _sup_report("jn_right", fam, right, {"p": 2})
@@ -219,8 +220,8 @@ def vector_jn(f, W, p):
     fam = _OwnGrid(_same_window(f, W))
     tw, Wp = W.reducing_table(p), W.power(1.0 / p).leaves  # the table checks p
     wt, plain = _oscillations(fam, p, (), [
-        (f, (p,), lambda i, idx: ((Wp[idx], tw.inv(i)), ())),
-        (f, (1.0,), lambda i, idx: ((), ())),
+        (f, (p,), lambda i, blocks: ((blocks(Wp), tw.inv(i)), ())),
+        (f, (1.0,), lambda i, blocks: ((), ())),
     ])
     wt_rep = _sup_report("vector_jn", fam, wt, {"p": p})
     return wt_rep, _sup_report("vector_bmo", fam, plain, {"p": 1})

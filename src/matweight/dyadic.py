@@ -262,6 +262,11 @@ class Window:
             [(side0 * 2.0**-j) ** self.d for j in range(depth + 1)]
         )
         self.leaf_volume = self.volumes[depth]
+        # axis orders of a level's per-axis (coarse, fine) index pairs, plus
+        # one trailing axis: coarse axes first, fine axes after, and back
+        d = self.d
+        self._split = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2)) + (2 * d,)
+        self._merge = tuple(p for a in range(d) for p in (a, d + a)) + (2 * d,)
         self._children_idx = {}
         self._block_leaf_idx = {}
         self._tree_order = None
@@ -329,26 +334,43 @@ class Window:
             ranks.append(self.children_index(j)[ranks[-1]].reshape(-1))
         return ranks
 
+    def _blocks(self, values, j, fine):
+        """Level-``fine`` data reshaped to (cubes_j, cells, ...): each level-j
+        cube's level-``fine`` cubes in C order over their per-axis offsets.
+        In d = 1 these are runs, so the result is a view; in d >= 2 it is
+        a transpose copy."""
+        d, r = self.d, fine - j
+        trailing = values.shape[1:]
+        if d > 1:
+            values = values.reshape((2**j, 2**r) * d + (-1,)).transpose(self._split)
+        return values.reshape((self.cubes_at(j), 2 ** (d * r)) + trailing)
+
     def block_view(self, values, j):
         """Reshape leaf-indexed data to (cubes_j, cells_per_cube, ...)."""
-        d, L = self.d, self.depth
-        trailing = values.shape[1:]
-        v = values.reshape((2**j, 2 ** (L - j)) * d + trailing)
-        perm = (
-            [2 * a for a in range(d)]
-            + [2 * a + 1 for a in range(d)]
-            + list(range(2 * d, 2 * d + len(trailing)))
-        )
-        v = np.transpose(v, perm)
-        return v.reshape((self.cubes_at(j), 2 ** (d * (L - j))) + trailing)
+        return self._blocks(values, j, self.depth)
+
+    def children_view(self, values, j):
+        """Level-(j+1) data as (cubes_j, 2^d, ...), children in offset-bit
+        order: ``values[children_index(j)]`` as a reshape, a view in d = 1."""
+        return self._blocks(values, j, j + 1)
+
+    def children_flat(self, kids, j):
+        """Inverse of ``children_view``: (cubes_j, 2^d or 1, ...) data to
+        level-(j+1) data (cubes_{j+1}, ...); a child axis of 1 gives every
+        child the same value."""
+        d, trailing = self.d, kids.shape[2:]
+        if kids.shape[1] != self.nchild:
+            kids = kids.repeat(self.nchild, axis=1)
+        if d > 1:
+            kids = kids.reshape((2**j,) * d + (2,) * d + (-1,)).transpose(self._merge)
+        return kids.reshape((self.cubes_at(j + 1),) + trailing)
 
     def level_averages(self, values):
         """List over levels 0..depth of per-cube means of leaf data."""
         out = [None] * (self.depth + 1)
         out[self.depth] = values
         for j in range(self.depth - 1, -1, -1):
-            ch = out[j + 1][self.children_index(j)]
-            out[j] = ch.mean(axis=1)
+            out[j] = np.add.reduce(self.children_view(out[j + 1], j), axis=1) / self.nchild
         return out
 
     # -- cube addressing -------------------------------------------------

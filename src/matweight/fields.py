@@ -38,9 +38,12 @@ complex128 and load back as float64 when no imaginary entry is nonzero.
 Cube families.  A family gives the cubes of one grid inside the window,
 level by level, with their leaf pieces, children, means, reducing
 operators and witness cubes.  ``_OwnGrid`` is the window's own grid: each
-cube is a block of whole leaves, read off cached level data.
+cube is a block of whole leaves, read off cached level data, and its
+``kids`` and ``leaf_blocks`` are reshapes of C-order level data
+(``Window.children_view``, ``Window.block_view``).
 ``_ShiftedGrid`` holds the cubes of D^t inside the window box: every cube
-of a level meets the same pattern of leaf pieces, with exact volumes.  The
+of a level meets the same pattern of leaf pieces, with exact volumes, and
+its ``kids`` and ``leaf_blocks`` gather through index arrays.  The
 A_p characteristic, the reducing fit, the Haar coefficients and the
 condition family of ``bmo`` all run over families, so every shifted grid
 has one evaluation path.
@@ -334,10 +337,12 @@ class _OwnGrid:
             self.top = min(self.top, max_level - window.root.level)
         self.volumes = window.volumes[: self.top + 1]
         self.counts = [window.cubes_at(j) for j in range(self.top + 1)]
-        self.children = [window.children_index(j) for j in range(self.top)]
 
-    def leaf_index(self, i):
-        return self.window.block_leaf_index(i)
+    def kids(self, values, i):
+        return self.window.children_view(values, i)
+
+    def leaf_blocks(self, values, i):
+        return self.window.block_view(values, i)
 
     def piece_mean(self, i, vals):
         return vals.mean(axis=1)  # every piece is one whole leaf
@@ -480,8 +485,11 @@ class _ShiftedGrid:
             for (k, pos), (_, below) in zip(self.levels, self.levels[1:])
         ]
 
-    def leaf_index(self, i):
-        return self.pieces[i][0]
+    def kids(self, values, i):
+        return values[self.children[i]]
+
+    def leaf_blocks(self, values, i):
+        return values[self.pieces[i][0]]
 
     def piece_mean(self, i, vals):
         return vals @ self.pieces[i][1] / self.volumes[i]
@@ -578,8 +586,8 @@ def _haar_coefs(fam, means):
     d = fam.window.d
     tbl = sign_table(d)
     return [
-        (np.sqrt(vol) / 2**d) * np.einsum("sb,kb...->ks...", tbl, means[i + 1][ch])
-        for i, (vol, ch) in enumerate(zip(fam.volumes, fam.children))
+        (np.sqrt(vol) / 2**d) * np.einsum("sb,kb...->ks...", tbl, fam.kids(means[i + 1], i))
+        for i, vol in enumerate(fam.volumes[: fam.top])
     ]
 
 

@@ -11,8 +11,9 @@ the p = 2 norm L^2(U) -> L^2(W) of either form: one Lanczos
 and T^H between leafwise factors, closing its residual bracket to 1e-10
 of the top Ritz value or raising LanczosError.  A descriptor needs no
 matrix, so its norm reaches windows past ``DENSE_CAP``.
-A dense matrix is the operator's ``transforms`` kernel applied to the whole
-standard basis at once, so it matches the field-level operator bit for bit.
+A dense matrix is the operator's ``transforms`` kernel applied to the
+standard basis ``_BLOCK`` columns at a time, so it matches the field-level
+operator bit for bit.
 The basis is the real identity, so the matrix is float64 unless an operand
 (symbol, coefficient map or weight) is complex, and every norm below then
 runs in real arithmetic.
@@ -50,12 +51,17 @@ __all__ = [
 ]
 
 DENSE_CAP = 4096
-# bytes the p != 2 lower-bound sweep of ``lp_opnorm_estimate`` may take
+# bytes the p != 2 lower-bound sweep of ``lp_opnorm_estimate``, and the
+# Lanczos basis of ``_lanczos_top``, may take
 _SWEEP_BUDGET = 2**31
+# basis columns per kernel call of ``materialize``: fewer pay more per-call
+# overhead, more hold larger temporaries
+_BLOCK = 64
 
 
 class CapError(ValueError):
-    """A dense matrix larger than ``DENSE_CAP`` was asked for."""
+    """A dense matrix larger than ``DENSE_CAP``, or working memory past
+    ``_SWEEP_BUDGET``, was asked for."""
 
 
 @dataclass
@@ -160,10 +166,14 @@ def _operator_form(op, *operands):
 def materialize(op, window, n):
     """Dense matrix of an operator descriptor (a dict with a ``kind``).
 
-    The descriptor's kernel is prepared once and applied to the whole
-    standard basis in one batched pass.  Size is capped at
-    n * leafcount <= 4096 (the N x N matrix itself); larger windows must
-    use ``weighted_norm_p2``, which needs no matrix.
+    The descriptor's kernel is prepared once and applied to the standard
+    basis ``_BLOCK`` (64) columns at a time, each block written into one
+    preallocated N x N matrix whose dtype is the first block's.  The kernel
+    treats trailing axes as batch axes, so every column is computed as on
+    its own; the temporaries are those of one block, and the peak stays
+    near the matrix itself.  Size is capped at n * leafcount <= 4096 (the
+    N x N matrix itself); larger windows must use ``weighted_norm_p2``,
+    which needs no matrix.
 
     Shift and commutator descriptors are defined only on fields with shift
     headroom; their dense matrices act as the operator composed with the
@@ -179,9 +189,15 @@ def materialize(op, window, n):
     provenance = kind
     if kind in ("haar_shift", "commutator"):
         provenance = kind + "*headroom_projection"
-    basis = np.eye(N).reshape(window.leafcount, n, N)
     forward, _ = prepare()
-    cols = forward(basis).reshape(N, N)
+    cols = None
+    for lo in range(0, N, _BLOCK):
+        width = min(_BLOCK, N - lo)
+        basis = np.eye(N, width, -lo).reshape(window.leafcount, n, width)
+        block = forward(basis).reshape(N, width)
+        if cols is None:
+            cols = np.empty((N, N), dtype=block.dtype)
+        cols[:, lo : lo + width] = block
     return OperatorMatrix(matrix=cols, window=window, n=n, provenance=provenance)
 
 
@@ -237,11 +253,13 @@ def _lanczos_top(gram, N):
     fixed random start (Golub and Van Loan, ch. 10).  Each step
     orthogonalizes the new vector against the whole basis twice, and stops
     when the top Ritz pair (theta, y) of the tridiagonal T_k has
-    |beta_k y_k| <= _LANCZOS_RTOL |theta|."""
+    |beta_k y_k| <= _LANCZOS_RTOL |theta|.  The basis grows by doubling;
+    CapError before any growth that would take it past ``_SWEEP_BUDGET``
+    bytes."""
     q = np.random.default_rng(2).standard_normal(N)
     q /= np.linalg.norm(q)
     w = gram(q)
-    basis = np.zeros((min(N, 32), N), np.result_type(w, q))
+    basis = _lanczos_basis(min(N, 32), N, np.result_type(w, q))
     basis[0] = q
     alpha, beta = [], []
     for k in range(N):
@@ -257,10 +275,23 @@ def _lanczos_top(gram, N):
         if k + 1 == N:
             break
         if k + 1 == len(basis):
-            basis = np.concatenate([basis, np.zeros_like(basis)])[:N]
+            grown = _lanczos_basis(min(N, 2 * len(basis)), N, basis.dtype)
+            grown[: len(basis)] = basis
+            basis = grown
         basis[k + 1] = w / beta[-1]
         w = gram(basis[k + 1])
     raise LanczosError(f"Lanczos bracket still open after {N} steps")
+
+
+def _lanczos_basis(steps, N, dtype):
+    """A zero Lanczos basis of ``steps`` vectors of length N; CapError when
+    its bytes would pass ``_SWEEP_BUDGET``."""
+    need = steps * N * np.dtype(dtype).itemsize
+    if need > _SWEEP_BUDGET:
+        raise CapError(
+            f"the Lanczos basis needs {need} bytes for {steps} steps of {N} entries, "
+            f"over its {_SWEEP_BUDGET} byte budget")
+    return np.zeros((steps, N), dtype)
 
 
 def lp_opnorm_estimate(T, W, U, p, budget=60):
@@ -328,23 +359,28 @@ def lp_opnorm_estimate(T, W, U, p, budget=60):
     f = F[..., int(np.argmax(r))]
 
     f = f + 1e-3 * np.random.default_rng(7).standard_normal(f.shape)
+    WPc, UPc = np.conj(WP), np.conj(UP)
+    m = None  # the masses of f, when an accepted trial has formed them
     for _ in range(budget):
-        (gw, nw, num), (gu, nu, den) = masses(f)
+        (gw, nw, num), (gu, nu, den) = masses(f) if m is None else m
         if den <= 0 or num <= 0:
             break
         # gradient of log num - log den (Wirtinger); clamp the p < 2
         # singularity at vanishing pointwise mass
         wn = (np.maximum(nw, 1e-150) ** (p - 2.0))[:, None]
         wu = (np.maximum(nu, 1e-150) ** (p - 2.0))[:, None]
-        gn = adjoint(np.einsum("lba,lb->la", np.conj(WP), wn * gw))
-        gd = np.einsum("lba,lb->la", np.conj(UP), wu * gu)
+        gn = adjoint(np.einsum("lba,lb->la", WPc, wn * gw))
+        gd = np.einsum("lba,lb->la", UPc, wu * gu)
         grad = gn / num - gd / den
         step = 0.25 * np.linalg.norm(f) / max(np.linalg.norm(grad), 1e-30)
         f2 = f + step * grad
-        (_, _, num2), (_, _, den2) = masses(f2[..., None])
-        r2 = ratio(num2, den2)[0]
+        m2 = masses(f2)
+        r2 = ratio(m2[0][2], m2[1][2])
         r1 = (num / den) ** (1.0 / p)
-        f = f2 if r2 > r1 else f + 0.25 * step * grad
+        if r2 > r1:
+            f, m = f2, m2
+        else:
+            f, m = f + 0.25 * step * grad, None
         best = max(best, float(max(r1, r2)))
     return best, None
 

@@ -139,9 +139,7 @@ def _descend(win, top, steps):
     shaped (cubes_j, children or 1, ...)."""
     vals = np.asarray(top)[None]
     for j, step in enumerate(steps):
-        kids = vals[:, None] + step
-        vals = np.empty((win.cubes_at(j + 1),) + kids.shape[2:], dtype=kids.dtype)
-        vals[win.children_index(j)] = kids
+        vals = win.children_flat(vals[:, None] + step, j)
     return vals
 
 

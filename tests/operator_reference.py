@@ -16,6 +16,8 @@ order, at 1e-12 relative; the p = 2 norms, found by another method, at
 1e-12 relative), so the two must never share an operator contraction, an
 L^p mass or an eigensolver; only the field classes, window index plumbing,
 reducing tables and the leafwise matrix roots come from the library.
+Level averages are this module's own ``level_averages``, a gather through
+``children_index``, so they check the library's reshape walk.
 """
 
 from __future__ import annotations
@@ -27,8 +29,17 @@ from matweight.fields import MatrixField, VectorField, _mat_isqrt, _mat_sqrt, _s
 from matweight.transforms import HaarSpectrum, require_headroom
 
 
+def level_averages(window, values):
+    """Per-level cube means of leaf data, levels 0..depth: each level the
+    mean of its children, gathered through ``children_index``."""
+    avgs = [values]
+    for j in range(window.depth - 1, -1, -1):
+        avgs.insert(0, avgs[0][window.children_index(j)].mean(axis=1))
+    return avgs
+
+
 def _analyze_values(window, values):
-    avgs = window.level_averages(values)
+    avgs = level_averages(window, values)
     tbl = sign_table(window.d)
     coefs = []
     for j in range(window.depth):
@@ -80,7 +91,7 @@ def paraproduct(B, f):
 def _paraproduct_spectrum(B, f):
     win = B.window
     Bs = analyze(B)
-    avgs = f.level_averages()
+    avgs = level_averages(win, f.leaves)
     out = HaarSpectrum.zeros(win, (f.n,))
     for j in range(win.depth):
         out.coefs[j] = np.einsum("ksab,kb...->ksa...", Bs.coefs[j], avgs[j])
@@ -93,7 +104,7 @@ def conjugated_paraproduct(A, W, U, p, f):
         raise WindowError("coefficient map lives on a different window")
     table = W.reducing_table(p)
     g = U.power(-1.0 / p).apply(f)
-    avgs = g.level_averages()
+    avgs = level_averages(win, g.leaves)
     out = HaarSpectrum.zeros(win, (f.n,))
     for j in range(win.depth):
         out.coefs[j] = np.einsum(
@@ -290,7 +301,7 @@ def batched_apply(desc, window, n, values):
     zero_root = np.zeros((n, m), dtype=complex)
     if kind == "paraproduct":
         Bs = analyze(desc["B"])
-        avgs = window.level_averages(values)
+        avgs = level_averages(window, values)
         coefs = [
             np.einsum("ksab,kbm->ksam", Bs.coefs[j], avgs[j])
             for j in range(window.depth)
@@ -300,7 +311,7 @@ def batched_apply(desc, window, n, values):
         A, W, U, p = desc["A"], desc["W"], desc["U"], desc["p"]
         table = W.reducing_table(p)
         g = np.einsum("lab,lbm->lam", U.power(-1.0 / p).leaves, values)
-        avgs = window.level_averages(g)
+        avgs = level_averages(window, g)
         coefs = [
             np.einsum("kab,ksbc,kcm->ksam", table.mats[j], A.coefs[j], avgs[j])
             for j in range(window.depth)

@@ -190,6 +190,17 @@ def test_verify_refuses_an_lp_sweep_over_budget(tmp_path, capsys, monkeypatch):
     assert "error: the p != 2 lower-bound sweep needs" in err and "Traceback" not in err
 
 
+def test_verify_refuses_a_lanczos_basis_over_budget(tmp_path, capsys, monkeypatch):
+    # the p = 2 norm's Lanczos basis guard is bad input too: exit 2
+    monkeypatch.setattr(onorm, "_SWEEP_BUDGET", 1)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"n": 2, "d": 1, "depth": 3, "seeds": [0], "p_values": [2.0]}))
+    capsys.readouterr()
+    assert main(["verify", "--manifest", str(manifest), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "error: the Lanczos basis needs" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("seeds", [(0, 1), np.array([0, 1]), range(2)], ids=repr)
 def test_library_seeds_take_any_integer_sequence(seeds):
     # the type check refuses bad JSON, not the sequences a Python caller passes

@@ -236,6 +236,29 @@ def test_block_view_and_averages():
 
 
 @pytest.mark.parametrize("d, depth", [(1, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("trailing", [(), (2,), (2, 3)])
+def test_children_view_is_the_children_index_gather(d, depth, trailing):
+    # the reshape walk and its inverse equal the index gather and scatter
+    # bit for bit, on complex data with trailing batch axes
+    win = Window.unit(d, depth)
+    rng = np.random.default_rng([d, depth, len(trailing)])
+    for j in range(depth):
+        shape = (win.cubes_at(j + 1),) + trailing
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        idx = win.children_index(j)
+        kids = win.children_view(vals, j)
+        assert np.array_equal(kids, vals[idx])
+        assert d > 1 or np.shares_memory(kids, vals)  # a view in d = 1
+        flat = np.empty_like(vals)
+        flat[idx] = kids
+        assert np.array_equal(win.children_flat(kids, j), flat)
+        # a child axis of 1 gives every child its parent's value
+        one = kids[:, :1]
+        flat[idx] = one
+        assert np.array_equal(win.children_flat(one, j), flat)
+
+
+@pytest.mark.parametrize("d, depth", [(1, 4), (2, 3), (3, 2)])
 def test_tree_order_makes_every_cube_a_run(d, depth):
     win = Window.unit(d, depth)
     order = win.tree_order()

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,11 +41,12 @@ def test_materialize_constant_paraproduct_is_zero():
 
 
 @functools.lru_cache(maxsize=None)
-def _operator_setup(d, n, kind):
-    """Weights, symbol, shift map and argument with shift headroom; complex
-    weights are unitary conjugates Q^* W Q, with complex B and f."""
+def _operator_setup(d, n, kind, depth=None):
+    """Weights, symbol, shift map and argument with shift headroom on a
+    window of ``depth`` (4 in d = 1, else 3, by default); complex weights
+    are unitary conjugates Q^* W Q, with complex B and f."""
     rng = np.random.default_rng([d, n, kind == "complex"])
-    win = Window.unit(d, 4 if d == 1 else 3)
+    win = Window.unit(d, depth or (4 if d == 1 else 3))
     W = bmo.bounded_weight(win, n, rng)
     U = bmo.bounded_weight(win, n, rng)
     B = bmo.random_matrix_field(win, n, rng, headroom=1)
@@ -481,6 +483,50 @@ def test_materialize_callable_fallback(rng):
     T1 = onorm.materialize({"kind": "paraproduct", "B": B}, win, 2)
     T2 = _materialize_columns(lambda g: tf.paraproduct(B, g), win, 2)
     assert np.max(np.abs(T1.matrix - T2)) < 1e-12
+
+
+@pytest.mark.parametrize("d, depth, n", [(1, 5, 3), (2, 2, 3), (2, 3, 3)])
+@pytest.mark.parametrize("weights", ["real", "complex"])
+def test_materialize_blocks_equal_single_columns(d, depth, n, weights):
+    # materialize applies each kernel to 64 basis columns at a time; every
+    # column equals the kernel applied to that basis field alone.  nN = 96
+    # ends in a ragged block, 48 is one short block, 192 three whole ones.
+    win, W, U, B, _, smap = _operator_setup(d, n, weights, depth)
+    N = n * win.leafcount
+    for desc, _, _ in _operator_cases(win, W, U, B, smap):
+        T = onorm.materialize(desc, win, n).matrix
+        forward, _ = onorm._KERNELS[desc["kind"]](desc, win)
+        for i in range(N):
+            col = forward(np.eye(N)[i].reshape(win.leafcount, n)).reshape(-1)
+            assert np.array_equal(T[:, i], col), (desc["kind"], i)
+
+
+def test_materialize_peak_stays_near_the_matrix():
+    # nN = 1024: the column blocks' temporaries stay under the matrix's own
+    # size (one batched pass over the identity took about 7x the matrix)
+    win = Window.unit(1, 9)
+    rng = np.random.default_rng(0)
+    W, U = bmo.bounded_weight(win, 2, rng), bmo.bounded_weight(win, 2, rng)
+    desc = {"kind": "conjugated_paraproduct", "A": tf.analyze(bmo.random_matrix_field(win, 2, rng)),
+            "W": W, "U": U, "p": 2.0}
+    onorm.materialize(desc, win, 2)  # the weights' cached powers and tables
+    tracemalloc.start()
+    try:
+        T = onorm.materialize(desc, win, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.matrix.shape == (1024, 1024)
+    assert peak < 2 * T.matrix.nbytes
+
+
+def test_lanczos_basis_refused_over_its_budget(monkeypatch):
+    # N = 120 with a crowded top: the basis outgrows its first 32 rows.  A
+    # budget of exactly those rows refuses the growth to 64, before it.
+    G = _psd_with_spectrum(np.random.default_rng(7), np.linspace(0.0, 1.0, 120))
+    monkeypatch.setattr(onorm, "_SWEEP_BUDGET", 32 * 120 * 8)
+    with pytest.raises(onorm.CapError, match="needs 61440 bytes for 64 steps of 120 entries"):
+        onorm._lanczos_top(lambda x: G @ x, len(G))
 
 
 def test_materialize_cap():

@@ -59,3 +59,13 @@ def test_scaling_table_layers_go_deeper(scaling, tmp_path, monkeypatch):
     for layer in scaling.LAYERS:
         depths = {r["depth"] for r in records if r["layer"] == layer and r["d"] == 1}
         assert depths == ({3, 4} if layer in scaling.TABLE_LAYERS else {3})
+
+
+def test_scaling_dense_layer_stops_at_the_cap(scaling, tmp_path, monkeypatch):
+    # the dense matrix stops where n N reaches the cap (here patched down)
+    monkeypatch.setattr(scaling, "DENSE_DEPTH", {1: 3, 2: 2})
+    out = tmp_path / "BENCH_scaling.json"
+    assert scaling.main(["--out", str(out)]) == 0
+    records = json.loads(out.read_text())["runs"]["change"]["records"]
+    assert {r["depth"] for r in records if r["layer"] == "materialize" and r["d"] == 1} == {3}
+    assert {r["depth"] for r in records if r["layer"] == "haar_roundtrip" and r["d"] == 1} == {3, 4}

@@ -52,6 +52,30 @@ def test_parseval_and_roundtrip(rng):
         assert np.max(np.abs(g.leaves - f.leaves)) < 1e-11
 
 
+@pytest.mark.parametrize("d, depth", [(1, 6), (2, 3), (3, 2)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_level_walks_equal_the_gather_oracle(d, depth, dtype):
+    # level averages, analysis and synthesis walk the own grid through
+    # reshape views; the oracle gathers through children_index
+    win = Window.unit(d, depth)
+    rng = np.random.default_rng([d, depth])
+    B = bmo.random_matrix_field(win, 2, rng)
+    f = bmo.random_vector_field(win, 2, rng)
+    if dtype is complex:
+        B = MatrixField(win, B.leaves + 1j * bmo.random_matrix_field(win, 2, rng).leaves)
+        f = VectorField(win, f.leaves + 1j * bmo.random_vector_field(win, 2, rng).leaves)
+    for field in (B, f):
+        for got, want in zip(win.level_averages(field.leaves),
+                             oref.level_averages(win, field.leaves)):
+            assert np.array_equal(got, want)
+        spec, want = tf.analyze(field), oref.analyze(field)
+        assert np.array_equal(spec.root, want.root)
+        for got, ref_coefs in zip(spec.coefs, want.coefs):
+            assert np.array_equal(got, ref_coefs)
+        leaves = tf.synthesize(spec).leaves
+        assert np.array_equal(leaves, oref._synthesize_values(win, spec.coefs, spec.root))
+
+
 def test_coef_lookup_by_cube_and_signature():
     win = Window.unit(2, 2)
     spec = tf.HaarSpectrum.zeros(win, (1,))

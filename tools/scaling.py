@@ -15,8 +15,9 @@ call, and ``leaf_mb`` the size of the leaves of its matrix-field operands
 (each power of a weight has the size of the weight).  A layer runs up to
 depth ``DEEPEST[d]`` only, except that the A_p characteristic at p != 2,
 on the own grid and on all grids, is O(N^2) and stops at ``AP_DEPTH[d]``,
-and the ``TABLE_LAYERS``, which build p != 2 reducing tables, go on to
-``TABLE_DEPTH[d]``.
+the ``TABLE_LAYERS``, which build p != 2 reducing tables, go on to
+``TABLE_DEPTH[d]``, and the dense matrix of ``materialize`` stops at
+``DENSE_DEPTH[d]``, where n N reaches ``opnorm.DENSE_CAP``.
 
 The records of this checkout go under ``runs.change``.  ``--against``
 loads the package of a second checkout under another name into the same
@@ -60,6 +61,7 @@ DEEPEST = {1: 16, 2: 7}
 AP_DEPTH = {1: 15, 2: 7}  # deepest window for the O(N^2) A_p at p != 2
 TABLE_DEPTH = {1: 18, 2: 7}  # deepest window for the layers that build p != 2 tables
 TABLE_LAYERS = ("reducing_p3", "reducing_p3_complex", "condition_b_p3", "carleson_norm_p3")
+DENSE_DEPTH = {1: 11, 2: 5}  # deepest window with n N <= DENSE_CAP = 4096 at n = 2
 REPEATS = 3
 SLOW_CALL_S = 1.0  # calls slower than this together are not repeated
 # a fixed unitary: Q W Q^H is a complex Hermitian weight with W's spectrum
@@ -127,6 +129,14 @@ LAYERS = {
         "opnorm.weighted_norm_p2 of the Haar multiplier A = analyze(B), L^2(U) -> L^2(W)",
         lambda m, A, W, U: m.opnorm.weighted_norm_p2({"kind": "haar_multiplier", "A": A}, W, U),
         ("A", "W", "U")),
+    "materialize": (
+        "opnorm.materialize of the conjugated paraproduct (A = analyze(B), W, U, p = 2)",
+        lambda m, A, W, U: m.opnorm.materialize(
+            {"kind": "conjugated_paraproduct", "A": A, "W": W, "U": U, "p": 2.0},
+            W.window, N_COMPONENTS),
+        ("A", "W", "U")),
+    "haar_roundtrip": ("transforms.synthesize(transforms.analyze(B))",
+                       lambda m, B: m.transforms.synthesize(m.transforms.analyze(B)), ("B",)),
 }
 
 
@@ -158,6 +168,8 @@ def _peak(call, names, m, ops):
 def _deepest(name, d):
     if name.startswith("ap_p3"):
         return AP_DEPTH[d]
+    if name == "materialize":
+        return min(DENSE_DEPTH[d], DEEPEST[d])
     return (TABLE_DEPTH if name in TABLE_LAYERS else DEEPEST)[d]
 
 
