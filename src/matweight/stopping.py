@@ -6,14 +6,16 @@ operator ratios
     ||V_J(W) V_K(W)^{-1}||,  ||V_J(W)^{-1} V_K(W)||,
     ||V_J(U) V_K(U)^{-1}||,  ||V_K(U) V_J(U)^{-1}||
 
-exceeds lambda.  Generations J^j and blocks F^j are built by the usual
+exceeds lambda.  Generations J^j and blocks F^j are those of the usual
 maximal-cube recursion; set measures are exact rationals, so the decay
 check |union J^j| <= 2^{-j} |root| carries no rounding slack.
 
-The norms are evaluated lazily, one level of a root's subtree at a time and
-only for the cubes the recursion reaches: the children of cubes that did
-not stop.  Stopped cubes and blocks are listed in the order of a depth-first
-walk from the root.
+A cube's generation is the number of stopped cubes on its path from the
+root, so the forest comes from one walk of the root's subtree, a level at a
+time, that weighs each cube once against its nearest stopped ancestor or
+the root.  Stopped cubes and blocks are listed in the order of a depth-first
+walk from the root that takes the last child first; a cube's place in it
+follows from where its leaf run ends in tree order.
 
 The threshold the theory calls "lambda large enough" is found empirically:
 default_lambda doubles lambda until the decay bound verifies on the
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
@@ -66,11 +69,13 @@ class StoppingForest:
     decay_ratios: list = dc_field(default_factory=list)  # exact Fractions
 
     def union_measures(self):
-        """|union J^j| / |root| per generation, exact."""
-        jr = self.root[0]
+        """|union J^j| / |root| per generation, exact: the generation's leaf
+        count, from its cube count per level, over the root's."""
+        d, depth = self.window.d, self.window.depth
         out = []
         for gen in self.generations:
-            out.append(sum(Fraction(1, 2 ** (self.window.d * (j - jr))) for j, _ in gen))
+            leaves = sum(c << d * (depth - j) for j, c in Counter(j for j, _ in gen).items())
+            out.append(Fraction(leaves, 1 << d * (depth - self.root[0])))
         return out
 
     def cube_addresses(self, cubes):
@@ -84,75 +89,66 @@ class StoppingForest:
         return out.tolist()
 
 
-def _dfs_order(parts):
-    """(level, index) tuples of the (level, indices, keys) parts by key."""
-    levels = np.concatenate([np.full(len(idx), j) for j, idx, _ in parts])
-    idx = np.concatenate([idx for _, idx, _ in parts])
-    order = np.argsort(np.concatenate([keys for _, _, keys in parts]))
-    return list(zip(levels[order].tolist(), idx[order].tolist())), order
-
-
-def _select(win, tw, tu, root, lam):
-    """Maximal stopped descendants of root, their four norms, and the block
-    F(root), each in the order of a depth-first walk that pops the last
-    child first.
-
-    The subtree is walked one level at a time.  Every visited cube carries a
-    path key: one base-(2^d + 1) digit per level below the root, 2^d minus
-    its child position, and 0 below its own level, so sorting by the key
-    restores the depth-first order with each ancestor before its
-    descendants.  The keys stay below (2^d + 1)^depth, far inside int64 for
-    any window that fits in memory.
-    """
-    jr, kr = root
-    if jr == win.depth:
-        return [], [], [root]
-    digits = win.nchild - np.arange(win.nchild)
-    front, keys = np.array([kr]), np.zeros(1, dtype=np.int64)
-    stopped, norms, block = [], [], [(jr, front, keys)]
-    for j in range(jr + 1, win.depth + 1):
-        if not front.size:
-            break
-        front = win.children_index(j - 1)[front].ravel()
-        place = (win.nchild + 1) ** (win.depth - j)
-        keys = (keys[:, None] + digits * place).ravel()
-        stats = np.stack([
-            _opnorms(tw.mats[j][front] @ tw.inv(jr)[kr]),
-            _opnorms(tw.inv(j)[front] @ tw.mats[jr][kr]),
-            _opnorms(tu.mats[j][front] @ tu.inv(jr)[kr]),
-            _opnorms(tu.mats[jr][kr] @ tu.inv(j)[front]),
-        ], axis=1)
-        stop = stats.max(axis=1) > lam
-        stopped.append((j, front[stop], keys[stop]))
-        norms.append(stats[stop])
-        front, keys = front[~stop], keys[~stop]
-        block.append((j, front, keys))
-    stopped, order = _dfs_order(stopped)
-    return stopped, np.concatenate(norms)[order].tolist(), _dfs_order(block)[0]
+def _by_generation(level, idx, gen):
+    """(level, index) lists of generations 0, 1, ... of cubes sorted by it."""
+    cuts = np.cumsum(np.bincount(gen)).tolist()
+    return [list(zip(level[a:b].tolist(), idx[a:b].tolist()))
+            for a, b in zip([0] + cuts, cuts)]
 
 
 def _forest(W, U, p, root, lam):
-    win = W.window
+    """The stopping forest below root from one walk of its subtree.  Every
+    cube carries its generation and its owner: the row of its nearest
+    stopped ancestor, or of the root, in one growing stack of root factors
+    (V_K(W)^{-1}, V_K(W), V_K(U)^{-1}, V_K(U)).
+    """
+    win, (jr, kr) = W.window, root
     if not 1.0 < lam < math.inf:
         raise StoppingError(f"lambda must be finite and exceed 1, got {lam}")
     tw, tu = W.reducing_table(p), U.reducing_table(p)
-    generations, blocks, norms = [], [], {}
-    current = [root]
-    while current:
-        gen, blk = [], []
-        for K in current:
-            st, nm, bl = _select(win, tw, tu, K, lam)
-            gen.extend(st)
-            blk.extend(bl)
-            norms.update(zip(st, nm))
-        generations.append(gen)
-        blocks.append(blk)
-        current = gen
-    # the trailing empty generation is bookkeeping noise
-    generations.pop()
+
+    def factors(j, idx):
+        return [tw.inv(j)[idx], tw.mats[j][idx], tu.inv(j)[idx], tu.mats[j][idx]]
+
+    span = 1 << win.d * (win.depth - jr)
+    front, own, gen = np.array([kr]), np.zeros(1, dtype=int), np.zeros(1, dtype=int)
+    owners = factors(jr, front)
+    # per level: level, index, generation, stop flag and leaf-run end
+    levels = [(np.array([jr]), front, gen, np.zeros(1, dtype=bool), np.array([span]))]
+    norms = [np.empty((0, 4))]
+    for j in range(jr + 1, win.depth + 1):
+        front = win.children_index(j - 1).take(front, 0).ravel()
+        own, gen = own.repeat(win.nchild), gen.repeat(win.nchild)
+        kw_inv, kw, ku_inv, ku = owners
+        # take gathers a stack of small matrices several times faster than []
+        stats = np.stack([
+            _opnorms(tw.mats[j].take(front, 0) @ kw_inv.take(own, 0)),
+            _opnorms(tw.inv(j).take(front, 0) @ kw.take(own, 0)),
+            _opnorms(tu.mats[j].take(front, 0) @ ku_inv.take(own, 0)),
+            _opnorms(ku.take(own, 0) @ tu.inv(j).take(front, 0)),
+        ], axis=1)
+        stop = stats.max(axis=1) > lam
+        gen = gen + stop
+        own = np.where(stop, len(kw) + np.cumsum(stop) - 1, own)
+        owners = [np.concatenate([K, F]) for K, F in zip(owners, factors(j, front[stop]))]
+        norms.append(stats[stop])
+        levels.append((np.full(front.size, j), front, gen, stop,
+                       np.arange(1, front.size + 1) << win.d * (win.depth - j)))
+    # Each level is in tree order below the root, so the cube at position i
+    # of level j ends its leaf run at (i + 1) 2^{d(depth - j)}.  Sorted by
+    # generation, then by that end (descending), then by level, the cubes of
+    # one generation follow a depth-first walk that takes the last child
+    # first.  The three go into one key, below (depth + 1)^2 2^{d depth}.
+    level, idx, gen, stop, end = (np.concatenate(a) for a in zip(*levels))
+    order = np.argsort(((gen + 1) * span - end) * (win.depth + 1) + level)
+    top = order[stop[order]]
+    generations = _by_generation(level[top], idx[top], gen[top])[1:]
+    rows = np.concatenate(norms)[np.cumsum(stop)[top] - 1].tolist()
     forest = StoppingForest(
         window=win, root=root, lam=float(lam), p=float(p),
-        generations=generations, blocks=blocks, stopped_norms=norms,
+        generations=generations,
+        blocks=_by_generation(level[order], idx[order], gen[order]),
+        stopped_norms=dict(zip((c for g in generations for c in g), rows)),
     )
     forest.decay_ratios = forest.union_measures()
     return forest

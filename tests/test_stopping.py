@@ -110,14 +110,19 @@ def test_non_stopped_cubes_satisfy_bound(rng):
                 assert stats.stat(cube, owners[0]) <= lam + 1e-12
 
 
-def test_decay_with_default_lambda_random_pairs(rng):
-    win = Window.unit(1, 5)
+@pytest.mark.parametrize("d, depth, p", [
+    (1, 5, 2.0), (2, 4, 2.0), (2, 4, 3.0), (3, 3, 2.0), (3, 3, 3.0)])
+def test_decay_with_default_lambda_random_pairs(rng, d, depth, p):
+    win = Window.unit(d, depth)
     for _ in range(5):
         W = bmo.bounded_weight(win, 2, rng, char_cap=10.0)
         U = bmo.bounded_weight(win, 2, rng, char_cap=10.0)
-        lam = st.default_lambda(W, U, 2.0)
-        forest = st.build(W, U, 2.0, lam=lam)
+        forest = st.build(W, U, p, lam=st.default_lambda(W, U, p))
         assert st.verify_decay(forest).all_ok
+        cubes = [c for blk in forest.blocks for c in blk]
+        assert len(set(cubes)) == len(cubes)
+        assert len(cubes) == sum(win.cubes_at(j) for j in range(depth + 1))
+        assert st._rule_holds(forest, W, U)
 
 
 @pytest.mark.parametrize("root", [(9, 0), (2, 100), (2, -1)])
@@ -224,7 +229,11 @@ def test_forest_matches_eager_oracle(tmp_path, d, depth, p, complex_u):
     win = W.window
     stats = stop_ref._PairStats(W, U, p)
     reached = []
-    for root in (None, win.cube(1, win.nchild - 1)):
+    # the window root, a level-1 cube, a cube whose children are leaves, and
+    # a leaf, which has no level below
+    edge = win.cube(win.depth - 1, win.cubes_at(win.depth - 1) // 3)
+    leaf = win.cube(win.depth, win.cubes_at(win.depth) - 2)
+    for root in (None, win.cube(1, win.nchild - 1), edge, leaf):
         ref_root = (0, 0) if root is None else win.rel_index(root)
         for lam in (1.05, 1.2, 1.5, 2.0, 4.0):
             got = st.build(W, U, p, root=root, lam=lam)
@@ -233,6 +242,7 @@ def test_forest_matches_eager_oracle(tmp_path, d, depth, p, complex_u):
             assert got.generations == want.generations
             assert got.blocks == want.blocks
             assert got.stopped_norms == want.stopped_norms
+            assert list(got.stopped_norms) == [c for gen in got.generations for c in gen]
             assert got.decay_ratios == want.decay_ratios
             st.dump_forest(got, tmp_path / "got.json")
             stop_ref.dump_forest(want, tmp_path / "want.json")

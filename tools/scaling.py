@@ -125,6 +125,8 @@ LAYERS = {
                          ("A", "W", "U")),
     "stopping_build_p2": ("stopping.build(W, U, 2) at the default threshold",
                           lambda m, W, U: m.stopping.build(W, U, 2.0), ("W", "U")),
+    "stopping_build_deep": ("stopping.build(W, U, 2, lam=1.2), a deep forest",
+                            lambda m, W, U: m.stopping.build(W, U, 2.0, lam=1.2), ("W", "U")),
     "weighted_norm_p2": (
         "opnorm.weighted_norm_p2 of the Haar multiplier A = analyze(B), L^2(U) -> L^2(W)",
         lambda m, A, W, U: m.opnorm.weighted_norm_p2({"kind": "haar_multiplier", "A": A}, W, U),
