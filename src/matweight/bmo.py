@@ -17,13 +17,12 @@ Structure.  Every condition-family quantity runs over a cube family of
 ``_oscillations``, the averaged oscillation ||L (X - m_J X) R||^q per cube;
 (b) ``_coef_sums``, the coefficient sandwiches ||L A_s R||^2 summed down
 the tree; (c) ``_psd_top``, the top eigenvalue of PSD stacks accumulated
-down the tree and sandwiched by Y_J.
+down the tree and sandwiched by Y_J.  The Carleson sum and the extremal H^1
+instance read a cube's subtree level by level as blocks (``descendants_view``).
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
@@ -37,7 +36,9 @@ from .fields import (
     generate_weight,
     _OwnGrid,
     _check_p,
+    _count,
     _family,
+    _finite,
     _haar_coefs,
     _is_p2,
     _level_argmax,
@@ -45,6 +46,7 @@ from .fields import (
     _opnorms,
     _rel,
     _same_window,
+    _sequence,
 )
 from . import transforms as tf
 from . import opnorm as onorm
@@ -288,14 +290,13 @@ def carleson_norm(W, U, A, p):
     fam = _OwnGrid(win)
     VA = [_sandwich(c, (V,)) for c, V in zip(A.coefs, fam.reducing(W, p))]
     Uinv = fam.reducing_inv(U, p)
-    # norm sums per K, grouped by ancestor level
-    sums_per_K = [np.zeros(win.cubes_at(j)) for j in range(win.depth)]
-    for jI in range(win.depth):
-        for jK in range(jI + 1):
-            anc = win.ancestor_index(jI, jK)
-            vals = np.sum(_opnorms(_sandwich(VA[jI], (), (Uinv[jK][anc],))) ** 2, axis=1)
-            np.add.at(sums_per_K[jK], anc, vals)
-    per_level = [s / vol for s, vol in zip(sums_per_K, win.volumes)]
+    per_level = []
+    for jK, Ui in enumerate(Uinv):
+        # K's block of each level below (a copy in d >= 2) is dropped before the norms
+        prods = (_sandwich(win.descendants_view(VA[jI], jK, jI).reshape(len(Ui), -1, *Ui.shape[1:]),
+                           (), (Ui,)) for jI in range(jK, win.depth))
+        sums = sum(np.sum(_opnorms(M) ** 2, axis=1) for M in prods)
+        per_level.append(sums / win.volumes[jK])
     rep = _sup_report("carleson_norm", fam, per_level, {"p": p})
     psd = _psd_top(fam, _psd_sums(fam, VA), Uinv)
     psd_rep = _sup_report("carleson_psd", fam, psd, {"p": p})
@@ -448,10 +449,7 @@ def _extremal_instance(B, W, U, root, a2W):
     )
     frob_sq = 0.0
     for j in range(jr, win.depth):
-        anc = win.ancestor_index(j, jr) if j > jr else np.arange(win.cubes_at(jr))
-        sel = np.nonzero(anc == kr)[0]
-        if sel.size == 0:
-            continue
+        sel = win.descendants_view(np.arange(win.cubes_at(j)), jr, j)[kr]  # ascending
         sq = roots[j][sel]
         isq = _mat_isqrt(aU[j][sel])
         X = _sandwich(Bs.coefs[j][sel], (sq,), (isq,))
@@ -531,41 +529,15 @@ def duality_experiment(spec):
     return {"rows": rows, "upper_ratio_ceiling": ceiling}
 
 
-def _is_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _finite(v):
-    """``v`` as a float when it is a finite real number (not a bool); None
-    for anything else."""
-    ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-    return float(v) if ok else None
-
-
-def _sequence(ok):
-    """Reader of a non-string sequence whose items all pass ``ok``: the
-    items as a list, or None for anything else."""
-    def read(v):
-        if isinstance(v, (str, bytes)):
-            return None
-        try:
-            items = list(v)
-        except TypeError:
-            return None
-        return items if all(ok(x) for x in items) else None
-    return read
-
-
 # the weight kinds ``bounded_weight`` draws from a seed and an amplitude alone
 _DRAWN_KINDS = ("identity", "log_spd", "rotation", "scalar_power")
 
 # manifest key -> (its value as used, or None when the value is refused;
 # what the key asks for)
 _MANIFEST = {
-    **dict.fromkeys(("n", "d", "depth"), (
-        lambda v: int(v) if _is_int(v) and v > 0 else None, "a positive integer")),
+    **dict.fromkeys(("n", "d", "depth"), (_count(1), "a positive integer")),
     **dict.fromkeys(("amplitude", "char_cap", "p", "eps"), (_finite, "a finite number")),
-    "seeds": (_sequence(lambda s: _is_int(s) and s >= 0), "a sequence of nonnegative integers"),
+    "seeds": (_sequence(lambda s: _count(0)(s) is not None), "a sequence of nonnegative integers"),
     "p_values": (_sequence(lambda p: _finite(p) is not None), "a sequence of finite numbers"),
     "weight_kind": (lambda v: v if isinstance(v, str) and v in _DRAWN_KINDS else None,
                     "one of " + ", ".join(map(repr, _DRAWN_KINDS))),

@@ -267,8 +267,6 @@ class Window:
         d = self.d
         self._split = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2)) + (2 * d,)
         self._merge = tuple(p for a in range(d) for p in (a, d + a)) + (2 * d,)
-        self._children_idx = {}
-        self._block_leaf_idx = {}
         self._tree_order = None
 
     @classmethod
@@ -283,36 +281,15 @@ class Window:
         return 2 ** (self.d * j)
 
     def children_index(self, j):
-        """(cubes_j, 2^d) indices of children at level j+1."""
-        key = j
-        if key not in self._children_idx:
-            d = self.d
-            shape = (2**j,) * d
-            coords = np.unravel_index(np.arange(self.cubes_at(j)), shape)
-            cols = []
-            for b in range(self.nchild):
-                bits = [(b >> (d - 1 - a)) & 1 for a in range(d)]
-                fine = tuple(2 * coords[a] + bits[a] for a in range(d))
-                cols.append(np.ravel_multi_index(fine, (2 ** (j + 1),) * d))
-            self._children_idx[key] = np.stack(cols, axis=1)
-        return self._children_idx[key]
+        """(cubes_j, 2^d) indices of children at level j+1, as ``children_view``."""
+        return self.children_view(np.arange(self.cubes_at(j + 1)), j)
 
     def ancestor_index(self, j_fine, j_coarse):
         """Map each level-j_fine cube index to its level-j_coarse ancestor."""
-        d = self.d
-        coords = np.unravel_index(
-            np.arange(self.cubes_at(j_fine)), (2**j_fine,) * d
-        )
-        shiftn = j_fine - j_coarse
-        coarse = tuple(c >> shiftn for c in coords)
-        return np.ravel_multi_index(coarse, (2**j_coarse,) * d)
-
-    def block_leaf_index(self, j):
-        """(cubes_j, cells) leaf indices grouped per level-j cube."""
-        if j not in self._block_leaf_idx:
-            arr = np.arange(self.leafcount)
-            self._block_leaf_idx[j] = self.block_view(arr, j)
-        return self._block_leaf_idx[j]
+        blocks = self.descendants_view(np.arange(self.cubes_at(j_fine)), j_coarse, j_fine)
+        out = np.empty(blocks.size, dtype=int)
+        out[blocks] = np.arange(len(blocks))[:, None]  # the inverse of the walk
+        return out
 
     def tree_order(self):
         """Leaf permutation under which every window cube is a contiguous range.
@@ -334,11 +311,11 @@ class Window:
             ranks.append(self.children_index(j)[ranks[-1]].reshape(-1))
         return ranks
 
-    def _blocks(self, values, j, fine):
+    def descendants_view(self, values, j, fine):
         """Level-``fine`` data reshaped to (cubes_j, cells, ...): each level-j
-        cube's level-``fine`` cubes in C order over their per-axis offsets.
-        In d = 1 these are runs, so the result is a view; in d >= 2 it is
-        a transpose copy."""
+        cube's level-``fine`` cubes in C order over their per-axis offsets,
+        which is ascending flat index.  In d = 1 these are runs, so the
+        result is a view; in d >= 2 it is a transpose copy."""
         d, r = self.d, fine - j
         trailing = values.shape[1:]
         if d > 1:
@@ -347,12 +324,12 @@ class Window:
 
     def block_view(self, values, j):
         """Reshape leaf-indexed data to (cubes_j, cells_per_cube, ...)."""
-        return self._blocks(values, j, self.depth)
+        return self.descendants_view(values, j, self.depth)
 
     def children_view(self, values, j):
         """Level-(j+1) data as (cubes_j, 2^d, ...), children in offset-bit
-        order: ``values[children_index(j)]`` as a reshape, a view in d = 1."""
-        return self._blocks(values, j, j + 1)
+        order; a view in d = 1."""
+        return self.descendants_view(values, j, j + 1)
 
     def children_flat(self, kids, j):
         """Inverse of ``children_view``: (cubes_j, 2^d or 1, ...) data to

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -1018,7 +1019,7 @@ def _axis_power_averages(edges_lo, h, x0, alpha, count):
     for i in range(count):
         lo = edges_lo + i * h
         hi = lo + h
-        lof, hif, x0f = float(lo - x0), float(hi - x0), 0.0
+        lof, hif = float(lo - x0), float(hi - x0)
         if lof >= 0:
             out[i] = (hif**a1 - lof**a1) / (a1 * float(h))
         elif hif <= 0:
@@ -1030,13 +1031,11 @@ def _axis_power_averages(edges_lo, h, x0, alpha, count):
 
 def _power_diag_entry(window, alpha, x0):
     d, L = window.d, window.depth
+    if len(x0) != d:
+        raise FieldError(f"need one singular point coordinate per axis, got x0 = {x0!r}")
     c0 = window.root.corner
     h = window.leaf_side
-    axes = []
-    for a in range(d):
-        axes.append(
-            _axis_power_averages(c0[a], h, float(x0[a]), alpha, 2**L)
-        )
+    axes = [_axis_power_averages(c0[a], h, float(x0[a]), alpha, 2**L) for a in range(d)]
     grid = axes[0]
     for a in range(1, d):
         grid = np.multiply.outer(grid, axes[a])
@@ -1056,15 +1055,11 @@ def _rotation(theta):
 def _theta_values(spec, window, rng):
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return np.full(window.leafcount, float(spec.get("value", 0.0)))
+        return np.full(window.leafcount, spec.get("value", 0.0))
     if kind == "linear":
-        centers = window.leaf_centers()
-        return float(spec.get("a", 1.0)) * centers.sum(axis=1) + float(
-            spec.get("b", 0.0)
-        )
+        return spec.get("a", 1.0) * window.leaf_centers().sum(axis=1) + spec.get("b", 0.0)
     if kind == "random":
-        amp = float(spec.get("amplitude", 1.0))
-        return amp * rng.uniform(-np.pi, np.pi, window.leafcount)
+        return spec.get("amplitude", 1.0) * rng.uniform(-np.pi, np.pi, window.leafcount)
     raise FieldError(f"unknown theta spec kind {kind!r}")
 
 
@@ -1087,6 +1082,67 @@ def _log_spd_leaves(window, n, amplitude, rng, levels=None):
     return np.einsum("lab,lb,lcb->lac", vecs, np.exp(vals), vecs)
 
 
+def _count(low):
+    """Reader of an integer (not a bool) of at least ``low``: the value as an
+    int, or None for anything else."""
+    def read(v):
+        ok = isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
+        return int(v) if ok else None
+    return read
+
+
+def _finite(v):
+    """``v`` as a float when it is a finite real number (not a bool); None
+    for anything else."""
+    ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    return float(v) if ok else None
+
+
+def _sequence(ok):
+    """Reader of a non-string sequence whose items all pass ``ok``: the
+    items as a list, or None for anything else."""
+    def read(v):
+        if isinstance(v, (str, bytes)):
+            return None
+        try:
+            items = list(v)
+        except TypeError:
+            return None
+        return items if all(ok(x) for x in items) else None
+    return read
+
+
+_objects = _sequence(lambda s: isinstance(s, dict))
+
+# weight spec key -> (its value as used, or None when the value is refused;
+# what the key asks for), nested theta and lambda objects included
+_SPEC = {
+    **dict.fromkeys(("n", "d", "depth", "shift"), (_count(1), "a positive integer")),
+    **dict.fromkeys(("seed", "levels"), (_count(0), "a nonnegative integer")),
+    **dict.fromkeys(("amplitude", "alpha", "value", "a", "b", "sigma"), (_finite, "a finite number")),
+    **dict.fromkeys(("alphas", "x0"), (
+        _sequence(lambda x: _finite(x) is not None), "a sequence of finite numbers")),
+    "kind": (lambda v: v if isinstance(v, str) else None, "a string"),
+    "weight": (lambda v: v if isinstance(v, bool) else None, "true or false"),
+    "theta": (lambda v: _read_spec(v) if isinstance(v, dict) else None, "a JSON object"),
+    "lambda": (lambda v: [_read_spec(x) for x in s] if (s := _objects(v)) and len(s) == 2
+               else None, "a sequence of two JSON objects"),
+}
+
+
+def _read_spec(spec):
+    """The weight spec ``spec`` with each key of ``_SPEC`` that it gives read
+    through its check, before anything is built.  FieldError, naming the
+    key, for a given value of the wrong type or range."""
+    given = {}
+    for key, (read, what) in _SPEC.items():
+        if key in spec:
+            given[key] = read(spec[key])
+            if given[key] is None:
+                raise FieldError(f"weight spec key {key!r} must be {what}, got {spec[key]!r}")
+    return {**spec, **given}
+
+
 def generate_weight(spec, window=None):
     """Build a weight field from a JSON-style spec dict.
 
@@ -1095,20 +1151,16 @@ def generate_weight(spec, window=None):
     ``rotation`` (n = 2 conjugated diagonal), ``log_spd`` (random bounded
     log-eigenvalue oscillation), ``leaves`` (explicit per-leaf list).
     """
+    spec = _read_spec(spec)
     if window is None:
-        d = int(spec.get("d", 1))
-        depth = int(spec.get("depth", 8))
-        shift = spec.get("shift")
-        window = Window.unit(d, depth, shift=shift)
+        window = Window.unit(spec.get("d", 1), spec.get("depth", 8), shift=spec.get("shift"))
     kind = spec.get("kind")
-    n = int(spec.get("n", 1))
+    n = spec.get("n", 1)
     rng = np.random.default_rng(spec.get("seed", 0))
     if kind == "identity":
         return MatrixField.identity(window, n)
     if kind == "scalar_power":
-        alphas = spec.get("alphas")
-        if alphas is None:
-            alphas = [float(spec.get("alpha", 0.5))] * n
+        alphas = spec.get("alphas", [spec.get("alpha", 0.5)] * n)
         if len(alphas) != n:
             raise FieldError("need one exponent per diagonal entry")
         x0 = spec.get("x0", [0.0] * window.d)
@@ -1125,28 +1177,22 @@ def generate_weight(spec, window=None):
         for i, sub in enumerate(lam_specs):
             skind = sub.get("kind", "constant")
             if skind == "constant":
-                diag[:, i] = float(sub.get("value", 1.0))
+                diag[:, i] = sub.get("value", 1.0)
             elif skind == "scalar_power":
                 diag[:, i] = _power_diag_entry(
-                    window, float(sub.get("alpha", 0.5)),
-                    sub.get("x0", [0.0] * window.d),
-                )
+                    window, sub.get("alpha", 0.5), sub.get("x0", [0.0] * window.d))
             elif skind == "lognormal":
-                diag[:, i] = np.exp(
-                    float(sub.get("sigma", 0.5))
-                    * rng.standard_normal(window.leafcount)
-                )
+                diag[:, i] = np.exp(sub.get("sigma", 0.5) * rng.standard_normal(window.leafcount))
             else:
                 raise FieldError(f"unknown lambda spec kind {skind!r}")
         R = _rotation(theta)
         leaves = np.einsum("lba,lb,lbc->lac", R, diag, R)
         return MatrixField(window, leaves, weight=True)
     if kind == "log_spd":
-        amp = float(spec.get("amplitude", 0.6))
-        leaves = _log_spd_leaves(window, n, amp, rng, spec.get("levels"))
+        leaves = _log_spd_leaves(window, n, spec.get("amplitude", 0.6), rng, spec.get("levels"))
         return MatrixField(window, leaves, weight=True)
     if kind == "leaves":
-        return MatrixField(window, spec["values"], weight=bool(spec.get("weight", True)))
+        return MatrixField(window, spec["values"], weight=spec.get("weight", True))
     raise FieldError(f"unknown weight spec kind {kind!r}")
 
 

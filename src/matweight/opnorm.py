@@ -345,13 +345,13 @@ def lp_opnorm_estimate(T, W, U, p, budget=60):
     for j in range(levels):
         K = win.cubes_at(j)
         chi = np.zeros((win.leafcount, K))
-        chi[win.block_leaf_index(j), np.arange(K)[:, None]] = 1.0
+        chi[win.block_view(np.arange(win.leafcount), j), np.arange(K)[:, None]] = 1.0
         # (leaves, n, cube, i, variant): columns in (cube, i, variant) order
         cols = chi[:, None, :, None, None] * table[:, :, None]
         blocks.append(cols.reshape(win.leafcount, n, -1))
         # a column's mass sums its cube's leaves in leaf order, as the sum
         # over all leaves of the column does
-        dens.append(win.leaf_volume * leaf_mass[win.block_leaf_index(j)].sum(axis=1).reshape(-1))
+        dens.append(win.leaf_volume * win.block_view(leaf_mass, j).sum(axis=1).reshape(-1))
     F = np.concatenate(blocks, axis=-1)
     del blocks
     r = ratio(_weighted_lp_mass(WP, forward(F), p, win.leaf_volume)[2], np.concatenate(dens))

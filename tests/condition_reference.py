@@ -110,7 +110,7 @@ def bmo_original(B, W, U, p, eps=1.0):
     per_level = []
     for j in range(win.depth):
         C = np.linalg.inv(aUp[j])
-        idx = win.block_leaf_index(j)
+        idx = win.block_view(np.arange(win.leafcount), j)
         Bl = B.leaves[idx]
         M = np.einsum(
             "kab,kcbd,kde->kcae", aWp[j], Bl - aB[j][:, None], C
@@ -216,7 +216,7 @@ def bloom_bprime(B, W, U, p):
     aB = B.level_averages()
     per_level = []
     for j in range(win.depth):
-        idx = win.block_leaf_index(j)
+        idx = win.block_view(np.arange(win.leafcount), j)
         M = np.einsum(
             "kcab,kcbd,kde->kcae",
             Wp[idx], B.leaves[idx] - aB[j][:, None], tu.inv(j),
@@ -236,7 +236,7 @@ def bloom_cprime(B, W, U, p):
     aBh = win.level_averages(Bh)
     per_level = []
     for j in range(win.depth):
-        idx = win.block_leaf_index(j)
+        idx = win.block_view(np.arange(win.leafcount), j)
         M = np.einsum(
             "kcab,kcbd,kde->kcae",
             Um[idx], Bh[idx] - aBh[j][:, None], twd.inv(j),
@@ -324,7 +324,7 @@ def jn_p2_pair(B, W, eps=1.0):
     left_per, right_per = [], []
     for j in range(win.depth):
         isq = _mat_isqrt(aW[j])
-        idx = win.block_leaf_index(j)
+        idx = win.block_view(np.arange(win.leafcount), j)
         Ml = np.einsum(
             "kab,kcbd,kde->kcae", isq, B.leaves[idx] - aB[j][:, None], isq
         )
@@ -347,7 +347,7 @@ def vector_jn(f, W, p):
     af = f.level_averages()
     wt_per, plain_per = [], []
     for j in range(win.depth):
-        idx = win.block_leaf_index(j)
+        idx = win.block_view(np.arange(win.leafcount), j)
         osc = f.leaves[idx] - af[j][:, None]
         v = np.einsum("kcab,kbd,kcd->kca", Wp[idx], tw.inv(j), osc)
         wt_per.append((j, np.mean(np.linalg.norm(v, axis=2) ** p, axis=1)))

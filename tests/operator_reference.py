@@ -17,7 +17,8 @@ order, at 1e-12 relative; the p = 2 norms, found by another method, at
 L^p mass or an eigensolver; only the field classes, window index plumbing,
 reducing tables and the leafwise matrix roots come from the library.
 Level averages are this module's own ``level_averages``, a gather through
-``children_index``, so they check the library's reshape walk.
+``children_index``, which ``test_dyadic.test_index_maps_match_exact_geometry``
+pins to exact cube geometry, so they check the library's reshape walk.
 """
 
 from __future__ import annotations
@@ -410,7 +411,7 @@ def lp_opnorm_estimate(T, W, U, p, budget=60, rng=None):
     cols = []
     eye = np.eye(n)
     for j in range(win.depth + 1):
-        idx = win.block_leaf_index(j)
+        idx = win.block_view(np.arange(win.leafcount), j)
         for k in range(win.cubes_at(j)):
             chi = np.zeros((win.leafcount, 1))
             chi[idx[k]] = 1.0

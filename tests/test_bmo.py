@@ -678,7 +678,7 @@ def test_extremal_instance_deeper_cube(rng):
         assert h1S <= bound * (1 + 1e-9)
         # the field is supported inside J
         j, k = root
-        idx = win.block_leaf_index(j)[k]
+        idx = win.block_view(np.arange(win.leafcount), j)[k]
         mask = np.ones(win.leafcount, dtype=bool)
         mask[idx] = False
         assert np.max(np.abs(fld.leaves[mask])) < 1e-13

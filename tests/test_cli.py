@@ -211,6 +211,28 @@ def test_library_seeds_take_any_integer_sequence(seeds):
     assert [r["a2W"] for r in got["rows"]] == [r["a2W"] for r in want["rows"]]
 
 
+@pytest.mark.parametrize("extra, key", [
+    ({"kind": "log_spd", "levels": "x"}, "levels"),
+    ({"kind": "rotation", "theta": 5}, "theta"),
+    ({"kind": "rotation", "lambda": [1, 2]}, "lambda"),
+    ({"kind": "scalar_power", "alphas": 3}, "alphas"),
+    ({"kind": "log_spd", "seed": "a"}, "seed"),
+    ({"kind": "log_spd", "n": 0}, "n"),
+    ({"kind": "log_spd", "depth": 2.5}, "depth"),
+    ({"kind": "rotation", "theta": {"kind": "linear", "a": "x"}}, "a"),
+    ({"kind": "rotation", "lambda": [{"kind": "lognormal", "sigma": None}, {}]}, "sigma"),
+], ids=lambda v: repr(v))
+def test_gen_refuses_malformed_weight_specs(tmp_path, capsys, extra, key):
+    # a bad spec value is bad input: exit 2 with the key named, nothing written
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 2, "d": 1, "depth": 3, **extra}))
+    out = tmp_path / "w.mwf"
+    capsys.readouterr()
+    assert main(["gen", "--spec", str(spec), "--out", str(out)]) == 2
+    assert f"error: weight spec key {key!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["gen", "verify", "duality", "jn"])
 def test_spec_and_manifest_must_be_json_objects(tmp_path, capsys, command):
     doc = tmp_path / "doc.json"

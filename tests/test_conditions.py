@@ -62,7 +62,7 @@ def _same_report(got, want):
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_condition_family_matches_per_quantity_oracle(rng, n, d, p, kind):
     W, U, B, f = _setup(rng, d, n, kind)

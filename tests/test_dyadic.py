@@ -235,17 +235,65 @@ def test_block_view_and_averages():
     assert np.isclose(avgs[0][0], vals.mean())
 
 
+def _geometric_children(win, j):
+    """(cubes_j, 2^d) flat indices of ``DyadicCube.child`` of every level-j cube."""
+    rows = []
+    for k in range(win.cubes_at(j)):
+        kids = [win.rel_index(win.cube(j, k).child(b)) for b in range(win.nchild)]
+        assert all(level == j + 1 for level, _ in kids)
+        rows.append([idx for _, idx in kids])
+    return np.array(rows)
+
+
+# own grids and shifted grids, roots at the origin and off it, d = 1, 2, 3
+_INDEX_WINDOWS = [
+    Window.unit(1, 4),
+    Window(DyadicGrid(1, 1).cube(2, (3,)), 4),
+    Window.unit(2, 3),
+    Window(DyadicGrid(2, 1).cube(3, (5, -2)), 3),
+    Window(DyadicGrid(3, 5).cube(-1, (1, 0, -1)), 2),
+    Window.unit(3, 2, shift=3),
+]
+
+
+@pytest.mark.parametrize("win", _INDEX_WINDOWS, ids=repr)
+def test_index_maps_match_exact_geometry(win):
+    # children_index, ancestor_index and descendants_view are one reshape
+    # walk; here each is rebuilt from DyadicCube.child / parent and rel_index
+    for j in range(win.depth):
+        assert np.array_equal(win.children_index(j), _geometric_children(win, j))
+    for fine in range(win.depth + 1):
+        vals = np.arange(win.cubes_at(fine)) * 1.5 - 7.0
+        for j in range(fine + 1):
+            up = []
+            for k in range(win.cubes_at(fine)):
+                cube = win.cube(fine, k)
+                for _ in range(fine - j):
+                    cube = cube.parent()
+                up.append(win.rel_index(cube))
+            assert up == [(j, int(a)) for a in win.ancestor_index(fine, j)]
+            blocks = win.descendants_view(vals, j, fine)
+            for k in range(win.cubes_at(j)):
+                below = [win.cube(j, k)]
+                for _ in range(fine - j):
+                    below = [c for cube in below for c in children(cube)]
+                # every descendant, in ascending flat index
+                idx = sorted(win.rel_index(c)[1] for c in below)
+                assert np.array_equal(blocks[k], vals[idx])
+
+
 @pytest.mark.parametrize("d, depth", [(1, 4), (2, 3), (3, 2)])
 @pytest.mark.parametrize("trailing", [(), (2,), (2, 3)])
 def test_children_view_is_the_children_index_gather(d, depth, trailing):
-    # the reshape walk and its inverse equal the index gather and scatter
-    # bit for bit, on complex data with trailing batch axes
+    # the reshape walk and its inverse equal the gather and scatter through
+    # the children of exact cube geometry, bit for bit, on complex data with
+    # trailing batch axes
     win = Window.unit(d, depth)
     rng = np.random.default_rng([d, depth, len(trailing)])
     for j in range(depth):
         shape = (win.cubes_at(j + 1),) + trailing
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        idx = win.children_index(j)
+        idx = _geometric_children(win, j)
         kids = win.children_view(vals, j)
         assert np.array_equal(kids, vals[idx])
         assert d > 1 or np.shares_memory(kids, vals)  # a view in d = 1
@@ -269,7 +317,7 @@ def test_tree_order_makes_every_cube_a_run(d, depth):
         assert sorted(owners) == list(range(win.cubes_at(j)))
         for k, cube in enumerate(owners):
             run = order[k * cells : (k + 1) * cells]
-            assert sorted(run) == sorted(win.block_leaf_index(j)[cube])
+            assert sorted(run) == sorted(win.block_view(np.arange(win.leafcount), j)[cube])
 
 
 def _grid_cases():

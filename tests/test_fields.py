@@ -250,7 +250,7 @@ def _dense_own_grid_ap(W, p, max_rel_level):
     best, best_cube = 0.0, (0, 0)
     per_level = []
     for j in range(0, max_rel_level + 1):
-        idx = win.block_leaf_index(j)
+        idx = win.block_view(np.arange(win.leafcount), j)
         Hb = H[idx[:, :, None], idx[:, None, :]]
         inner = Hb.mean(axis=2) ** (p / pp)
         vals = inner.mean(axis=1)
@@ -531,7 +531,7 @@ def test_reducing_diagonal_p4_direction_bruteforce(rng):
     Wp = W.power(1.0 / p).leaves
     dirs = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [-0.8, 0.6]])
     for j, k in ((0, 0), (2, 1)):
-        sl = win.block_leaf_index(j)[k]
+        sl = win.block_view(np.arange(win.leafcount), j)[k]
         for e in dirs:
             rho = float(
                 np.mean(np.linalg.norm(Wp[sl] @ e, axis=1) ** p) ** (1.0 / p)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,39 @@ def test_two_captures_agree_and_one_byte_is_caught(tmp_path, same_numbers, capsy
     capsys.readouterr()
     assert same_numbers.main(["compare", str(a), str(b)]) == 1
     assert "differs: verify_tiny.csv" in capsys.readouterr().out
+
+
+def test_compare_says_how_far_json_numbers_moved(tmp_path, same_numbers, capsys):
+    doc = {"rows": [{"carleson_norm": 2.5, "seed": 0, "witness": "2/0/0"}],
+           "bands": {"x": [1.0, 0.0]}, "ok": True}
+    a, b = tmp_path / "a", tmp_path / "b"
+    for folder in (a, b):
+        folder.mkdir()
+        (folder / "same.json").write_text(json.dumps(doc))
+    nudged = json.loads(json.dumps(doc))
+    nudged["rows"][0]["carleson_norm"] = math.nextafter(2.5, 3.0)
+    (b / "nudged.json").write_text(json.dumps(nudged))
+    (a / "nudged.json").write_text(json.dumps(doc))
+    renamed = json.loads(json.dumps(doc))
+    renamed["rows"][0]["carleson"] = renamed["rows"][0].pop("carleson_norm")
+    (b / "renamed.json").write_text(json.dumps(renamed))
+    (a / "renamed.json").write_text(json.dumps(doc))
+    (a / "body.csv").write_text("1,2\n")
+    (b / "body.csv").write_text("1,3\n")
+
+    count, total, worst, path = same_numbers.json_drift(a / "nudged.json", b / "nudged.json")
+    assert (count, total, path) == (1, 4, "$.rows[0].carleson_norm")
+    assert worst == pytest.approx(2.0**-52 * 2 / 2.5, rel=1e-12)  # one ulp of 2.5
+    assert same_numbers.json_drift(a / "renamed.json", b / "renamed.json") is None
+    assert same_numbers.json_drift(a / "same.json", b / "same.json") == (0, 4, 0.0, None)
+
+    capsys.readouterr()
+    assert same_numbers.main(["compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "differs: body.csv",
+        "differs: nudged.json (1 of 4 numbers differ, largest relative difference "
+        f"{worst:.3g} at $.rows[0].carleson_norm)",
+        "differs: renamed.json (structure differs)",
+        "3 of the files differ",
+    ]

@@ -18,8 +18,12 @@ with DIR as the working directory, so no output names a path.  It writes:
 - the standard output of every command, ``ap`` included.
 
 ``compare`` prints every file that is missing on one side or differs, and
-exits 1 if there is any.  To check that a change keeps the numbers, capture
-at the parent and at the change, each from its own checkout, and compare.
+exits 1 if there is any.  For a differing JSON file it also says how far
+the numbers moved: how many differ, the largest relative difference and
+the key path of that number, or that the two sides differ in structure
+(keys, lengths or a value other than a number).  To check that a change
+keeps the numbers, capture at the parent and at the change, each from its
+own checkout, and compare.
 Standard library only, besides the checkout's own package.
 """
 
@@ -29,6 +33,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -122,6 +127,56 @@ def compare(a, b):
     )
 
 
+def _split(doc, path, numbers):
+    """``doc`` with every number replaced by None; the numbers go into
+    ``numbers`` under their key paths."""
+    if isinstance(doc, dict):
+        return {k: _split(v, f"{path}.{k}", numbers) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_split(v, f"{path}[{i}]", numbers) for i, v in enumerate(doc)]
+    if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        numbers[path] = doc
+        return None
+    return doc
+
+
+def _relative(x, y):
+    if x == y or (x != x and y != y):  # equal, or both NaN
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def json_drift(a, b):
+    """(numbers that differ, numbers, largest relative difference, its key
+    path or None when no number moved) of two JSON files of the same
+    structure; None if either does not parse or their structures differ."""
+    numbers = {}, {}
+    try:
+        shapes = [_split(json.loads(Path(f).read_text()), "$", n) for f, n in zip((a, b), numbers)]
+    except ValueError:
+        return None
+    if shapes[0] != shapes[1]:
+        return None
+    rel = {path: _relative(x, numbers[1][path]) for path, x in numbers[0].items()}
+    worst = max(rel, key=rel.get, default=None)
+    count = sum(r > 0 for r in rel.values())
+    return count, len(rel), rel.get(worst, 0.0), worst if count else None
+
+
+def _describe(a, b, name):
+    """The line ``compare`` prints for a file that differs."""
+    if not (name.endswith(".json") and (a / name).is_file() and (b / name).is_file()):
+        return f"differs: {name}"
+    drift = json_drift(a / name, b / name)
+    if drift is None:
+        return f"differs: {name} (structure differs)"
+    count, total, worst, path = drift
+    moved = f", largest relative difference {worst:.3g} at {path}" if count else ""
+    return f"differs: {name} ({count} of {total} numbers differ{moved})"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -137,7 +192,7 @@ def main(argv=None):
         return 0
     diffs = compare(args.a, args.b)
     for name in diffs:
-        print(f"differs: {name}")
+        print(_describe(Path(args.a), Path(args.b), name))
     print(f"{len(diffs)} of the files differ")
     return 1 if diffs else 0
 
