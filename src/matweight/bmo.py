@@ -13,7 +13,8 @@ normalization that makes them scale invariant and comparable (within a
 dimensional factor n) to the squared-norm sums.
 
 Structure.  Every condition-family quantity runs over a cube family of
-``fields`` (``_OwnGrid``, ``_ShiftedGrid``) through three kernels: (a)
+``fields`` (``_OwnGrid``, ``_ShiftedGrid``, which walk their levels alike:
+per-level means, kids and leaf blocks) through three kernels: (a)
 ``_oscillations``, the averaged oscillation ||L (X - m_J X) R||^q per cube;
 (b) ``_coef_sums``, the coefficient sandwiches ||L A_s R||^2 summed down
 the tree; (c) ``_psd_top``, the top eigenvalue of PSD stacks accumulated
@@ -24,7 +25,7 @@ instance read a cube's subtree level by level as blocks (``descendants_view``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -151,9 +152,10 @@ def _oscillations(fam, p, epsilons, terms):
     out = []
     for X, qs, factors in terms:
         vals = [[] for _ in qs]
+        means = fam.means(X)
         for i in range(fam.top):
             blocks = partial(fam.leaf_blocks, i=i)
-            M = _sandwich(blocks(X.leaves) - fam.mean(X, i)[:, None], *factors(i, blocks))
+            M = _sandwich(blocks(X.leaves) - means[i][:, None], *factors(i, blocks))
             norms = _opnorms(M) if M.ndim == 4 else np.linalg.norm(M, axis=2)
             for v, q in zip(vals, qs):
                 v.append(fam.piece_mean(i, norms**q))
@@ -175,9 +177,11 @@ def bmo_original_sweep(B, W, U, p, epsilons):
 
 
 def _bmo_original(fam, B, W, U, p, epsilons):
+    means = cache(fam.means)  # every level's means of a power, formed once
+
     def factors(i, blocks):
-        Up = fam.mean(U.power(1.0 / p), i)
-        return (fam.mean(W.power(1.0 / p), i),), (np.linalg.inv(Up),)
+        Up = means(U.power(1.0 / p))[i]
+        return (means(W.power(1.0 / p))[i],), (np.linalg.inv(Up),)
 
     vals = _oscillations(fam, p, epsilons, [(B, [1.0 + e for e in epsilons], factors)])
     return [
@@ -206,7 +210,7 @@ def jn_p2_pair(B, W, eps=1.0):
     """Proposition-style p = 2 pair: averaged sandwich oscillation vs the
     pointwise-left-root square oscillation; returns (left, right) reports."""
     fam = _OwnGrid(_same_window(B, W))
-    isq = [_mat_isqrt(fam.mean(W, i)) for i in range(fam.top)]
+    isq = [_mat_isqrt(m) for m in fam.means(W)[: fam.top]]
     Wm = W.power(-0.5).leaves
     left, right = _oscillations(fam, 2.0, (eps,), [
         (B, (1.0 + eps,), lambda i, blocks: ((isq[i],), (isq[i],))),
@@ -639,7 +643,7 @@ def bmo_over_shifted_grids(B, W, U, p, eps=1.0):
 
 def _grid_pair(fam, B, W, U, p, eps):
     (bo,) = _bmo_original(fam, B, W, U, p, (eps,))
-    coefs = _haar_coefs(fam, [fam.mean(B, i) for i in range(fam.top + 1)])
+    coefs = _haar_coefs(fam, fam.means(B))
     return bo.supremum, _condition_b(fam, W, U, coefs, p).supremum
 
 

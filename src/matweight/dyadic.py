@@ -20,7 +20,9 @@ time.  Down to the leaf level a cube's side is a whole number of leaf
 sides, so every cube of a level overlaps the same pattern of leaf pieces,
 shifted by whole leaves: the exact rational overlap is computed once per
 (level, axis) and shared by every cube of the level
-(``enumerate_grid_cubes``, ``cube_pieces``, ``grid_children_index``).
+(``enumerate_grid_cubes``, ``cube_pieces``): a level's pieces are one
+strided window over the leaves, and its cubes' children one box of the
+next level's positions.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GridError",
@@ -42,8 +45,6 @@ __all__ = [
     "Signature",
     "Window",
     "children",
-    "haar_eval",
-    "signature_product",
     "containing_shifted_cube",
     "sign_table",
 ]
@@ -149,11 +150,6 @@ class DyadicCube:
         m = tuple((self.position[a] - sgn * u[a]) // 2 for a in range(d))
         return DyadicCube(self.grid, self.level - 1, m)
 
-    def contains_point(self, x):
-        c = self.corner
-        s = self.side
-        return all(ci <= Fraction(xi) < ci + s for ci, xi in zip(c, x))
-
     def contains_box(self, corner, side):
         c = self.corner
         s = self.side
@@ -193,33 +189,6 @@ class Signature:
     @classmethod
     def from_int(cls, value, dimension):
         return cls(tuple((value >> (dimension - 1 - a)) & 1 for a in range(dimension)))
-
-
-def signature_product(eps, eps2):
-    """Signature psi with h_I^psi = |I|^{1/2} h_I^eps h_I^{eps'} (componentwise XNOR)."""
-    if eps.dimension != eps2.dimension:
-        raise GridError("signatures must share a dimension")
-    return Signature(tuple(1 if a == b else 0 for a, b in zip(eps.bits, eps2.bits)))
-
-
-def haar_eval(cube, sig, x):
-    """Evaluate the tensor Haar function h_I^eps at a point (zero off I).
-
-    Per axis, epsilon_i = 1 gives the normalized indicator and epsilon_i = 0
-    the left-minus-right oscillation.
-    """
-    if sig.dimension != cube.grid.dimension:
-        raise GridError("signature dimension must match the cube")
-    if not cube.contains_point(x):
-        return 0.0
-    c = cube.corner
-    s = cube.side
-    scale = float(s) ** (-0.5 * cube.grid.dimension)
-    val = scale
-    for a, (eb, xa) in enumerate(zip(sig.bits, x)):
-        if eb == 0 and Fraction(xa) >= c[a] + s / 2:
-            val = -val
-    return val
 
 
 def _sig_child_sign(sig_int, child_int, d):
@@ -316,11 +285,17 @@ class Window:
         cube's level-``fine`` cubes in C order over their per-axis offsets,
         which is ascending flat index.  In d = 1 these are runs, so the
         result is a view; in d >= 2 it is a transpose copy."""
-        d, r = self.d, fine - j
-        trailing = values.shape[1:]
+        boxed = values.reshape((2**fine,) * self.d + values.shape[1:])
+        return self.box_blocks(boxed, (2**j,) * self.d, 2 ** (fine - j))
+
+    def box_blocks(self, values, coarse, side):
+        """Data with one leading axis per axis, ``coarse[a] * side`` long, as
+        (blocks, side^d, ...) in C order: a view in d = 1, else a copy."""
+        d, trailing = self.d, values.shape[self.d :]
         if d > 1:
-            values = values.reshape((2**j, 2**r) * d + (-1,)).transpose(self._split)
-        return values.reshape((self.cubes_at(j), 2 ** (d * r)) + trailing)
+            split = tuple(x for c in coarse for x in (c, side))
+            values = values.reshape(split + (-1,)).transpose(self._split)
+        return values.reshape((math.prod(coarse), side**d) + trailing)
 
     def block_view(self, values, j):
         """Reshape leaf-indexed data to (cubes_j, cells_per_cube, ...)."""
@@ -510,44 +485,33 @@ def enumerate_grid_cubes(window, shift, max_level=None):
 def cube_pieces(window, shift, level):
     """Exact overlap of every D^shift cube of one level with the window leaves.
 
-    Returns (idx, vols): ``idx[c]`` holds the leaf indices met by cube c (in
-    the order of ``enumerate_grid_cubes``) and ``vols`` their overlap
-    volumes, which are the same for every cube of the level.  Each distinct
-    product of axis overlaps is formed once as an exact rational and then
-    converted to float.
+    Returns (take, vols) for a level that has cubes.  ``take(values)`` is
+    leaf data (leafcount, ...) as (cubes, pieces, ...), the leaves met by
+    cube c (in the order of ``enumerate_grid_cubes``) in C order: a strided
+    window over the leaves, a view in d = 1.  ``vols`` are their overlap
+    volumes, shared by the level's cubes, off a 3^d table of exact products.
     """
     d, L = window.d, window.depth
     r = 2 ** (window.root.level + L - level)
-    idx = np.zeros((1,) * (2 * d), dtype=int)
-    codes, values = [], []
-    for a, (_, count, lo, pieces, first, last) in enumerate(
-        _grid_level_axes(window, shift, level)
-    ):
-        leaves = lo + r * np.arange(count)[:, None] + np.arange(pieces)
-        shape = [1] * (2 * d)
-        shape[a], shape[d + a] = count, pieces
-        idx = idx + leaves.reshape(shape) * 2 ** (L * (d - 1 - a))
+    codes, overlaps, box = [], [], []
+    for _, count, lo, pieces, first, last in _grid_level_axes(window, shift, level):
         code = np.ones(pieces, dtype=int)  # interior leaves overlap fully
         code[0], code[-1] = 0, 2  # a single leaf is overlapped fully: last = 1
         codes.append(code)
-        values.append((first, Fraction(1), last))
+        overlaps.append((first, Fraction(1), last))
+        box.append(slice(lo, lo + r * count, r))  # cube i's first leaf is lo + r i
     unit = window.leaf_side**d
     table = np.array(
-        [float(math.prod(combo) * unit) for combo in itertools.product(*values)]
+        [float(math.prod(combo) * unit) for combo in itertools.product(*overlaps)]
     ).reshape((3,) * d)
     vols = table[np.ix_(*codes)].reshape(-1)
-    return idx.reshape(-1, vols.size), vols
+    shape = [len(code) for code in codes]
 
+    def take(values):
+        trailing = values.shape[1:]
+        boxed = values.reshape((2**L,) * d + trailing)
+        x = sliding_window_view(boxed, shape, axis=tuple(range(d)))[tuple(box)]
+        x = np.moveaxis(x, tuple(range(-d, 0)), tuple(range(d, 2 * d)))
+        return x.reshape((-1, vols.size) + trailing)
 
-def grid_children_index(grid, level, positions, below):
-    """(cubes, 2^d) indices of the children of the cubes of ``grid`` at
-    ``positions`` (one level, as from ``enumerate_grid_cubes``) among
-    ``below``, the positions of the next level in the same C order over a
-    box; children in offset-bit order, as ``DyadicCube.child`` numbers them.
-    """
-    d = grid.dimension
-    sgn = -1 if level % 2 else 1
-    bits = (np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
-    child = 2 * positions[:, None, :] + sgn * np.array(grid.shift_numerators) + bits
-    lo, counts = below[0], below[-1] - below[0] + 1
-    return np.ravel_multi_index(tuple(np.moveaxis(child - lo, -1, 0)), tuple(counts))
+    return take, vols

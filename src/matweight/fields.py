@@ -27,7 +27,7 @@ no complex (leaves, n, dirs) temporary is formed.  The own grid's reducing
 fit takes the window in tree-order blocks of at most
 ``_ROW_BUDGET`` / (8 dirs) leaves and fits each block's cubes in one call,
 so it holds O(block + N / block * dirs) beyond the O(N n^2) table; a
-shifted grid still holds the net powers of every leaf, O(N * dirs).
+shifted grid forms the net powers of every leaf, O(N * dirs), a net at a time.
 
 Dtypes.  A field is float64 when the data it is built from are real and
 complex128 otherwise (``np.result_type(data, float64)``), and everything
@@ -41,9 +41,10 @@ operators and witness cubes.  ``_OwnGrid`` is the window's own grid: each
 cube is a block of whole leaves, read off cached level data, and its
 ``kids`` and ``leaf_blocks`` are reshapes of C-order level data
 (``Window.children_view``, ``Window.block_view``).
-``_ShiftedGrid`` holds the cubes of D^t inside the window box: every cube
-of a level meets the same pattern of leaf pieces, with exact volumes, and
-its ``kids`` and ``leaf_blocks`` gather through index arrays.  The
+``_ShiftedGrid`` holds the cubes of D^t inside the window box, walked
+alike: its ``kids`` slice the next level's box of positions, its
+``leaf_blocks`` are a strided window over the leaf pieces (exact volumes),
+and its means come from the finest level up.  The
 A_p characteristic, the reducing fit, the Haar coefficients and the
 condition family of ``bmo`` all run over families, so every shifted grid
 has one evaluation path.
@@ -67,7 +68,6 @@ from .dyadic import (
     WindowError,
     cube_pieces,
     enumerate_grid_cubes,
-    grid_children_index,
     sign_table,
 )
 
@@ -348,8 +348,8 @@ class _OwnGrid:
     def piece_mean(self, i, vals):
         return vals.mean(axis=1)  # every piece is one whole leaf
 
-    def mean(self, F, i):
-        return F.level_averages()[i]
+    def means(self, F):
+        return F.level_averages()[: self.top + 1]
 
     def reducing(self, F, p):
         return F.reducing_table(p).mats[: self.top]
@@ -467,36 +467,57 @@ class _OwnGrid:
 
 class _ShiftedGrid:
     """The cubes of D^t inside the window box, from the coarsest level that
-    has one down to the leaf level (or ``max_level``).  Every cube of a
-    level meets the same pattern of leaf pieces, so a level is one
-    (cubes, pieces) stack with exact piece volumes."""
+    has one down to the leaf level (or ``max_level``); a level's data are in
+    C order over its box of positions."""
 
     def __init__(self, window, t, max_level=None):
         self.window = window
         self.grid = DyadicGrid(window.d, t)
+        # per level: (absolute level, first position, cubes per axis)
         self.levels = [
-            (k, pos) for k, pos in enumerate_grid_cubes(window, t, max_level) if len(pos)
+            (k, pos[0], pos[-1] - pos[0] + 1)
+            for k, pos in enumerate_grid_cubes(window, t, max_level) if len(pos)
         ]
-        self.pieces = [cube_pieces(window, t, k) for k, _ in self.levels]
+        self.pieces = [cube_pieces(window, t, k) for k, _, _ in self.levels]
         self.top = len(self.levels) - 1
-        self.volumes = [float(self.grid.cube(k, pos[0]).volume) for k, pos in self.levels]
-        self.counts = [len(pos) for _, pos in self.levels]
-        self.children = [
-            grid_children_index(self.grid, k, pos, below)
-            for (k, pos), (_, below) in zip(self.levels, self.levels[1:])
+        self.volumes = [float(self.grid.cube(k, m).volume) for k, m, _ in self.levels]
+        self.counts = [int(np.prod(c)) for _, _, c in self.levels]
+        # where level i's children start in level i + 1's box: 2 m + sgn_k u
+        u = np.array(self.grid.shift_numerators)
+        self.offsets = [
+            2 * m + (-1 if k % 2 else 1) * u - below
+            for (k, m, _), (_, below, _) in zip(self.levels, self.levels[1:])
         ]
 
     def kids(self, values, i):
-        return values[self.children[i]]
+        counts, below = self.levels[i][2], self.levels[i + 1][2]
+        box = tuple(slice(o, o + 2 * c) for o, c in zip(self.offsets[i], counts))
+        boxed = values.reshape(tuple(below) + values.shape[1:])[box]
+        return self.window.box_blocks(boxed, counts, 2)
 
     def leaf_blocks(self, values, i):
-        return values[self.pieces[i][0]]
+        return self.pieces[i][0](values)
 
     def piece_mean(self, i, vals):
         return vals @ self.pieces[i][1] / self.volumes[i]
 
-    def mean(self, F, i):
-        return _cube_means(F.leaves, *self.pieces[i])
+    def means(self, F):
+        return list(self._walk_up(self._finest(F.leaves)))[::-1]
+
+    def _finest(self, values):
+        """The finest level's means of leaf data, from its weighted pieces."""
+        if not self.pieces:
+            return None  # cut above every cube of the grid: nothing to walk
+        take, vols = self.pieces[self.top]
+        return np.tensordot(take(values), vols, axes=(1, 0)) / vols.sum()
+
+    def _walk_up(self, m):
+        """The finest level's means ``m``, then each coarser level's, the
+        mean of its kids."""
+        for i in range(self.top, -1, -1):
+            yield m
+            if i:
+                m = np.add.reduce(self.kids(m, i - 1), axis=1) / self.window.nchild
 
     def reducing(self, F, p):
         return _fit_reducing(self, F, p, stop=self.top)[0]
@@ -505,23 +526,24 @@ class _ShiftedGrid:
         return [np.linalg.inv(V) for V in self.reducing(F, p)]
 
     def net_means(self, P, nets, expo, stop):
-        # one stack per level, from the net powers of every leaf: the leaf
-        # pieces of a shifted cube are no run of any leaf order
-        leaf = [_net_powers(P, net, expo) for net in nets]
-        lo = 0
-        for pc in self.pieces[:stop]:
-            yield (slice(lo, lo + len(pc[0])), *(_cube_means(v, *pc) for v in leaf))
-            lo += len(pc[0])
+        # one stack per level, from the finest up: means are linear, so net
+        # powers walk up as leaf data do, each level dropped after its parent
+        ends = np.cumsum(self.counts)
+        walks = [self._walk_up(self._finest(_net_powers(P, net, expo))) for net in nets]
+        for i, stacks in zip(range(self.top, -1, -1), zip(*walks)):
+            if i < stop:
+                yield (slice(ends[i] - self.counts[i], ends[i]), *stacks)
 
     def gram_levels(self, W, p):
         # Per level, the Gram of every cube's pieces as (cubes, rows, pieces)
         # blocks of at most _ROW_BUDGET entries: whole cubes when one fits,
-        # row blocks of a single cube otherwise.
+        # row blocks of a single cube otherwise, gathered by leaf index.
         pp = p / (p - 1.0)
         A = _real_rows(W.power(2.0 / p).leaves) / W.n
         B = _real_rows(W.power(-2.0 / p).leaves)
         per_level = []
-        for idx, vols in self.pieces:
+        for take, vols in self.pieces:
+            idx = take(np.arange(self.window.leafcount))
             pieces = idx.shape[1]
             w = vols / vols.sum()
             rows = min(pieces, max(1, _ROW_BUDGET // pieces))
@@ -536,8 +558,8 @@ class _ShiftedGrid:
         return per_level
 
     def cube(self, i, c):
-        k, pos = self.levels[i]
-        return self.grid.cube(k, pos[c])
+        k, m, counts = self.levels[i]
+        return self.grid.cube(k, m + np.unravel_index(c, counts))
 
 
 def _family(window, t, max_level=None):
@@ -561,12 +583,6 @@ def _tree_means(stack, k):
                 out=stack[lo - size : lo])
         hi = lo
     return stack
-
-
-def _cube_means(values, idx, vols):
-    """Volume-weighted means of leaf data over the pieces of a stack of
-    cubes: ``idx`` (cubes, pieces) leaf indices, ``vols`` (pieces,)."""
-    return np.tensordot(values[idx], vols, axes=(1, 0)) / vols.sum()
 
 
 def _level_argmax(per_level):
@@ -635,8 +651,8 @@ def _is_p2(p):
 def _ap_levels(fam, W, p):
     """The A_p integrand of every cube of a family, level by level."""
     if _is_p2(p):
-        Wi = W.inverse()
-        return [_trace_form(fam.mean(W, i), fam.mean(Wi, i)) for i in range(fam.top + 1)]
+        Wi = W.inverse()  # before any means, as the eigensolve peaks highest
+        return [_trace_form(mW, mWi) for mW, mWi in zip(fam.means(W), fam.means(Wi))]
     return fam.gram_levels(W, p)
 
 
@@ -649,7 +665,8 @@ def ap_characteristic_report(W, p, grids=None, max_level=None):
 
     Method.  At p = 2 the double average factorizes: a cube scores
     tr(m_I W m_I W^{-1}) / n, read off the family's means (on a shifted
-    grid, means weighted by the exact piece volumes), so no Gram is formed.
+    grid, the finest level's weighted by the exact piece volumes and each
+    coarser level's from its children), so no Gram is formed.
     At p != 2 the leaf Gram tr(W_x^{2/p} W_t^{-2/p}) / n is formed in
     tiles of at most ``_ROW_BUDGET`` = 2^18 entries: O(N^2) time in about
     2 MB of working memory beyond O(N n^2) for the power leaves and their
@@ -902,7 +919,7 @@ def _fit_reducing(fam, W, p, dual=False, stop=None):
     stop = fam.top + 1 if stop is None else stop
     if _is_p2(p):
         src = W.inverse() if dual else W
-        return [_mat_sqrt(fam.mean(src, i)) for i in range(stop)], 1.0
+        return [_mat_sqrt(m) for m in fam.means(src)[:stop]], 1.0
     expo = p / (p - 1.0) if dual else p
     P = W.power(-1.0 / p if dual else 1.0 / p).leaves
     net, vnet = _reducing_net(P), _reducing_net(P, offset=True)
@@ -1114,6 +1131,17 @@ def _sequence(ok):
 
 _objects = _sequence(lambda s: isinstance(s, dict))
 
+
+def _leaf_stack(v):
+    """``v`` as a (leaves, n, n) array of finite numbers; None for anything
+    else, ragged nesting included."""
+    try:
+        a = np.asarray(v)
+    except ValueError:
+        return None
+    ok = a.ndim == 3 and a.shape[1] == a.shape[2] and a.dtype.kind in "iufc"
+    return a if ok and np.all(np.isfinite(a)) else None
+
 # weight spec key -> (its value as used, or None when the value is refused;
 # what the key asks for), nested theta and lambda objects included
 _SPEC = {
@@ -1123,6 +1151,7 @@ _SPEC = {
     **dict.fromkeys(("alphas", "x0"), (
         _sequence(lambda x: _finite(x) is not None), "a sequence of finite numbers")),
     "kind": (lambda v: v if isinstance(v, str) else None, "a string"),
+    "values": (_leaf_stack, "a (leaves, n, n) array of finite numbers"),
     "weight": (lambda v: v if isinstance(v, bool) else None, "true or false"),
     "theta": (lambda v: _read_spec(v) if isinstance(v, dict) else None, "a JSON object"),
     "lambda": (lambda v: [_read_spec(x) for x in s] if (s := _objects(v)) and len(s) == 2
@@ -1192,6 +1221,8 @@ def generate_weight(spec, window=None):
         leaves = _log_spd_leaves(window, n, spec.get("amplitude", 0.6), rng, spec.get("levels"))
         return MatrixField(window, leaves, weight=True)
     if kind == "leaves":
+        if "values" not in spec:
+            raise FieldError("weight spec of kind 'leaves' needs the key 'values'")
         return MatrixField(window, spec["values"], weight=spec.get("weight", True))
     raise FieldError(f"unknown weight spec kind {kind!r}")
 

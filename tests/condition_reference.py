@@ -16,17 +16,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from matweight import transforms as tf
-from matweight.dyadic import (
-    DyadicGrid,
-    WindowError,
-    cube_pieces,
-    enumerate_grid_cubes,
-    grid_children_index,
-    sign_table,
-)
+from matweight.dyadic import WindowError, sign_table
 from matweight.fields import (
     FieldError,
-    _cube_means,
     _ellipsoid_fit,
     _is_p2,
     _mat_isqrt,
@@ -36,18 +28,20 @@ from matweight.fields import (
     _reducing_net,
 )
 
+from grid_reference import children_index, level_pieces, piece_means
+
 
 def _piece_reducing(W, p, pieces):
     """Reducing operators V_I(W, p) of the cube stacks given as
     (idx, vols) pieces, by ``ReducingTable``'s rule: exact average square
     roots at p = 2, the fitted ellipsoids of W^{1/p} otherwise."""
     if _is_p2(p):
-        return [_mat_sqrt(_cube_means(W.leaves, *pc)) for pc in pieces]
+        return [_mat_sqrt(piece_means(W.leaves, *pc)) for pc in pieces]
     P = W.power(1.0 / p).leaves
     net, vnet = _reducing_net(P), _reducing_net(P, offset=True)
     rho, vr = _net_powers(P, net, p), _net_powers(P, vnet, p)
     return [
-        _ellipsoid_fit(_cube_means(rho, *pc), _cube_means(vr, *pc), net, vnet, p)[0]
+        _ellipsoid_fit(piece_means(rho, *pc), piece_means(vr, *pc), net, vnet, p)[0]
         for pc in pieces
     ]
 
@@ -401,37 +395,37 @@ def bmo_over_shifted_grids(B, W, U, p, eps=1.0):
 def _foreign_grid_bmo(B, W, U, p, eps, t):
     """bmo_original and condition (b) over the cubes of D^t inside the
     window box, level by level: every cube of a level meets the same
-    pattern of leaf pieces, so each level is one (cubes, pieces) stack."""
+    pattern of leaf pieces, so each level is one (cubes, pieces) stack.
+    Cubes, pieces and children come from the exact per-cube geometry of
+    ``grid_reference``."""
     win = B.window
-    grid = DyadicGrid(win.d, t)
     # nonempty levels run from the coarsest cube inside the box to the leaves
-    levels = [(k, pos) for k, pos in enumerate_grid_cubes(win, t) if len(pos)]
-    pieces = [cube_pieces(win, t, k) for k, _ in levels]
-    aB = [_cube_means(B.leaves, *pc) for pc in pieces]
+    levels = level_pieces(win, t)
+    pieces = [(idx, vols) for _, idx, vols in levels]
+    aB = [piece_means(B.leaves, *pc) for pc in pieces]
     Wp = W.power(1.0 / p).leaves
     Up = U.power(1.0 / p).leaves
     # the last level is the leaf level, which has no oscillation or coefficient
     VW, VU = (_piece_reducing(F, p, pieces[:-1]) for F in (W, U))
     tbl = sign_table(win.d)
     bo_best, own, children, vols_J = 0.0, [], [], []
-    for i, (k, pos) in enumerate(levels[:-1]):
-        idx, vols = pieces[i]
-        vol = float(grid.cube(k, pos[0]).volume)
+    for i, (cubes, idx, vols) in enumerate(levels[:-1]):
+        vol = float(cubes[0].volume)
         M = np.einsum(
             "kab,kcbd,kde->kcae",
-            _cube_means(Wp, idx, vols),
+            piece_means(Wp, idx, vols),
             B.leaves[idx] - aB[i][:, None],
-            np.linalg.inv(_cube_means(Up, idx, vols)),
+            np.linalg.inv(piece_means(Up, idx, vols)),
         )
         bo_best = max(bo_best, float(np.max(_opnorms(M) ** (1.0 + eps) @ vols)) / vol)
-        ch = grid_children_index(grid, k, pos, levels[i + 1][1])
+        ch = children_index(cubes, levels[i + 1][0])
         coef = (np.sqrt(vol) / 2**win.d) * np.einsum("sb,kb...->ks...", tbl, aB[i + 1][ch])
         M2 = np.einsum("kab,ksbc,kcd->ksad", VW[i], coef, np.linalg.inv(VU[i]))
         own.append(np.sum(_opnorms(M2) ** 2, axis=1))
         children.append(ch)
         vols_J.append(vol)
     # sum up the in-window forest, children in offset-bit order
-    acc, cb_best = np.zeros(len(levels[-1][1])), 0.0
+    acc, cb_best = np.zeros(len(levels[-1][0])), 0.0
     for i in range(len(own) - 1, -1, -1):
         total = own[i].copy()
         for col in children[i].T:

@@ -2,9 +2,11 @@
 
 These are the cube-by-cube paths the library used before it computed the
 foreign-grid geometry once per level: every cube of D^t inside the window
-box is built as a ``DyadicCube`` and its overlap with the window leaves is
-computed from exact ``Fraction`` corners.  The tests compare the per-level
-arrays and values against them.
+box is built as a ``DyadicCube``, its overlap with the window leaves is
+computed from exact ``Fraction`` corners, and its children are
+``DyadicCube.child``.  The tests compare the per-level arrays and values
+against them, and the other references take their shifted cubes, pieces
+and children from here.
 """
 
 import math
@@ -121,6 +123,37 @@ def cube_pieces(window, cube):
         idxs.append(int(np.ravel_multi_index(tuple(coords), (2**L,) * d)))
         vols.append(float(vol))
     return np.array(idxs, dtype=int), np.array(vols)
+
+
+def level_pieces(window, shift):
+    """Per level of D^shift that has cubes inside the window box, down to
+    the leaf level: (cubes, idx, vols), the ``DyadicCube``s of
+    ``enumerate_grid_cubes`` and their ``cube_pieces`` stacked, idx
+    (cubes, pieces) and vols (pieces,), which every cube of a level shares
+    (checked)."""
+    out = []
+    for _, cubes in enumerate_grid_cubes(window, shift):
+        if not cubes:
+            continue
+        pieces = [cube_pieces(window, cube) for cube in cubes]
+        vols = pieces[0][1]
+        assert all(np.array_equal(v, vols) for _, v in pieces)
+        out.append((cubes, np.stack([idx for idx, _ in pieces]), vols))
+    return out
+
+
+def children_index(cubes, below):
+    """(cubes, 2^d) positions in the list ``below`` of each cube's children,
+    in the offset-bit order of ``DyadicCube.child``."""
+    where = {cube.position: k for k, cube in enumerate(below)}
+    bits = range(2 ** cubes[0].grid.dimension)
+    return np.array([[where[cube.child(b).position] for b in bits] for cube in cubes])
+
+
+def piece_means(values, idx, vols):
+    """Volume-weighted means of leaf data over the (cubes, pieces) leaf
+    indices ``idx`` with piece volumes ``vols``."""
+    return np.tensordot(values[idx], vols, axes=(1, 0)) / vols.sum()
 
 
 def foreign_grid_ap(W, p, shift, max_level):

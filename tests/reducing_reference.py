@@ -5,8 +5,8 @@ matrix products: ``_net_powers`` and ``_ellipsoid_fit`` walk 3-D einsum
 temporaries, and ``_opnorms`` takes the top singular value from a batched
 SVD.  ``build`` and ``piece_reducing`` are ``ReducingTable.build`` and the
 shifted-grid reducing fit (``fields._fit_reducing`` over a ``_ShiftedGrid``)
-on top of them; the tests compare the library's tables, kappas and norms
-against these.
+on top of them, the latter on the exact pieces of ``grid_reference``; the
+tests compare the library's tables, kappas and norms against these.
 """
 
 import numpy as np
@@ -14,12 +14,13 @@ import numpy as np
 from matweight.fields import (
     FieldError,
     NotPositiveDefiniteError,
-    _cube_means,
     _is_p2,
     _mat_isqrt,
     _mat_sqrt,
     _reducing_net,
 )
+
+from grid_reference import piece_means
 
 
 def _net_powers(P, net, expo):
@@ -81,12 +82,12 @@ def piece_reducing(W, p, pieces):
     """The reducing operators of the (idx, vols) cube stacks ``pieces``, on
     the kernels above."""
     if _is_p2(p):
-        return [_mat_sqrt(_cube_means(W.leaves, *pc)) for pc in pieces]
+        return [_mat_sqrt(piece_means(W.leaves, *pc)) for pc in pieces]
     P = W.power(1.0 / p).leaves
     net, vnet = _reducing_net(P).dirs, _reducing_net(P, offset=True).dirs
     rho, vr = _net_powers(P, net, p), _net_powers(P, vnet, p)
     return _ellipsoid_fit(
-        [_cube_means(rho, *pc) for pc in pieces],
-        [_cube_means(vr, *pc) for pc in pieces],
+        [piece_means(rho, *pc) for pc in pieces],
+        [piece_means(vr, *pc) for pc in pieces],
         net, vnet, p,
     )[0]

@@ -13,8 +13,6 @@ from matweight.dyadic import (
     Signature,
     Window,
     containing_shifted_cube,
-    haar_eval,
-    signature_product,
 )
 from matweight.fields import MatrixField, VectorField, ap_characteristic
 from matweight import bmo
@@ -23,6 +21,7 @@ from matweight import stopping as st
 from matweight import transforms as tf
 
 import operator_reference as oref
+from geometry_reference import haar_eval, signature_product
 import scalar_reference as ref
 from conftest import scalar_field, scalar_vector, random_scalar_weight
 

@@ -233,6 +233,27 @@ def test_gen_refuses_malformed_weight_specs(tmp_path, capsys, extra, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values, message", [
+    (None, "weight spec of kind 'leaves' needs the key 'values'"),
+    ("x", "weight spec key 'values' must be"),
+    ([[1.0, 2.0]], "weight spec key 'values' must be"),
+    ([[[1.0]], [[1.0, 2.0]]], "weight spec key 'values' must be"),
+], ids=["missing", "string", "two-axes", "ragged"])
+def test_gen_refuses_bad_leaves_values(tmp_path, capsys, values, message):
+    # a leaves spec without values, or with values that are no stack of
+    # square matrices, is bad input: one error line, exit 2, nothing written
+    spec = {"kind": "leaves", "d": 1, "depth": 1}
+    if values is not None:
+        spec["values"] = values
+    path, out = tmp_path / "spec.json", tmp_path / "w.mwf"
+    path.write_text(json.dumps(spec))
+    capsys.readouterr()
+    assert main(["gen", "--spec", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["gen", "verify", "duality", "jn"])
 def test_spec_and_manifest_must_be_json_objects(tmp_path, capsys, command):
     doc = tmp_path / "doc.json"

@@ -15,11 +15,10 @@ from matweight.dyadic import (
     containing_shifted_cube,
     cube_pieces,
     enumerate_grid_cubes,
-    haar_eval,
-    signature_product,
 )
 
 import grid_reference as grid_ref
+from geometry_reference import haar_eval, signature_product
 
 
 def test_children_bisection_1d():
@@ -351,20 +350,44 @@ def test_enumerate_grid_cubes_inside_box():
 
 
 def test_cube_pieces_partition_volume():
-    # each level's (cubes, pieces) indices and shared volumes are the
-    # oracle's per-cube pieces exactly; the pieces partition each cube
+    # each level's piece window over the leaf indices is the oracle's
+    # per-cube pieces exactly, and so are the shared volumes; the pieces
+    # partition each cube, and the window reads data with trailing axes
+    # as the gather through those indices does
     for win, t in _grid_cases():
-        grid = DyadicGrid(win.d, t)
-        for k, positions in enumerate_grid_cubes(win, t):
-            idx, vols = cube_pieces(win, t, k)
-            assert idx.shape == (len(positions), vols.size)
-            for c, m in enumerate(positions):
-                cube = grid.cube(k, m)
+        for _, cubes in grid_ref.enumerate_grid_cubes(win, t):
+            if not cubes:
+                continue
+            take, vols = cube_pieces(win, t, cubes[0].level)
+            idx = take(np.arange(win.leafcount))
+            assert idx.shape == (len(cubes), vols.size)
+            for c, cube in enumerate(cubes):
                 want_idx, want_vols = grid_ref.cube_pieces(win, cube)
                 assert np.array_equal(idx[c], want_idx)
                 assert np.array_equal(vols, want_vols)
                 assert len(np.unique(idx[c])) == len(idx[c])
                 assert np.isclose(vols.sum(), float(cube.volume), atol=1e-15)
+            vals = np.arange(win.leafcount * 6).reshape(-1, 2, 3) * (1 + 1j)
+            assert np.array_equal(take(vals), vals[idx])
+
+
+def test_shifted_children_are_exact_children():
+    # the children slice of every level of every shift is
+    # DyadicCube.child's children, in offset-bit order, on data with and
+    # without trailing axes
+    from matweight.fields import _ShiftedGrid
+
+    for win, t in _grid_cases():
+        fam = _ShiftedGrid(win, t)
+        cubes = [c for _, c in grid_ref.enumerate_grid_cubes(win, t) if c]
+        assert fam.counts == [len(c) for c in cubes]
+        for i in range(fam.top):
+            want = grid_ref.children_index(cubes[i], cubes[i + 1])
+            assert np.array_equal(fam.kids(np.arange(len(cubes[i + 1])), i), want)
+            vals = np.arange(len(cubes[i + 1]) * 4).reshape(-1, 2, 2) * (1 - 1j)
+            assert np.array_equal(fam.kids(vals, i), vals[want])
+        for i, level in enumerate(cubes):
+            assert [fam.cube(i, c) for c in range(len(level))] == level
 
 
 def test_window_depth_validation():

@@ -630,13 +630,12 @@ def test_reducing_table_matches_einsum_oracle(rng, n, kind, cond, p, dual):
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_piece_reducing_matches_einsum_oracle(rng, kind, p):
-    from matweight.dyadic import cube_pieces, enumerate_grid_cubes
+    from grid_reference import level_pieces
 
     win = Window.unit(2, 4)
     W = _ap_weight(kind, 2, 4, rng)
     for t in range(1, 2**win.d):
-        levels = [k for k, pos in enumerate_grid_cubes(win, t) if len(pos)]
-        pieces = [cube_pieces(win, t, k) for k in levels]
+        pieces = [(idx, vols) for _, idx, vols in level_pieces(win, t)]
         got, _ = fields._fit_reducing(fields._ShiftedGrid(win, t), W, p)
         _assert_stacks_close(got, red_ref.piece_reducing(W, p, pieces), 1e-12)
 
@@ -683,10 +682,12 @@ def test_streamed_reducing_fit_matches_einsum_oracle(
         got, _ = fields._fit_reducing(fields._OwnGrid(win), W, p, dual=dual, stop=stop)
         _assert_stacks_close(got, mats[:stop], 1e-12)
     if not dual:
+        from grid_reference import level_pieces
+
         for t in range(1, 2**d):
-            fam = fields._ShiftedGrid(win, t)
-            got, _ = fields._fit_reducing(fam, W, p)
-            _assert_stacks_close(got, red_ref.piece_reducing(W, p, fam.pieces), 1e-12)
+            got, _ = fields._fit_reducing(fields._ShiftedGrid(win, t), W, p)
+            pieces = [(idx, vols) for _, idx, vols in level_pieces(win, t)]
+            _assert_stacks_close(got, red_ref.piece_reducing(W, p, pieces), 1e-12)
 
 
 def test_streamed_reducing_table_memory_and_calls(monkeypatch):
@@ -969,13 +970,25 @@ def test_vector_field_dump_load(tmp_path, rng):
 
 
 def test_foreign_grid_ap_matches_own(rng):
+    # the piecewise family on the window's own shift walks its levels as
+    # the own grid does: its kids and leaf blocks are the own grid's, bit
+    # for bit, on complex data with trailing axes
     from matweight.bmo import bounded_weight
 
-    for win in (Window.unit(1, 4), Window.unit(2, 3)):
+    for win in (Window.unit(1, 4), Window.unit(2, 3), Window.unit(3, 2)):
         W = bounded_weight(win, 2, rng)
+        fam = fields._ShiftedGrid(win, win.grid.shift, win.depth)
+        own_fam = fields._OwnGrid(win)
+        assert fam.top == own_fam.top and fam.counts == own_fam.counts
+        shape = (win.leafcount, 2, 3)
+        leaves = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for i in range(win.depth + 1):
+            assert np.array_equal(fam.leaf_blocks(leaves, i), own_fam.leaf_blocks(leaves, i))
+            if i < win.depth:
+                vals = leaves[: win.cubes_at(i + 1)]
+                assert np.array_equal(fam.kids(vals, i), own_fam.kids(vals, i))
         for p in (2.0, 3.0):
             own = ap_characteristic(W, p)
-            fam = fields._ShiftedGrid(win, win.grid.shift, win.depth)
             val, cube = family_ap(fam, W, p)
             assert np.isclose(val, own, rtol=1e-9)
 

@@ -69,3 +69,15 @@ def test_scaling_dense_layer_stops_at_the_cap(scaling, tmp_path, monkeypatch):
     records = json.loads(out.read_text())["runs"]["change"]["records"]
     assert {r["depth"] for r in records if r["layer"] == "materialize" and r["d"] == 1} == {3}
     assert {r["depth"] for r in records if r["layer"] == "haar_roundtrip" and r["d"] == 1} == {3, 4}
+
+
+def test_fresh_operands_share_a_window_of_their_own(scaling):
+    # each timed call gets a new window, so nothing cached on the last
+    # call's window or fields is warm; its operands all live on it
+    m = scaling.load(ROOT / "src")
+    ops = scaling._operands(m, 1, 3)
+    A, W, win = scaling._fresh(m, ops, ("A", "W", "win"))
+    assert win is not ops["win"] and A.window is win and W.window is win
+    assert (win.root, win.depth) == (ops["win"].root, ops["win"].depth)
+    assert W is not ops["W"] and (W.leaves == ops["W"].leaves).all()
+    assert A.coefs is ops["A"].coefs

@@ -4,11 +4,12 @@
 
 Runs in process against the ``src/`` of the checkout that holds this file,
 with one BLAS thread (the thread variables are set before numpy loads).
-For every window of ``SIZES`` (d = 1 at depth 8-18, d = 2 at depth 4-7;
+For every window of ``SIZES`` (d = 1 at depth 8-18, d = 2 at depth 4-8;
 n = 2) it draws bounded weights W != U and a symbol B, seeded from the
-window, and times each layer of ``LAYERS`` on fresh copies of its operands,
-so a call pays for the powers and reducing tables it needs, as one CLI
-command does; the copies are made before the clock and the trace start.
+window, and times each layer of ``LAYERS`` on fresh copies of its operands
+on a new window of their own, so a call pays for the powers, reducing
+tables and window tables it needs, as one CLI command does; the copies are
+made before the clock and the trace start.
 ``seconds`` is the fastest of up to three calls (fewer when they take over
 a second together); ``peak_mb`` is the ``tracemalloc`` peak of one more
 call, and ``leaf_mb`` the size of the leaves of its matrix-field operands
@@ -56,10 +57,10 @@ import numpy as np  # noqa: E402
 
 MODULES = ("bmo", "dyadic", "fields", "opnorm", "stopping", "transforms")
 N_COMPONENTS = 2
-SIZES = {1: range(8, 19), 2: range(4, 8)}
-DEEPEST = {1: 16, 2: 7}
+SIZES = {1: range(8, 19), 2: range(4, 9)}
+DEEPEST = {1: 16, 2: 8}
 AP_DEPTH = {1: 15, 2: 7}  # deepest window for the O(N^2) A_p at p != 2
-TABLE_DEPTH = {1: 18, 2: 7}  # deepest window for the layers that build p != 2 tables
+TABLE_DEPTH = {1: 18, 2: 8}  # deepest window for the layers that build p != 2 tables
 TABLE_LAYERS = ("reducing_p3", "reducing_p3_complex", "condition_b_p3", "carleson_norm_p3")
 DENSE_DEPTH = {1: 11, 2: 5}  # deepest window with n N <= DENSE_CAP = 4096 at n = 2
 REPEATS = 3
@@ -80,12 +81,21 @@ def load(src, name="matweight"):
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
 
 
-def _fresh(m, x):
-    """A matrix field copied with empty power, average and reducing caches;
-    anything else as it is."""
-    if isinstance(x, m.fields.MatrixField):
-        return m.fields.MatrixField(x.window, x.leaves, weight=x.is_weight)
-    return x
+def _fresh(m, ops, names):
+    """The operands ``names`` of ``ops`` on a new window of their own, equal
+    to theirs: matrix fields copied with empty power, average and reducing
+    caches, a Haar spectrum re-wrapped, anything else as it is.  So nothing
+    cached on a window or a field is warm."""
+    win = m.dyadic.Window(ops["win"].root, ops["win"].depth)
+
+    def copy(x):
+        if isinstance(x, m.fields.MatrixField):
+            return m.fields.MatrixField(win, x.leaves, weight=x.is_weight)
+        if isinstance(x, m.transforms.HaarSpectrum):
+            return m.transforms.HaarSpectrum(win, x.coefs, x.root)
+        return win if x is ops["win"] else x
+
+    return [copy(ops[name]) for name in names]
 
 
 def _operands(m, d, depth):
@@ -106,6 +116,10 @@ LAYERS = {
         ("win",)),
     "ap_p2": ("fields.ap_characteristic(W, 2)",
               lambda m, W: m.fields.ap_characteristic(W, 2.0), ("W",)),
+    "ap_p2_grids": (
+        "fields.ap_characteristic(W, 2, grids=all 2^d), own and shifted grids",
+        lambda m, W: m.fields.ap_characteristic(W, 2.0, grids=range(1, 2**W.window.d + 1)),
+        ("W",)),
     "ap_p3": ("fields.ap_characteristic(W, 3)",
               lambda m, W: m.fields.ap_characteristic(W, 3.0), ("W",)),
     "ap_p3_grids": (
@@ -118,6 +132,9 @@ LAYERS = {
                             lambda m, Wc: m.fields.ReducingTable.build(Wc, 3.0), ("Wc",)),
     "bmo_original_p3": ("bmo.bmo_original(B, W, U, 3)",
                         lambda m, B, W, U: m.bmo.bmo_original(B, W, U, 3.0), ("B", "W", "U")),
+    "bmo_grids_p2": ("bmo.bmo_over_shifted_grids(B, W, U, 2), all 2^d grids",
+                     lambda m, B, W, U: m.bmo.bmo_over_shifted_grids(B, W, U, 2.0),
+                     ("B", "W", "U")),
     "condition_b_p3": ("bmo.condition_b(W, U, A, 3), A = analyze(B)",
                        lambda m, A, W, U: m.bmo.condition_b(W, U, A, 3.0), ("A", "W", "U")),
     "carleson_norm_p3": ("bmo.carleson_norm(W, U, A, 3), A = analyze(B)",
@@ -147,7 +164,7 @@ def _times(call, names, sides):
     best, spent = [np.inf] * len(sides), 0.0
     for _ in range(REPEATS):
         for k, (m, ops) in enumerate(sides):
-            args = [_fresh(m, ops[name]) for name in names]
+            args = _fresh(m, ops, names)
             t0 = time.perf_counter()
             call(m, *args)
             dt = time.perf_counter() - t0
@@ -158,7 +175,7 @@ def _times(call, names, sides):
 
 
 def _peak(call, names, m, ops):
-    args = [_fresh(m, ops[name]) for name in names]
+    args = _fresh(m, ops, names)
     tracemalloc.start()
     try:
         call(m, *args)
